@@ -9,8 +9,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use exq_bench::{natality_db, natality_dims, q_race};
 use exq_core::intervention::InterventionEngine;
-use exq_core::naive::{explanation_table_naive, explanation_table_naive_parallel};
-use exq_relstore::Universal;
+use exq_core::naive::{explanation_table_naive, explanation_table_naive_with};
+use exq_relstore::{ExecConfig, Universal};
 
 fn naive_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("naive_parallel_10k_rows_d3");
@@ -26,7 +26,8 @@ fn naive_scaling(c: &mut Criterion) {
     });
     for threads in [2usize, 4, 8] {
         group.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &t| {
-            b.iter(|| explanation_table_naive_parallel(&db, &engine, &question, &dims, t).unwrap())
+            let exec = ExecConfig::with_threads(t);
+            b.iter(|| explanation_table_naive_with(&db, &engine, &question, &dims, &exec).unwrap())
         });
     }
     group.finish();

@@ -29,12 +29,6 @@ pub struct CubeAlgoConfig {
     /// anyway — the μ_interv column is then an *approximation* (the
     /// μ_aggr column is always exact).
     pub enforce_additivity: bool,
-    /// Force the row-oriented `Value` cube path even when every
-    /// explanation attribute is dictionary-coded. The default (`false`)
-    /// runs the columnar coded path when available; both produce
-    /// bit-identical tables, and the differential tests pin that by
-    /// setting this flag on one side.
-    pub reference_rows: bool,
     /// The executor the cubes and the degree derivation run on. Output is
     /// bit-identical at any thread count.
     pub exec: ExecConfig,
@@ -52,7 +46,6 @@ impl CubeAlgoConfig {
         CubeAlgoConfig {
             strategy: CubeStrategy::default(),
             enforce_additivity: true,
-            reference_rows: false,
             exec: ExecConfig::sequential(),
         }
     }
@@ -62,7 +55,6 @@ impl CubeAlgoConfig {
         CubeAlgoConfig {
             strategy: CubeStrategy::default(),
             enforce_additivity: false,
-            reference_rows: false,
             exec: ExecConfig::sequential(),
         }
     }
@@ -83,6 +75,42 @@ pub fn explanation_table(
     question: &UserQuestion,
     dims: &[AttrRef],
     config: CubeAlgoConfig,
+) -> Result<ExplanationTable> {
+    explanation_table_in(db, u, question, dims, config, joined_coded_cells)
+}
+
+/// [`explanation_table`] through the retained row-oriented cube
+/// (`cube::compute_rows_with`): the oracle the differential tests compare
+/// the engine against. Tables are bit-identical to [`explanation_table`]'s.
+pub fn explanation_table_reference(
+    db: &Database,
+    u: &Universal,
+    question: &UserQuestion,
+    dims: &[AttrRef],
+    config: CubeAlgoConfig,
+) -> Result<ExplanationTable> {
+    explanation_table_in(db, u, question, dims, config, joined_value_cells)
+}
+
+/// Lines 2–3 of Algorithm 1: one cube per sub-query, full-outer-joined
+/// into `(coordinate, v_1..v_m)` cells in no particular order.
+type JoinedCells = fn(
+    &Database,
+    &Universal,
+    &UserQuestion,
+    &[AttrRef],
+    &CubeAlgoConfig,
+    &MetricsSink,
+) -> Result<Vec<(Coord, Vec<f64>)>>;
+
+/// Algorithm 1 around a choice of cube-and-join step.
+fn explanation_table_in(
+    db: &Database,
+    u: &Universal,
+    question: &UserQuestion,
+    dims: &[AttrRef],
+    config: CubeAlgoConfig,
+    joined_cells: JoinedCells,
 ) -> Result<ExplanationTable> {
     let sink = config.exec.metrics().clone();
     let _span = sink.span("cube_algo");
@@ -107,19 +135,9 @@ pub fn explanation_table(
         question.query.aggregate_values(db, u)
     })?;
 
-    // Line 2: per-sub-query cubes, joined (line 3) in whichever space the
-    // store supports: dictionary codes when every explanation attribute is
-    // coded (the columnar fast path), cloned `Value`s otherwise.
-    let m = question.query.arity();
-    sink.add("cube_algo.sub_queries", m as u64);
-    let cells: Vec<(Coord, Vec<f64>)> = if config.reference_rows {
-        joined_value_cells(db, u, question, dims, &config, &sink, m)?
-    } else {
-        match joined_coded_cells(db, u, question, dims, &config, &sink, m)? {
-            Some(cells) => cells,
-            None => joined_value_cells(db, u, question, dims, &config, &sink, m)?,
-        }
-    };
+    // Line 2: per-sub-query cubes, joined (line 3).
+    sink.add("cube_algo.sub_queries", question.query.arity() as u64);
+    let cells = joined_cells(db, u, question, dims, &config, &sink)?;
     sink.add("cube_algo.joined_cells", cells.len() as u64);
 
     // Lines 4-5: degree columns, derived per cell in parallel blocks (the
@@ -147,8 +165,8 @@ fn joined_value_cells(
     dims: &[AttrRef],
     config: &CubeAlgoConfig,
     sink: &MetricsSink,
-    m: usize,
 ) -> Result<Vec<(Coord, Vec<f64>)>> {
+    let m = question.query.arity();
     let mut joined: HashMap<Coord, Vec<f64>> = HashMap::new();
     for (j, q) in question.query.aggregates.iter().enumerate() {
         let c = sink.time("cube_algo.cubes", || {
@@ -186,11 +204,7 @@ fn joined_value_cells(
 
 /// Lines 2–3 in code space: one coded cube per sub-query, hash-joined on
 /// `u32` coordinate tuples, decoded once at the end (don't-cares become
-/// the reserved dummy, exactly like the `Value` join). Returns `None` when
-/// some explanation attribute's column is not dictionary-coded — coded-ness
-/// is a property of the store alone, so the first sub-query's answer holds
-/// for all of them.
-#[allow(clippy::type_complexity)] // the Option layer is the coded-ness signal, the Vec the join
+/// the reserved dummy, exactly like the `Value` join).
 fn joined_coded_cells(
     db: &Database,
     u: &Universal,
@@ -198,12 +212,12 @@ fn joined_coded_cells(
     dims: &[AttrRef],
     config: &CubeAlgoConfig,
     sink: &MetricsSink,
-    m: usize,
-) -> Result<Option<Vec<(Coord, Vec<f64>)>>> {
+) -> Result<Vec<(Coord, Vec<f64>)>> {
+    let m = question.query.arity();
     let mut joined: HashMap<Box<[u32]>, Vec<f64>> = HashMap::new();
     let mut decoder: Option<cube::CodedCube> = None;
     for (j, q) in question.query.aggregates.iter().enumerate() {
-        let c = sink.time("cube_algo.cubes", || {
+        let mut c = sink.time("cube_algo.cubes", || {
             cube::compute_coded_with(
                 db,
                 u,
@@ -214,18 +228,15 @@ fn joined_coded_cells(
                 &config.exec,
             )
         })?;
-        let Some(mut c) = c else {
-            debug_assert_eq!(j, 0, "coded-ness cannot change between sub-queries");
-            return Ok(None);
-        };
         let _join_span = sink.span("cube_algo.join");
         for (key, value) in std::mem::take(&mut c.cells) {
             joined.entry(key).or_insert_with(|| vec![0.0; m])[j] = value;
         }
         decoder = Some(c);
     }
+    // No sub-queries: no cubes, so no cells to decode.
     let Some(decoder) = decoder else {
-        return Ok(None); // no sub-queries: let the reference path handle it
+        return Ok(Vec::new());
     };
     let dummy = Value::dummy();
     let mut cells = Vec::with_capacity(joined.len());
@@ -233,13 +244,13 @@ fn joined_coded_cells(
     for (key, values) in joined {
         cells.push((decoder.decode_coord(&key, &dummy), values));
     }
-    Ok(Some(cells))
+    Ok(cells)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::question::{AggregateQuery, Direction, NumericalQuery};
+    use crate::question::{AggregateQuery, Direction, NumExpr, NumericalQuery};
     use exq_relstore::aggregate::AggFunc;
     use exq_relstore::{Predicate, SchemaBuilder, ValueType as T};
 
@@ -315,6 +326,24 @@ mod tests {
         // trivial excluded.
         assert_eq!(t.len(), 8);
         assert!(t.find(&[Value::Null, Value::Null]).is_none());
+    }
+
+    #[test]
+    fn zero_sub_query_question_yields_an_empty_table() {
+        // A constant query has no cubes to build, hence no candidates.
+        let db = flat_db();
+        let u = Universal::compute(&db, &db.full_view());
+        let q = UserQuestion::new(
+            NumericalQuery::new(Vec::new(), NumExpr::Const(1.0)).unwrap(),
+            Direction::High,
+        );
+        let t = explanation_table(&db, &u, &q, &dims(&db), CubeAlgoConfig::checked()).unwrap();
+        assert!(t.is_empty());
+        assert!(t.totals.is_empty());
+        let reference =
+            explanation_table_reference(&db, &u, &q, &dims(&db), CubeAlgoConfig::checked())
+                .unwrap();
+        assert_eq!(t, reference);
     }
 
     #[test]

@@ -27,25 +27,6 @@ pub fn explanation_table_naive(
     explanation_table_naive_with(db, engine, question, dims, &ExecConfig::sequential())
 }
 
-/// [`explanation_table_naive`] with the per-candidate work fanned out
-/// over `threads` OS threads.
-pub fn explanation_table_naive_parallel(
-    db: &Database,
-    engine: &InterventionEngine<'_>,
-    question: &UserQuestion,
-    dims: &[AttrRef],
-    threads: usize,
-) -> Result<ExplanationTable> {
-    assert!(threads >= 1, "need at least one worker");
-    explanation_table_naive_with(
-        db,
-        engine,
-        question,
-        dims,
-        &ExecConfig::with_threads(threads),
-    )
-}
-
 /// [`explanation_table_naive`] on an explicit executor — the Section 6(i)
 /// "optimize the iterative algorithm" direction. Program **P** runs
 /// against shared immutable state (`&Database`, the pre-computed
@@ -266,8 +247,8 @@ mod tests {
         ];
         let sequential = explanation_table_naive(&db, &engine, &q, &dims).unwrap();
         for threads in [1, 2, 5, 16] {
-            let parallel =
-                explanation_table_naive_parallel(&db, &engine, &q, &dims, threads).unwrap();
+            let exec = ExecConfig::with_threads(threads);
+            let parallel = explanation_table_naive_with(&db, &engine, &q, &dims, &exec).unwrap();
             assert_eq!(sequential, parallel, "threads = {threads}");
         }
     }
@@ -316,8 +297,9 @@ mod tests {
             "candidate g=a fails first, on the residual's y column: {sequential}"
         );
         for threads in [2, 7, 64] {
+            let exec = ExecConfig::with_threads(threads);
             let parallel =
-                explanation_table_naive_parallel(&db, &engine, &q, &dims, threads).unwrap_err();
+                explanation_table_naive_with(&db, &engine, &q, &dims, &exec).unwrap_err();
             assert_eq!(parallel, sequential, "threads = {threads}");
         }
     }
@@ -330,7 +312,8 @@ mod tests {
         let dims = vec![db.schema().attr("R", "g").unwrap()];
         let sequential = explanation_table_naive(&db, &engine, &q, &dims).unwrap();
         assert!(sequential.len() < 64);
-        let parallel = explanation_table_naive_parallel(&db, &engine, &q, &dims, 64).unwrap();
+        let exec = ExecConfig::with_threads(64);
+        let parallel = explanation_table_naive_with(&db, &engine, &q, &dims, &exec).unwrap();
         assert_eq!(sequential, parallel);
     }
 
@@ -350,7 +333,8 @@ mod tests {
         );
         let dims = vec![db.schema().attr("R", "g").unwrap()];
         for threads in [1, 8] {
-            let t = explanation_table_naive_parallel(&db, &engine, &q, &dims, threads).unwrap();
+            let exec = ExecConfig::with_threads(threads);
+            let t = explanation_table_naive_with(&db, &engine, &q, &dims, &exec).unwrap();
             assert!(t.is_empty());
             assert_eq!(t.totals, vec![0.0, 0.0]);
         }

@@ -64,7 +64,7 @@ impl AggFunc {
     pub fn new_state(&self) -> AggState {
         match self {
             AggFunc::CountStar => AggState::Count(0),
-            AggFunc::CountDistinct(_) => AggState::Distinct(HashSet::new()),
+            AggFunc::CountDistinct(_) => AggState::DistinctCodes(HashSet::new()),
             AggFunc::Sum(_) => AggState::Sum { int: 0, float: 0.0 },
             AggFunc::Avg(_) => AggState::Avg {
                 int: 0,
@@ -85,17 +85,15 @@ impl AggFunc {
 
     /// Compile this aggregate against a column store for a hot loop.
     ///
-    /// The only shape that changes is `COUNT(DISTINCT a)` over a
-    /// dictionary-coded column: the state keeps a `HashSet<u32>` of codes
-    /// instead of cloned `Value`s, which is exact because the dictionary
-    /// assigns one code per `Value` equivalence class (and the null class
-    /// maps to the null code, preserving the null-skipping rule). Every
-    /// other aggregate delegates to the uncompiled update path.
+    /// The only shape that changes is `COUNT(DISTINCT a)`, whose column
+    /// lookup is hoisted out of the per-tuple update. Every other
+    /// aggregate delegates to the uncompiled update path.
     pub fn compile<'a>(&'a self, store: &'a ColumnStore) -> AggEval<'a> {
         let distinct = match self {
-            AggFunc::CountDistinct(a) => store
-                .dict_column(*a)
-                .map(|(codes, dict)| (a.rel, codes, dict)),
+            AggFunc::CountDistinct(a) => {
+                let (codes, dict) = store.dict_column(*a);
+                Some((a.rel, codes, dict))
+            }
             _ => None,
         };
         AggEval {
@@ -108,20 +106,11 @@ impl AggFunc {
 /// An aggregate resolved against a column store — see [`AggFunc::compile`].
 pub struct AggEval<'a> {
     func: &'a AggFunc,
-    /// For `CountDistinct` over a dict column: (relation, codes, dict).
+    /// For `CountDistinct`: the aggregated column's (relation, codes, dict).
     distinct: Option<(usize, &'a [u32], &'a Dict)>,
 }
 
 impl AggEval<'_> {
-    /// A fresh accumulator matching this compiled shape.
-    pub fn new_state(&self) -> AggState {
-        if self.distinct.is_some() {
-            AggState::DistinctCodes(HashSet::new())
-        } else {
-            self.func.new_state()
-        }
-    }
-
     /// Fold one universal tuple into `state`.
     #[inline]
     pub fn update(&self, state: &mut AggState, db: &Database, utuple: &[u32]) -> Result<()> {
@@ -172,13 +161,10 @@ pub enum AggState {
     Min(Option<Value>),
     /// MAX accumulator.
     Max(Option<Value>),
-    /// COUNT DISTINCT accumulator (exact: keeps the key set so roll-up
-    /// merges stay correct).
-    Distinct(HashSet<Value>),
-    /// COUNT DISTINCT accumulator in code space (one code per `Value`
-    /// equivalence class, nulls already skipped); produced only by
-    /// [`AggEval`] when the aggregated column is dictionary-coded, so the
-    /// two distinct shapes never meet in one run.
+    /// COUNT DISTINCT accumulator: the set of dictionary codes seen, nulls
+    /// skipped. Exact — the dictionary assigns one code per `Value`
+    /// equivalence class — and it keeps the key set so roll-up merges stay
+    /// correct.
     DistinctCodes(HashSet<u32>),
 }
 
@@ -189,10 +175,11 @@ impl AggState {
         let attr_value = |a: AttrRef| db.value(a, utuple[a.rel] as usize);
         match (self, func) {
             (AggState::Count(c), AggFunc::CountStar) => *c += 1,
-            (AggState::Distinct(set), AggFunc::CountDistinct(a)) => {
-                let v = attr_value(*a);
-                if !v.is_null() && !set.contains(v) {
-                    set.insert(v.clone());
+            (AggState::DistinctCodes(set), AggFunc::CountDistinct(a)) => {
+                let (codes, dict) = db.columns().dict_column(*a);
+                let code = codes[utuple[a.rel] as usize];
+                if !dict.is_null_code(code) {
+                    set.insert(code);
                 }
             }
             (AggState::Sum { int, float }, AggFunc::Sum(a)) => match attr_value(*a) {
@@ -268,9 +255,6 @@ impl AggState {
                     }
                 }
             }
-            (AggState::Distinct(a), AggState::Distinct(b)) => {
-                a.extend(b.iter().cloned());
-            }
             (AggState::DistinctCodes(a), AggState::DistinctCodes(b)) => {
                 a.extend(b.iter().copied());
             }
@@ -295,7 +279,6 @@ impl AggState {
             AggState::Min(v) | AggState::Max(v) => {
                 v.as_ref().and_then(Value::as_f64).unwrap_or(0.0)
             }
-            AggState::Distinct(set) => set.len() as f64,
             AggState::DistinctCodes(set) => set.len() as f64,
         }
     }
@@ -316,10 +299,10 @@ fn sum_finalize(int: i128, float: f64) -> f64 {
 /// `selection`.
 ///
 /// The selection is compiled against the column store first
-/// ([`crate::ColumnStore::compile_predicate`]) so atoms over
-/// dictionary-coded columns cost two array loads per tuple instead of a
-/// `Value` comparison; the compiled form returns bit-identical decisions,
-/// so this is unobservable apart from speed.
+/// ([`crate::ColumnStore::compile_predicate`]) so each atom costs two
+/// array loads per tuple instead of a `Value` comparison; the compiled
+/// form returns bit-identical decisions, so this is unobservable apart
+/// from speed.
 pub fn evaluate(
     db: &Database,
     u: &Universal,
@@ -329,9 +312,9 @@ pub fn evaluate(
     let store = std::sync::Arc::clone(db.columns());
     let coded = store.compile_predicate(selection);
     let agg = func.compile(&store);
-    let mut state = agg.new_state();
+    let mut state = func.new_state();
     for t in u.iter() {
-        if coded.eval(db, t) {
+        if coded.eval(t) {
             agg.update(&mut state, db, t)?;
         }
     }

@@ -170,11 +170,7 @@ pub fn compute(
 /// thread count: accumulation is blocked by `ACCUM_BLOCK` and merged in
 /// block order, and roll-up merges iterate cells in coordinate order.
 ///
-/// When every dimension column is dictionary-coded this runs entirely in
-/// `u32` code space and decodes the cells at the end; otherwise it takes
-/// the row-oriented `Value` path. Both run the *same* generic grouping
-/// code over the same block structure, tuple order, and fold order, so
-/// their cells are bit-identical (see `CubeSpace`).
+/// Runs entirely in `u32` code space and decodes the cells at the end.
 pub fn compute_with(
     db: &Database,
     u: &Universal,
@@ -184,16 +180,15 @@ pub fn compute_with(
     strategy: CubeStrategy,
     exec: &ExecConfig,
 ) -> Result<Cube> {
-    if let Some(coded) = compute_coded_with(db, u, selection, dims, agg, strategy, exec)? {
-        return Ok(coded.decode());
-    }
-    compute_rows_with(db, u, selection, dims, agg, strategy, exec)
+    Ok(compute_coded_with(db, u, selection, dims, agg, strategy, exec)?.decode())
 }
 
-/// The retained row-oriented reference path of [`compute_with`]: groups
-/// on cloned `Value` coordinates regardless of how the dimension columns
-/// are encoded. The differential test suite asserts its cells are
-/// bit-identical to the columnar path's.
+/// The retained row-oriented reference for [`compute_with`]: groups on
+/// cloned `Value` coordinates. Production never dispatches to it; the
+/// differential test suite asserts its cells are bit-identical to the
+/// coded path's, which holds because both run the *same* generic grouping
+/// code over the same block structure, tuple order, and fold order (see
+/// `CubeSpace`).
 pub fn compute_rows_with(
     db: &Database,
     u: &Universal,
@@ -239,16 +234,14 @@ impl Selection<'_> {
     fn eval(&self, db: &Database, t: &[u32]) -> bool {
         match self {
             Selection::Rows(p) => p.eval(db, t),
-            Selection::Coded(p) => p.eval(db, t),
+            Selection::Coded(p) => p.eval(t),
         }
     }
 }
 
-/// The code-space fast path: compute the cube without materializing any
-/// `Value`, returning the cells keyed by dictionary codes (with
-/// [`NO_CODE`] as the "don't care" coordinate). Returns `Ok(None)` —
-/// before recording any counter — when some dimension column is not
-/// dictionary-coded; the caller falls back to [`compute_rows_with`].
+/// Compute the cube without materializing any `Value`, returning the
+/// cells keyed by dictionary codes (with [`NO_CODE`] as the "don't care"
+/// coordinate).
 pub fn compute_coded_with(
     db: &Database,
     u: &Universal,
@@ -257,24 +250,20 @@ pub fn compute_coded_with(
     agg: &AggFunc,
     strategy: CubeStrategy,
     exec: &ExecConfig,
-) -> Result<Option<CodedCube>> {
+) -> Result<CodedCube> {
     if dims.len() > MAX_CUBE_DIMS {
         return Err(Error::TooManyCubeDimensions(dims.len()));
     }
     agg.validate(db.schema())?;
     let store = Arc::clone(db.columns());
-    let cells = match CodedSpace::new(&store, dims) {
-        None => return Ok(None),
-        Some(space) => {
-            let sel = Selection::Coded(store.compile_predicate(selection));
-            compute_in(db, u, &sel, &space, agg, strategy, exec)?
-        }
-    };
-    Ok(Some(CodedCube {
+    let space = CodedSpace::new(&store, dims);
+    let sel = Selection::Coded(store.compile_predicate(selection));
+    let cells = compute_in(db, u, &sel, &space, agg, strategy, exec)?;
+    Ok(CodedCube {
         dims: dims.to_vec(),
         store,
         cells,
-    }))
+    })
 }
 
 /// A cube whose cells are keyed by dictionary codes instead of values:
@@ -317,11 +306,7 @@ impl CodedCube {
                 if code == NO_CODE {
                     dont_care.clone()
                 } else {
-                    let (_, dict) = self
-                        .store
-                        .dict_column(a)
-                        .expect("CodedCube is only built over dictionary-coded dimensions");
-                    dict.value(code).clone()
+                    self.store.dict_column(a).1.value(code).clone()
                 }
             })
             .collect()
@@ -405,7 +390,7 @@ pub fn group_by(
 }
 
 /// [`group_by`] with an explicit executor. Like [`compute_with`], runs in
-/// code space when every dimension column is dictionary-coded.
+/// code space and decodes the cells at the end.
 pub fn group_by_with(
     db: &Database,
     u: &Universal,
@@ -419,35 +404,25 @@ pub fn group_by_with(
     }
     agg.validate(db.schema())?;
     let store = Arc::clone(db.columns());
-    if let Some(space) = CodedSpace::new(&store, dims) {
-        let sel = Selection::Coded(store.compile_predicate(selection));
-        let (cells, _selected) = accumulate_in(db, u, &sel, &space, agg, exec, false)?;
-        let mut decoded = HashMap::with_capacity(cells.len());
-        // exq-lint: allow(L001): map-to-map re-keying via a bijective decode; each cell finalizes independently
-        for (key, s) in &cells {
-            decoded.insert(space.decode_key(key), s.finalize());
-        }
-        return Ok(Cube {
-            dims: dims.to_vec(),
-            cells: decoded,
-        });
-    }
-    let space = ValueSpace { dims };
-    let (cells, _selected) =
-        accumulate_in(db, u, &Selection::Rows(selection), &space, agg, exec, false)?;
-    Ok(Cube {
+    let space = CodedSpace::new(&store, dims);
+    let sel = Selection::Coded(store.compile_predicate(selection));
+    let (states, _selected) = accumulate_in(db, u, &sel, &space, agg, exec, false)?;
+    // exq-lint: allow(L001): map-to-map re-keying; each cell finalizes independently, no order observable
+    let cells = states.into_iter().map(|(k, s)| (k, s.finalize())).collect();
+    let coded = CodedCube {
         dims: dims.to_vec(),
-        // exq-lint: allow(L001): map-to-map re-keying; each cell finalizes independently, no order observable
-        cells: cells.into_iter().map(|(k, s)| (k, s.finalize())).collect(),
-    })
+        store,
+        cells,
+    };
+    Ok(coded.decode())
 }
 
 /// A coordinate representation for the generic cube machinery.
 ///
 /// [`accumulate_in`] and [`lattice_rollup_in`] are written once against
-/// this trait and instantiated for two spaces: [`ValueSpace`] (keys are
-/// cloned `Value` coordinates — the reference path) and [`CodedSpace`]
-/// (keys are `u32` dictionary codes — the fast path). The bit-identity
+/// this trait and instantiated for two spaces: [`CodedSpace`] (keys are
+/// `u32` dictionary codes — the engine) and [`ValueSpace`] (keys are
+/// cloned `Value` coordinates — the test reference). The bit-identity
 /// argument between the two is structural: both instantiations execute
 /// the same block partitioning, tuple order, entry/update sequence, and
 /// merge/fold order; the only difference is the key type, and the
@@ -535,7 +510,7 @@ impl CubeSpace for ValueSpace<'_> {
     }
 }
 
-/// The columnar fast space: coordinates of `u32` dictionary codes, with
+/// The engine's space: coordinates of `u32` dictionary codes, with
 /// [`NO_CODE`] as "don't care".
 struct CodedSpace<'a> {
     dims: &'a [AttrRef],
@@ -544,13 +519,9 @@ struct CodedSpace<'a> {
 }
 
 impl<'a> CodedSpace<'a> {
-    /// `Some` iff every dimension column is dictionary-coded.
-    fn new(store: &'a ColumnStore, dims: &'a [AttrRef]) -> Option<CodedSpace<'a>> {
-        let cols = dims
-            .iter()
-            .map(|&a| store.dict_column(a))
-            .collect::<Option<Vec<_>>>()?;
-        Some(CodedSpace { dims, cols })
+    fn new(store: &'a ColumnStore, dims: &'a [AttrRef]) -> CodedSpace<'a> {
+        let cols = dims.iter().map(|&a| store.dict_column(a)).collect();
+        CodedSpace { dims, cols }
     }
 
     /// Rank of one key slot under the decoded `Value` order: "don't care"
@@ -564,20 +535,6 @@ impl<'a> CodedSpace<'a> {
         } else {
             u64::from(self.cols[j].1.rank(code)) + 1
         }
-    }
-
-    /// Decode a key into a `Value` coordinate with `Null` don't-cares.
-    fn decode_key(&self, key: &[u32]) -> Coord {
-        key.iter()
-            .enumerate()
-            .map(|(j, &code)| {
-                if code == NO_CODE {
-                    Value::Null
-                } else {
-                    self.cols[j].1.value(code).clone()
-                }
-            })
-            .collect()
     }
 }
 
@@ -686,13 +643,13 @@ fn accumulate_in<S: CubeSpace>(
                 for mask in 0..(1u32 << d) {
                     let state = cells
                         .entry(space.masked_key(&base, mask))
-                        .or_insert_with(|| agg_eval.new_state());
+                        .or_insert_with(|| agg.new_state());
                     agg_eval.update(state, db, t)?;
                 }
             } else {
                 let state = cells
                     .entry(space.full_key(&base))
-                    .or_insert_with(|| agg_eval.new_state());
+                    .or_insert_with(|| agg.new_state());
                 agg_eval.update(state, db, t)?;
             }
         }

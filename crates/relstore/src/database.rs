@@ -182,11 +182,7 @@ impl Database {
                     });
                 }
             }
-            let dict_cols: Option<Vec<_>> = old_cols.and_then(|store| {
-                pk.iter()
-                    .map(|&col| store.dict_column(AttrRef { rel: rel_idx, col }))
-                    .collect()
-            });
+            let dict_cols = old_cols.map(|store| store.dict_columns(rel_idx, pk));
             match dict_cols {
                 Some(cols) if cols.iter().all(|&(codes, _)| codes.len() == old_len) => {
                     let mut coded: HashSet<Vec<u32>> = HashSet::new();
@@ -250,7 +246,7 @@ impl Database {
             let to_old_len = old_lens[fk.to_rel];
             let target_dict = old_cols
                 .filter(|_| fk.from_cols.len() == 1)
-                .and_then(|store| {
+                .map(|store| {
                     store.dict_column(AttrRef {
                         rel: fk.to_rel,
                         col: fk.to_cols[0],
@@ -547,9 +543,9 @@ mod tests {
         // Columns were extended, not dropped: the new store exists already
         // and old code prefixes survive.
         let x = db.schema().attr("A", "x").unwrap();
-        let (codes, dict) = db.columns().dict_column(x).expect("dict column");
+        let (codes, dict) = db.columns().dict_column(x);
         assert_eq!(codes.len(), 3);
-        let (old_codes, _) = old_store.dict_column(x).expect("dict column");
+        let (old_codes, _) = old_store.dict_column(x);
         assert_eq!(&codes[..2], old_codes);
         assert_eq!(dict.code(&Value::str("three")), Some(2));
     }
@@ -629,7 +625,7 @@ mod tests {
             .unwrap();
         // Columns build fine on demand afterwards.
         let x = db.schema().attr("A", "x").unwrap();
-        let (codes, _) = db.columns().dict_column(x).expect("dict column");
+        let (codes, _) = db.columns().dict_column(x);
         assert_eq!(codes.len(), 3);
     }
 

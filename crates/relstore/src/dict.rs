@@ -15,20 +15,34 @@
 //! column holding `Int(2)` and `Float(2.0)` assigns both the *same* code,
 //! whose decoded representative is whichever spelling appeared first —
 //! mirroring how a `HashMap<Value, _>` retains the first-inserted key.
+//!
+//! Dictionaries are *total*: there is no cardinality cap, so every column
+//! of every relation has one and no consumer needs a `Value`-space
+//! fallback. The only bound is the one that keeps [`NO_CODE`] out of the
+//! code range, which the row-addressing width already implies.
 
 use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Maximum number of distinct values a dictionary will hold. Columns with
-/// more distinct values stay undictionarized (see
-/// [`ColumnData`](crate::column::ColumnData) for the fallbacks).
-pub const DICT_MAX: usize = 1 << 20;
-
 /// The reserved "no code" sentinel: used for failed cross-dictionary
-/// translations and for the cube's "don't care" coordinate. Safe because a
-/// dictionary never exceeds [`DICT_MAX`] codes.
+/// translations and for the cube's "don't care" coordinate. It can never
+/// collide with a real code: codes < distinct values ≤ rows, and rows are
+/// addressed by `u32` throughout the engine (universal tuples, probe
+/// buckets), so a relation — and hence a dictionary — holds fewer than
+/// `u32::MAX` entries. [`DictBuilder::encode`] and [`Dict::extended`]
+/// enforce that bound with a panic rather than trusting it.
 pub const NO_CODE: u32 = u32::MAX;
+
+/// The one hard check behind [`NO_CODE`]: a dictionary about to hold `len`
+/// values must keep every code strictly below the sentinel.
+#[inline]
+fn assert_codes_fit(len: usize) {
+    assert!(
+        len < NO_CODE as usize,
+        "dictionary would hold {len} distinct values; codes must stay below the NO_CODE sentinel"
+    );
+}
 
 /// The bulk storage of a [`Dict`]: code → value plus value → code for a
 /// contiguous code prefix. Shared (`Arc`) between a dictionary and its
@@ -131,17 +145,16 @@ impl Dict {
     /// all: the extension shares this dictionary's base and puts the
     /// fresh values in the overlay (consolidating into a new base only
     /// once the overlay outgrows a fraction of it, so the amortized cost
-    /// per fresh value stays constant). Returns `None` when the extension
-    /// would exceed [`DICT_MAX`] — the caller abandons dictionary
-    /// encoding, matching what a from-scratch scan would do at the same
-    /// distinct value.
-    pub fn extended(&self, fresh: Vec<Value>) -> Option<Dict> {
+    /// per fresh value stays constant).
+    ///
+    /// # Panics
+    ///
+    /// If the extended dictionary would reach [`NO_CODE`] codes.
+    pub fn extended(&self, fresh: Vec<Value>) -> Dict {
         if fresh.is_empty() {
-            return Some(self.clone());
+            return self.clone();
         }
-        if self.len() + fresh.len() > DICT_MAX {
-            return None;
-        }
+        assert_codes_fit(self.len() + fresh.len());
         debug_assert!(fresh.iter().all(|v| self.code(v).is_none()));
         let old_len = self.len();
         // Old codes in value order, recovered from the rank permutation.
@@ -211,13 +224,13 @@ impl Dict {
             extra_values.extend(fresh);
             (Arc::clone(&self.base), extra_values, extra_index)
         };
-        Some(Dict {
+        Dict {
             base,
             extra_values,
             extra_index,
             rank,
             null_code,
-        })
+        }
     }
 
     /// Per-code translation table into another column's dictionary:
@@ -262,19 +275,19 @@ impl DictBuilder {
     }
 
     /// Encode one value, assigning the next code on first appearance.
-    /// Returns `None` when the dictionary would exceed [`DICT_MAX`]
-    /// distinct values — the caller abandons dictionary encoding.
-    pub fn encode(&mut self, v: &Value) -> Option<u32> {
+    ///
+    /// # Panics
+    ///
+    /// If a fresh value would be assigned the [`NO_CODE`] sentinel.
+    pub fn encode(&mut self, v: &Value) -> u32 {
         if let Some(&code) = self.index.get(v) {
-            return Some(code);
+            return code;
         }
-        if self.values.len() >= DICT_MAX {
-            return None;
-        }
+        assert_codes_fit(self.values.len() + 1);
         let code = self.values.len() as u32;
         self.values.push(v.clone());
         self.index.insert(v.clone(), code);
-        Some(code)
+        code
     }
 
     /// Number of codes assigned so far.
@@ -317,7 +330,7 @@ mod tests {
     fn dict_of(values: &[Value]) -> Dict {
         let mut b = DictBuilder::new();
         for v in values {
-            b.encode(v).expect("under DICT_MAX");
+            b.encode(v);
         }
         b.finish()
     }
@@ -387,21 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_overflow_returns_none() {
-        // Shrunk-scale check of the overflow contract via the builder's
-        // own bookkeeping: encode DICT_MAX distinct values is too slow for
-        // a unit test, so exercise the boundary arithmetic directly.
-        let mut b = DictBuilder::new();
-        for i in 0..100i64 {
-            assert!(b.encode(&Value::Int(i)).is_some());
-        }
-        assert_eq!(b.len(), 100);
-        // Re-encoding an existing value never counts against the cap.
-        assert_eq!(b.encode(&Value::Int(7)), Some(7));
-        assert_eq!(b.len(), 100);
-    }
-
-    #[test]
     fn resume_extends_without_rewriting_codes() {
         let old_rows = [Value::str("b"), Value::Null, Value::str("a")];
         let new_rows = [Value::str("a"), Value::Int(7), Value::Null, Value::str("c")];
@@ -409,13 +407,13 @@ mod tests {
 
         let mut resumed = DictBuilder::resume(&old);
         for v in &new_rows {
-            resumed.encode(v).expect("under DICT_MAX");
+            resumed.encode(v);
         }
         let extended = resumed.finish();
 
         let mut scratch = DictBuilder::new();
         for v in old_rows.iter().chain(&new_rows) {
-            scratch.encode(v).expect("under DICT_MAX");
+            scratch.encode(v);
         }
         let rebuilt = scratch.finish();
 
@@ -454,11 +452,11 @@ mod tests {
             Value::Int(2),
             Value::str("q"),
         ];
-        let merged = old.extended(fresh.clone()).expect("under DICT_MAX");
+        let merged = old.extended(fresh.clone());
 
         let mut resumed = DictBuilder::resume(&old);
         for v in &fresh {
-            resumed.encode(v).expect("under DICT_MAX");
+            resumed.encode(v);
         }
         let refinished = resumed.finish();
 
@@ -480,7 +478,7 @@ mod tests {
         let mut d = dict_of(&rows);
         for step in 0..6 {
             let fresh = vec![Value::str(format!("s{step}")), Value::Int(step * 7 - 10)];
-            let merged = d.extended(fresh.clone()).expect("under DICT_MAX");
+            let merged = d.extended(fresh.clone());
             rows.extend(fresh);
             let reference = dict_of(&rows);
             assert_eq!(merged.len(), reference.len(), "step {step}");
@@ -497,7 +495,7 @@ mod tests {
     #[test]
     fn extended_with_no_fresh_values_is_identity() {
         let d = dict_of(&[Value::str("b"), Value::Null, Value::Int(9)]);
-        let same = d.extended(Vec::new()).expect("no growth");
+        let same = d.extended(Vec::new());
         assert_eq!(same.len(), d.len());
         for code in 0..d.len() as u32 {
             assert_eq!(same.value(code), d.value(code));
@@ -510,9 +508,7 @@ mod tests {
     fn extended_assigns_null_code_to_fresh_null() {
         let d = dict_of(&[Value::Int(1), Value::Int(2)]);
         assert_eq!(d.null_code(), None);
-        let merged = d
-            .extended(vec![Value::str("s"), Value::Null])
-            .expect("under DICT_MAX");
+        let merged = d.extended(vec![Value::str("s"), Value::Null]);
         assert_eq!(merged.null_code(), Some(3));
         // Null sorts below everything under the total order.
         assert_eq!(merged.rank(3), 0);

@@ -1,12 +1,12 @@
 //! Hash indexes on column subsets.
 //!
-//! Built on demand by the join and semijoin machinery; an index maps a
-//! projected key to the (live) row indices carrying it.
+//! Built on demand by the intervention engine's foreign-key cascades; an
+//! index maps a projected key to the (live) row indices carrying it.
 
 use crate::database::Database;
 use crate::tupleset::TupleSet;
 use crate::value::Value;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A hash index over the live rows of one relation, keyed by a column
 /// subset.
@@ -56,21 +56,6 @@ impl HashIndex {
     }
 }
 
-/// The set of distinct keys of a column projection over live rows — the
-/// cheap structure for semijoin membership tests.
-pub fn key_set(db: &Database, rel: usize, cols: &[usize], live: &TupleSet) -> HashSet<Vec<Value>> {
-    let relation = db.relation(rel);
-    let mut set = HashSet::with_capacity(live.count());
-    let mut key = Vec::with_capacity(cols.len());
-    for row in live.iter() {
-        relation.project_into(row, cols, &mut key);
-        if !set.contains(key.as_slice()) {
-            set.insert(key.clone());
-        }
-    }
-    set
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,15 +94,6 @@ mod tests {
         live.remove(0);
         let idx = HashIndex::build(&db, 0, &[1], &live);
         assert_eq!(idx.get(&[Value::str("x")]), &[1]);
-    }
-
-    #[test]
-    fn key_set_dedups() {
-        let db = db();
-        let live = TupleSet::full(3);
-        let set = key_set(&db, 0, &[1], &live);
-        assert_eq!(set.len(), 2);
-        assert!(set.contains(&vec![Value::str("x")]));
     }
 
     #[test]

@@ -11,13 +11,10 @@
 
 use crate::column::ColumnStore;
 use crate::database::{Database, View};
-use crate::dict::{Dict, NO_CODE};
-use crate::index::HashIndex;
+use crate::dict::NO_CODE;
 use crate::par::{self, ExecConfig};
-use crate::schema::{AttrRef, DatabaseSchema};
-use crate::table::Relation;
+use crate::schema::DatabaseSchema;
 use crate::tupleset::TupleSet;
-use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -334,16 +331,14 @@ impl Universal {
 
 /// A per-edge probe mapping a parent row to its matching child rows.
 ///
-/// When every join column on both sides is dictionary-coded, the probe
-/// works entirely in `u32` code space: parent codes are translated into
-/// the child's dictionary once per *code* (not per row), and child rows
-/// are bucketed per code (single-column edges) or keyed by code tuples
-/// (composite edges) — the inner probe loop then never clones or hashes a
-/// [`Value`]. Otherwise the edge falls back to the `Value`-keyed
-/// [`HashIndex`]. Bucket contents are pushed in live-row ascending order
-/// in every variant, exactly like [`HashIndex::build`], so the probe
-/// order — and hence the universal tuple order — is identical across
-/// variants and thread counts.
+/// The probe works entirely in `u32` code space: parent codes are
+/// translated into the child's dictionary once per *code* (not per row),
+/// and child rows are bucketed per code (single-column edges) or keyed by
+/// code tuples (composite edges) — the inner probe loop never clones or
+/// hashes a [`Value`](crate::value::Value). Bucket contents are pushed in
+/// live-row ascending order in every variant, so the probe order — and
+/// hence the universal tuple order — is identical across variants and
+/// thread counts.
 enum EdgeProbe<'a> {
     /// One coded join column: `buckets[child_code]` lists child rows.
     Single {
@@ -376,129 +371,83 @@ enum EdgeProbe<'a> {
         /// Child code tuple → live child rows, ascending.
         map: HashMap<Box<[u32]>, Vec<u32>>,
     },
-    /// Fallback for undictionarized columns: `Value`-keyed hash index.
-    Values(HashIndex),
 }
 
 impl EdgeProbe<'_> {
     /// Build the probe for `edge` over the live child rows of `view`.
-    fn build<'a>(
-        db: &Database,
-        store: &'a ColumnStore,
-        view: &View,
-        edge: &TreeEdge,
-    ) -> EdgeProbe<'a> {
-        let parent: Option<Vec<(&[u32], &Dict)>> = edge
-            .parent_cols
-            .iter()
-            .map(|&col| {
-                store.dict_column(AttrRef {
-                    rel: edge.parent,
-                    col,
-                })
-            })
-            .collect();
-        let child: Option<Vec<(&[u32], &Dict)>> = edge
-            .child_cols
-            .iter()
-            .map(|&col| {
-                store.dict_column(AttrRef {
-                    rel: edge.child,
-                    col,
-                })
-            })
-            .collect();
-        match (parent, child) {
-            (Some(parent), Some(child)) if parent.len() == 1 => {
-                let (parent_codes, pdict) = parent[0];
-                let (child_codes, cdict) = child[0];
-                // When few parent rows are live — the delta partitions of
-                // [`Universal::extend_for_append_with`] — the full
-                // per-code translation table and per-code bucket vector
-                // would dwarf the probe itself; translate only the codes
-                // those rows hold. Both variants bucket child rows in
-                // live-row ascending order, so the choice (a function of
-                // the view alone) never changes the output.
-                let parent_live = view.live(edge.parent).count();
-                if parent_live * 16 <= pdict.len() {
-                    let mut translated: std::collections::HashSet<u32> =
-                        std::collections::HashSet::with_capacity(parent_live);
-                    let mut child_to_parent: HashMap<u32, u32> =
-                        HashMap::with_capacity(parent_live);
-                    for row in view.live(edge.parent).iter() {
-                        let pc = parent_codes[row];
-                        if translated.insert(pc) {
-                            if let Some(cc) = cdict.code(pdict.value(pc)) {
-                                child_to_parent.insert(cc, pc);
-                            }
+    fn build<'a>(store: &'a ColumnStore, view: &View, edge: &TreeEdge) -> EdgeProbe<'a> {
+        let parent = store.dict_columns(edge.parent, &edge.parent_cols);
+        let child = store.dict_columns(edge.child, &edge.child_cols);
+        if let ([(parent_codes, pdict)], [(child_codes, cdict)]) = (&parent[..], &child[..]) {
+            // When few parent rows are live — the delta partitions of
+            // [`Universal::extend_for_append_with`] — the full per-code
+            // translation table and per-code bucket vector would dwarf
+            // the probe itself; translate only the codes those rows
+            // hold. Both variants bucket child rows in live-row
+            // ascending order, so the choice (a function of the view
+            // alone) never changes the output.
+            let parent_live = view.live(edge.parent).count();
+            if parent_live * 16 <= pdict.len() {
+                let mut translated: std::collections::HashSet<u32> =
+                    std::collections::HashSet::with_capacity(parent_live);
+                let mut child_to_parent: HashMap<u32, u32> = HashMap::with_capacity(parent_live);
+                for row in view.live(edge.parent).iter() {
+                    let pc = parent_codes[row];
+                    if translated.insert(pc) {
+                        if let Some(cc) = cdict.code(pdict.value(pc)) {
+                            child_to_parent.insert(cc, pc);
                         }
                     }
-                    let mut buckets: HashMap<u32, Vec<u32>> =
-                        HashMap::with_capacity(child_to_parent.len());
-                    for row in view.live(edge.child).iter() {
-                        if let Some(&pc) = child_to_parent.get(&child_codes[row]) {
-                            buckets.entry(pc).or_default().push(row as u32);
-                        }
-                    }
-                    return EdgeProbe::SingleSparse {
-                        parent_codes,
-                        buckets,
-                    };
                 }
-                let translate = pdict.translate_to(cdict);
-                let mut buckets = vec![Vec::new(); cdict.len()];
+                let mut buckets: HashMap<u32, Vec<u32>> =
+                    HashMap::with_capacity(child_to_parent.len());
                 for row in view.live(edge.child).iter() {
-                    buckets[child_codes[row] as usize].push(row as u32);
+                    if let Some(&pc) = child_to_parent.get(&child_codes[row]) {
+                        buckets.entry(pc).or_default().push(row as u32);
+                    }
                 }
-                EdgeProbe::Single {
+                return EdgeProbe::SingleSparse {
                     parent_codes,
-                    translate,
                     buckets,
-                }
+                };
             }
-            (Some(parent), Some(child)) => {
-                let translations = parent
-                    .iter()
-                    .zip(&child)
-                    .map(|(&(_, pd), &(_, cd))| pd.translate_to(cd))
-                    .collect();
-                let parent_codes = parent.iter().map(|&(codes, _)| codes).collect();
-                let mut map: HashMap<Box<[u32]>, Vec<u32>> = HashMap::new();
-                let mut key: Vec<u32> = Vec::with_capacity(child.len());
-                for row in view.live(edge.child).iter() {
-                    key.clear();
-                    key.extend(child.iter().map(|&(codes, _)| codes[row]));
-                    map.entry(key.as_slice().into())
-                        .or_default()
-                        .push(row as u32);
-                }
-                EdgeProbe::Multi {
-                    parent_codes,
-                    translations,
-                    map,
-                }
+            let translate = pdict.translate_to(cdict);
+            let mut buckets = vec![Vec::new(); cdict.len()];
+            for row in view.live(edge.child).iter() {
+                buckets[child_codes[row] as usize].push(row as u32);
             }
-            _ => EdgeProbe::Values(HashIndex::build(
-                db,
-                edge.child,
-                &edge.child_cols,
-                view.live(edge.child),
-            )),
+            return EdgeProbe::Single {
+                parent_codes,
+                translate,
+                buckets,
+            };
+        }
+        let translations = parent
+            .iter()
+            .zip(&child)
+            .map(|(&(_, pd), &(_, cd))| pd.translate_to(cd))
+            .collect();
+        let parent_codes = parent.iter().map(|&(codes, _)| codes).collect();
+        let mut map: HashMap<Box<[u32]>, Vec<u32>> = HashMap::new();
+        let mut key: Vec<u32> = Vec::with_capacity(child.len());
+        for row in view.live(edge.child).iter() {
+            key.clear();
+            key.extend(child.iter().map(|&(codes, _)| codes[row]));
+            map.entry(key.as_slice().into())
+                .or_default()
+                .push(row as u32);
+        }
+        EdgeProbe::Multi {
+            parent_codes,
+            translations,
+            map,
         }
     }
 
     /// The live child rows matching `parent_row`, in ascending order.
-    /// `vkey`/`ckey` are reusable scratch buffers for the `Values` and
-    /// `Multi` variants.
+    /// `ckey` is a reusable scratch buffer for the `Multi` variant.
     #[inline]
-    fn child_rows<'s>(
-        &'s self,
-        parent_rel: &Relation,
-        parent_cols: &[usize],
-        parent_row: usize,
-        vkey: &mut Vec<Value>,
-        ckey: &mut Vec<u32>,
-    ) -> &'s [u32] {
+    fn child_rows<'s>(&'s self, parent_row: usize, ckey: &mut Vec<u32>) -> &'s [u32] {
         match self {
             EdgeProbe::Single {
                 parent_codes,
@@ -532,10 +481,6 @@ impl EdgeProbe<'_> {
                     ckey.push(code);
                 }
                 map.get(ckey.as_slice()).map_or(&[][..], Vec::as_slice)
-            }
-            EdgeProbe::Values(index) => {
-                parent_rel.project_into(parent_row, parent_cols, vkey);
-                index.get(vkey)
             }
         }
     }
@@ -583,18 +528,18 @@ fn join_component(
     let probes: Vec<EdgeProbe<'_>> = comp
         .edges
         .iter()
-        .map(|e| EdgeProbe::build(db, &store, view, e))
+        .map(|e| EdgeProbe::build(&store, view, e))
         .collect();
 
     if !exec.is_parallel() || roots.len() < MIN_PARALLEL_ROOTS {
-        let data = expand_roots(db, comp, stride, &roots, &probes);
+        let data = expand_roots(comp, stride, &roots, &probes);
         record_matches(&data);
         return data;
     }
 
     let block = par::even_block_size(exec, roots.len());
     let parts = par::map_blocks(exec, &roots, block, |_, chunk| {
-        expand_roots(db, comp, stride, chunk, &probes)
+        expand_roots(comp, stride, chunk, &probes)
     });
     let mut data = Vec::with_capacity(parts.iter().map(Vec::len).sum());
     for part in parts {
@@ -607,7 +552,6 @@ fn join_component(
 /// Expand a slice of root rows through every edge of the component,
 /// against the shared prebuilt per-edge probes.
 fn expand_roots(
-    db: &Database,
     comp: &Component,
     stride: usize,
     roots: &[u32],
@@ -620,24 +564,14 @@ fn expand_roots(
         partials[base + comp.root] = row;
     }
 
-    let mut vkey: Vec<Value> = Vec::new();
     let mut ckey: Vec<u32> = Vec::new();
     for (edge, probe) in comp.edges.iter().zip(probes) {
         if partials.is_empty() {
             break;
         }
-        let parent_rel = db.relation(edge.parent);
         let mut next: Vec<u32> = Vec::with_capacity(partials.len());
         for t in partials.chunks_exact(stride) {
-            let parent_row = t[edge.parent] as usize;
-            let matches = probe.child_rows(
-                parent_rel,
-                &edge.parent_cols,
-                parent_row,
-                &mut vkey,
-                &mut ckey,
-            );
-            for &child_row in matches {
+            for &child_row in probe.child_rows(t[edge.parent] as usize, &mut ckey) {
                 let base = next.len();
                 next.extend_from_slice(t);
                 next[base + edge.child] = child_row;

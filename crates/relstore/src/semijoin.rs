@@ -31,11 +31,9 @@
 //! ```
 
 use crate::database::{Database, View};
-use crate::dict::{Dict, NO_CODE};
-use crate::index::key_set;
+use crate::dict::NO_CODE;
 use crate::join::{join_forest, Component};
 use crate::par::{self, ExecConfig};
-use crate::schema::AttrRef;
 use crate::tupleset::TupleSet;
 use std::collections::HashSet;
 
@@ -189,53 +187,17 @@ fn apply_steps(db: &Database, view: &mut View, steps: &[Step<'_>], exec: &ExecCo
     sink.add(&format!("semijoin.drops.{pass}"), dropped);
 }
 
-/// Live rows of `step.target` whose join key has no live `step.source` row.
+/// Live rows of `step.target` whose join key has no live `step.source`
+/// row, in ascending row order. Membership is tested in code space: live
+/// source rows are marked per target-side code (translating source codes
+/// via the dictionaries, once per code), and target rows whose code was
+/// never marked drop. A code translation exists exactly when the `Value`
+/// key occurs in the target dictionary, so this is the `Value`-key
+/// semijoin.
 fn compute_drops(db: &Database, view: &View, step: &Step<'_>) -> Vec<usize> {
-    if let Some(drops) = compute_drops_coded(db, view, step) {
-        return drops;
-    }
-    let keys = key_set(db, step.source, step.source_cols, view.live(step.source));
-    let relation = db.relation(step.target);
-    let mut key = Vec::with_capacity(step.target_cols.len());
-    let mut to_drop = Vec::new();
-    for row in view.live(step.target).iter() {
-        relation.project_into(row, step.target_cols, &mut key);
-        if !keys.contains(key.as_slice()) {
-            to_drop.push(row);
-        }
-    }
-    to_drop
-}
-
-/// Code-space variant of [`compute_drops`], applicable when every join
-/// column on both sides is dictionary-coded: live source rows are marked
-/// per target-side code (translating source codes via the dictionaries,
-/// once per code), and target rows whose code was never marked drop. The
-/// drop set — and its row order, ascending — is identical to the `Value`
-/// path, since a code translation exists exactly when the `Value` key
-/// occurs in the source dictionary.
-fn compute_drops_coded(db: &Database, view: &View, step: &Step<'_>) -> Option<Vec<usize>> {
     let store = db.columns();
-    let source: Vec<(&[u32], &Dict)> = step
-        .source_cols
-        .iter()
-        .map(|&col| {
-            store.dict_column(AttrRef {
-                rel: step.source,
-                col,
-            })
-        })
-        .collect::<Option<_>>()?;
-    let target: Vec<(&[u32], &Dict)> = step
-        .target_cols
-        .iter()
-        .map(|&col| {
-            store.dict_column(AttrRef {
-                rel: step.target,
-                col,
-            })
-        })
-        .collect::<Option<_>>()?;
+    let source = store.dict_columns(step.source, step.source_cols);
+    let target = store.dict_columns(step.target, step.target_cols);
     let translations: Vec<Vec<u32>> = source
         .iter()
         .zip(&target)
@@ -284,7 +246,7 @@ fn compute_drops_coded(db: &Database, view: &View, step: &Step<'_>) -> Option<Ve
             }
         }
     }
-    Some(to_drop)
+    to_drop
 }
 
 #[cfg(test)]

@@ -281,7 +281,7 @@ proptest! {
         let x = db.schema().attr("R", "x").unwrap();
 
         let store = std::sync::Arc::clone(db.columns());
-        let (codes, dict) = store.dict_column(x).expect("low-cardinality column dict-encodes");
+        let (codes, dict) = store.dict_column(x);
         prop_assert_eq!(codes.len(), values.len());
 
         let mut first_code_of: std::collections::HashMap<&Value, u32> = std::collections::HashMap::new();
@@ -315,7 +315,7 @@ proptest! {
         // Rebuilding the store from scratch reproduces the codes bit for
         // bit — assignment depends only on stored row order.
         let rebuilt = exq_relstore::ColumnStore::build(&db);
-        let (codes2, _) = rebuilt.dict_column(x).unwrap();
+        let (codes2, _) = rebuilt.dict_column(x);
         prop_assert_eq!(codes, codes2);
 
         // The rank table recovers the exact Value total order.
@@ -391,7 +391,7 @@ proptest! {
         for q in [&p, &folded] {
             let coded = store.compile_predicate(q);
             for t in u.iter() {
-                prop_assert_eq!(coded.eval(&db, t), q.eval(&db, t), "{:?} on {:?}", q, t);
+                prop_assert_eq!(coded.eval(t), q.eval(&db, t), "{:?} on {:?}", q, t);
             }
         }
     }
@@ -401,17 +401,39 @@ proptest! {
 // Cube vs brute-force reference
 // ---------------------------------------------------------------------
 
+/// `m` and `w` are `Any` columns mixing variants: `m` (a cube dimension)
+/// holds Int/Float/Str with `Int(1)` and `Float(1.0)` sharing one code;
+/// `w` (a COUNT DISTINCT measure) also holds NULLs.
 fn small_db(rows: &[(u8, u8, i32)]) -> Database {
     let schema = SchemaBuilder::new()
         .relation(
             "R",
-            &[("id", T::Int), ("g", T::Int), ("h", T::Int), ("x", T::Int)],
+            &[
+                ("id", T::Int),
+                ("g", T::Int),
+                ("h", T::Int),
+                ("x", T::Int),
+                ("m", T::Any),
+                ("w", T::Any),
+            ],
             &["id"],
         )
         .build()
         .unwrap();
     let mut db = Database::new(schema);
     for (i, (g, h, x)) in rows.iter().enumerate() {
+        let m = match (h / 3) % 4 {
+            0 => Value::Int(1),
+            1 => Value::Float(1.0),
+            2 => Value::str("s"),
+            _ => Value::Float(2.5),
+        };
+        let w = match x.rem_euclid(4) {
+            0 => Value::Int(i64::from(*x) / 4),
+            1 => Value::Float(f64::from(*x) / 4.0),
+            2 => Value::Null,
+            _ => Value::str("t"),
+        };
         db.insert(
             "R",
             vec![
@@ -419,6 +441,8 @@ fn small_db(rows: &[(u8, u8, i32)]) -> Database {
                 ((g % 3) as i64).into(),
                 ((h % 3) as i64).into(),
                 (*x as i64).into(),
+                m,
+                w,
             ],
         )
         .unwrap();
@@ -440,25 +464,32 @@ proptest! {
         let g = schema.attr("R", "g").unwrap();
         let h = schema.attr("R", "h").unwrap();
         let x = schema.attr("R", "x").unwrap();
-        let dims = vec![g, h];
+        let m = schema.attr("R", "m").unwrap();
+        let w = schema.attr("R", "w").unwrap();
+        let dims = vec![g, h, m];
 
-        for agg in [AggFunc::CountStar, AggFunc::Sum(x), AggFunc::Min(x), AggFunc::Max(x)] {
+        for agg in [
+            AggFunc::CountStar,
+            AggFunc::Sum(x),
+            AggFunc::Min(x),
+            AggFunc::Max(x),
+            AggFunc::CountDistinct(w),
+        ] {
             let cube = cube::compute(&db, &u, &Predicate::True, &dims, &agg, CubeStrategy::Auto).unwrap();
             for (coord, &cell_value) in &cube.cells {
                 // Rebuild the coordinate as a selection predicate.
-                let mut parts = Vec::new();
-                if !coord[0].is_null() {
-                    parts.push(Predicate::eq(g, coord[0].clone()));
-                }
-                if !coord[1].is_null() {
-                    parts.push(Predicate::eq(h, coord[1].clone()));
-                }
+                let parts = dims
+                    .iter()
+                    .zip(coord.iter())
+                    .filter(|(_, v)| !v.is_null())
+                    .map(|(&a, v)| Predicate::eq(a, v.clone()));
                 let sel = Predicate::and(parts);
                 let direct = exq_relstore::aggregate::evaluate(&db, &u, &sel, &agg).unwrap();
                 prop_assert_eq!(cell_value, direct, "cell {:?} for {:?}", coord, agg);
             }
-            // Cell count sanity: at most (|g|+1)(|h|+1) distinct coords.
-            prop_assert!(cube.len() <= 16);
+            // Cell count sanity: at most (|g|+1)(|h|+1)(|m|+1) distinct
+            // coords, `m` having three value classes.
+            prop_assert!(cube.len() <= 64);
         }
     }
 
@@ -770,6 +801,74 @@ fn join_counters_deterministic_on_large_single_component() {
     assert_eq!(snapshots[0], snapshots[2]);
 }
 
+/// Dictionaries are total: a join key column with more than 2²⁰ distinct
+/// values is coded like any other, and the code-space join and semijoin
+/// over it agree with a `Value`-keyed [`HashIndex`] count. The children
+/// hit parents on both sides of code 2²⁰, fan out, and dangle.
+#[test]
+fn join_and_semijoin_on_more_than_2_pow_20_distinct_keys_match_hash_index() {
+    use exq_relstore::index::HashIndex;
+    const PARENTS: i64 = (1 << 20) + 1;
+    let schema = SchemaBuilder::new()
+        .relation("Parent", &[("id", T::Int)], &["id"])
+        .relation("Child", &[("id", T::Int), ("pid", T::Int)], &["id"])
+        .standard_fk("Child", &["pid"], "Parent")
+        .build()
+        .unwrap();
+    let mut db = Database::new(schema);
+    for id in 0..PARENTS {
+        db.insert("Parent", vec![id.into()]).unwrap();
+    }
+    // Every 257th key up to past the last parent (so the tail dangles),
+    // every fifth of those twice, plus the very last parent.
+    let pids = (0..4096i64)
+        .flat_map(|k| std::iter::repeat_n(k * 257, if k % 5 == 0 { 2 } else { 1 }))
+        .chain([PARENTS - 1, PARENTS - 1]);
+    for (id, pid) in pids.enumerate() {
+        db.insert("Child", vec![(id as i64).into(), pid.into()])
+            .unwrap();
+    }
+    let parent_id = db.schema().attr("Parent", "id").unwrap();
+    let child_pid = db.schema().attr("Child", "pid").unwrap();
+
+    let store = db.columns();
+    let (codes, dict) = store.dict_column(parent_id);
+    assert_eq!(dict.len(), PARENTS as usize);
+    assert_eq!(codes.last(), Some(&(1 << 20)));
+    assert_eq!(dict.value(1 << 20), &Value::Int(PARENTS - 1));
+
+    // Probe a `Value`-keyed index of the children with every parent key:
+    // a parent without matches dangles, a child no parent reaches dangles,
+    // and every (parent, child) match is one universal tuple.
+    let full = db.full_view();
+    let by_child = HashIndex::build(
+        &db,
+        child_pid.rel,
+        &[child_pid.col],
+        full.live(child_pid.rel),
+    );
+    let mut expected_live = full.clone();
+    let mut reached = TupleSet::empty(db.relation_len(child_pid.rel));
+    let mut expected_tuples = 0;
+    for (i, key) in db.relation(parent_id.rel).rows().enumerate() {
+        let matches = by_child.get(key);
+        if matches.is_empty() {
+            expected_live.live[parent_id.rel].remove(i);
+        }
+        expected_tuples += matches.len();
+        for &row in matches {
+            reached.insert(row as usize);
+        }
+    }
+    assert!(!reached.is_empty() && reached.count() < reached.capacity());
+    expected_live.live[child_pid.rel] = reached;
+
+    assert_eq!(Universal::compute(&db, &full).len(), expected_tuples);
+    let reduced = semijoin::reduce(&db, &full);
+    assert_eq!(reduced, expected_live);
+    assert_eq!(Universal::compute(&db, &reduced).len(), expected_tuples);
+}
+
 // ---------------------------------------------------------------------
 // Append stability (live ingestion)
 // ---------------------------------------------------------------------
@@ -794,7 +893,7 @@ proptest! {
         use std::cmp::Ordering;
         let mut builder = DictBuilder::new();
         for v in &initial {
-            builder.encode(v).expect("under DICT_MAX");
+            builder.encode(v);
         }
         let mut current = builder.finish();
         let mut all = initial.clone();
@@ -803,7 +902,7 @@ proptest! {
                 (0..current.len() as u32).map(|c| current.value(c).clone()).collect();
             let mut resumed = DictBuilder::resume(&current);
             for v in batch {
-                resumed.encode(v).expect("under DICT_MAX");
+                resumed.encode(v);
             }
             current = resumed.finish();
             all.extend(batch.iter().cloned());
@@ -821,7 +920,7 @@ proptest! {
         // Append-then-rebuild identity.
         let mut scratch = DictBuilder::new();
         for v in &all {
-            scratch.encode(v).expect("under DICT_MAX");
+            scratch.encode(v);
         }
         let scratch = scratch.finish();
         prop_assert_eq!(current.len(), scratch.len());
@@ -864,7 +963,7 @@ proptest! {
         // Force the columnar build, then append batch by batch, capturing
         // the code column at every epoch.
         let mut epoch_codes: Vec<Vec<u32>> =
-            vec![db.columns().dict_column(x).unwrap().0.to_vec()];
+            vec![db.columns().dict_column(x).0.to_vec()];
         for batch in &appends {
             let rows: Vec<Vec<Value>> = batch
                 .iter()
@@ -875,7 +974,7 @@ proptest! {
                 })
                 .collect();
             db.append_batch(vec![("R".into(), rows)]).unwrap();
-            epoch_codes.push(db.columns().dict_column(x).unwrap().0.to_vec());
+            epoch_codes.push(db.columns().dict_column(x).0.to_vec());
         }
 
         // Prefix stability across every consecutive epoch pair.
@@ -889,8 +988,8 @@ proptest! {
 
         // Rebuild-from-scratch identity on the final rows.
         let rebuilt = ColumnStore::build(&db);
-        let (codes, dict) = db.columns().dict_column(x).unwrap();
-        let (codes2, dict2) = rebuilt.dict_column(x).unwrap();
+        let (codes, dict) = db.columns().dict_column(x);
+        let (codes2, dict2) = rebuilt.dict_column(x);
         prop_assert_eq!(codes, codes2);
         prop_assert_eq!(dict.len(), dict2.len());
         for code in 0..dict.len() as u32 {

@@ -57,19 +57,16 @@ fn natality_question(db: &Database) -> UserQuestion {
     )
 }
 
-/// `explanation_table` through the coded path (`reference_rows: false`)
-/// and through the row-oriented reference (`reference_rows: true`),
-/// requiring full bit-identity, at every thread count.
+/// `explanation_table` (the coded engine) against
+/// `explanation_table_reference` (the row-oriented oracle), requiring
+/// full bit-identity, at every thread count.
 fn assert_coded_matches_reference(db: &Database, question: &UserQuestion, dims: &[AttrRef]) {
     let u = Universal::compute(db, &db.full_view());
     for threads in THREADS {
-        let config = |reference_rows: bool| CubeAlgoConfig {
-            reference_rows,
-            exec: ExecConfig::with_threads(threads),
-            ..CubeAlgoConfig::checked()
-        };
-        let coded = cube_algo::explanation_table(db, &u, question, dims, config(false)).unwrap();
-        let reference = cube_algo::explanation_table(db, &u, question, dims, config(true)).unwrap();
+        let config = || CubeAlgoConfig::checked().with_exec(ExecConfig::with_threads(threads));
+        let coded = cube_algo::explanation_table(db, &u, question, dims, config()).unwrap();
+        let reference =
+            cube_algo::explanation_table_reference(db, &u, question, dims, config()).unwrap();
         assert!(!coded.is_empty());
         assert_eq!(coded, reference, "threads = {threads}");
     }
@@ -125,7 +122,6 @@ fn coded_cube_is_bit_identical_to_row_cube_per_strategy() {
             let coded =
                 cube::compute_coded_with(&db, &u, &Predicate::True, &dims, &agg, strategy, &exec)
                     .unwrap()
-                    .expect("generated string/int dimensions dictionary-encode")
                     .decode();
             let rows =
                 cube::compute_rows_with(&db, &u, &Predicate::True, &dims, &agg, strategy, &exec)
@@ -148,7 +144,7 @@ fn coded_cube_is_bit_identical_to_row_cube_per_strategy() {
 
 /// Dictionary code assignment depends only on stored row order: preparing
 /// the same instance on 1, 2, and 7 worker threads yields bit-identical
-/// code arrays for every dictionary-coded column.
+/// code arrays for every column.
 #[test]
 fn dictionary_codes_are_stable_across_thread_counts() {
     let db = dblp::generate(&dblp::DblpConfig::default());
@@ -158,7 +154,7 @@ fn dictionary_codes_are_stable_across_thread_counts() {
             .flat_map(|rel| (0..schema.relation(rel).arity()).map(move |col| AttrRef { rel, col }))
             .collect()
     };
-    let codes_at = |threads: usize| -> Vec<Option<Vec<u32>>> {
+    let codes_at = |threads: usize| -> Vec<Vec<u32>> {
         // A fresh instance (materialize starts with an empty column cache)
         // prepared on `threads` workers; the store is built inside build_with.
         let fresh = db.materialize(&db.full_view());
@@ -166,14 +162,10 @@ fn dictionary_codes_are_stable_across_thread_counts() {
         let store = Arc::clone(prepared.db().columns());
         all_attrs
             .iter()
-            .map(|&a| store.dict_column(a).map(|(codes, _)| codes.to_vec()))
+            .map(|&a| store.dict_column(a).0.to_vec())
             .collect()
     };
     let baseline = codes_at(1);
-    assert!(
-        baseline.iter().any(Option::is_some),
-        "DBLP should have dictionary-coded columns"
-    );
     for threads in THREADS {
         assert_eq!(codes_at(threads), baseline, "threads = {threads}");
     }
