@@ -1754,7 +1754,9 @@ fn router_phase(full: bool, assert_scaling: bool) -> String {
     let traces = client::get(front4.addr(), "/v1/debug/traces").unwrap();
     assert_eq!(traces.status, 200, "{}", traces.text());
     assert!(
-        traces.text().contains(&format!("\"trace_id\": {exemplar_id}")),
+        traces
+            .text()
+            .contains(&format!("\"trace_id\": {exemplar_id}")),
         "exemplar trace {exemplar_id} must be retrievable through the front"
     );
     println!(

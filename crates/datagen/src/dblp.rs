@@ -19,10 +19,10 @@
 //!   semijoin-reduced by construction).
 
 use crate::paper_examples::dblp_schema;
-use exq_relstore::{Database, Value};
+use exq_relstore::{Database, Interner, Value};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 /// Industrial institutions with (peak-era) weights.
 const COM_INSTITUTIONS: &[(&str, f64)] = &[
@@ -122,6 +122,15 @@ struct InstPool {
 pub fn generate(config: &DblpConfig) -> Database {
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let mut db = Database::new(dblp_schema());
+    let rel = |name| {
+        db.schema()
+            .relation_index(name)
+            .expect("dblp_schema declares it")
+    };
+    let (author, authored, publication) = (rel("Author"), rel("Authored"), rel("Publication"));
+    // One allocation per distinct string: an author's id is shared by the
+    // `Author` row and every `Authored` row that references it.
+    let mut strings = Interner::new();
 
     // Build institution pools with author rosters.
     let mut pools: Vec<InstPool> = Vec::new();
@@ -177,7 +186,7 @@ pub fn generate(config: &DblpConfig) -> Database {
     };
 
     // Generate publications year by year.
-    let mut inserted_authors: HashMap<String, ()> = HashMap::new();
+    let mut inserted_authors: HashSet<&str> = HashSet::new();
     let mut pub_seq = 0usize;
     let (y0, y1) = config.years;
     for year in y0..=y1 {
@@ -206,11 +215,11 @@ pub fn generate(config: &DblpConfig) -> Database {
                 8 => "ICDE",
                 _ => "PODS",
             };
-            let pubid = format!("P{pub_seq:06}");
+            let pubid = Value::str(format!("P{pub_seq:06}"));
             pub_seq += 1;
-            db.insert(
-                "Publication",
-                vec![Value::str(&pubid), year.into(), venue.into()],
+            db.insert_at(
+                publication,
+                vec![pubid.clone(), year.into(), strings.intern(venue)],
             )
             .expect("publication row");
 
@@ -235,19 +244,19 @@ pub fn generate(config: &DblpConfig) -> Database {
             }
             for idx in chosen {
                 let (id, name, _) = &pool.authors[idx];
-                if inserted_authors.insert(id.clone(), ()).is_none() {
-                    db.insert(
-                        "Author",
+                if inserted_authors.insert(id) {
+                    db.insert_at(
+                        author,
                         vec![
-                            Value::str(id),
+                            strings.intern(id),
                             Value::str(name),
-                            Value::str(&pool.inst),
-                            pool.dom.into(),
+                            strings.intern(&pool.inst),
+                            strings.intern(pool.dom),
                         ],
                     )
                     .expect("author row");
                 }
-                db.insert("Authored", vec![Value::str(id), Value::str(&pubid)])
+                db.insert_at(authored, vec![strings.intern(id), pubid.clone()])
                     .expect("authored row");
             }
         }

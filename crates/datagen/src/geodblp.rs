@@ -28,7 +28,7 @@
 //!                                      CityG(cityid, city, countryid) ─→ CountryG(countryid, country)
 //! ```
 
-use exq_relstore::{Database, SchemaBuilder, Value, ValueType as T};
+use exq_relstore::{Database, Interner, SchemaBuilder, Value, ValueType as T};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -177,6 +177,26 @@ fn institution_name(idx: usize) -> &'static str {
 pub fn generate(config: &GeoDblpConfig) -> Database {
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let mut db = Database::new(geodblp_schema());
+    let rel = |name| {
+        db.schema()
+            .relation_index(name)
+            .expect("geodblp_schema declares it")
+    };
+    let (author, authored, publication, affil_rec) = (
+        rel("Author"),
+        rel("Authored"),
+        rel("Publication"),
+        rel("AffilRec"),
+    );
+    let (author_g, affiliation_g, city_g, country_g) = (
+        rel("AuthorG"),
+        rel("AffiliationG"),
+        rel("CityG"),
+        rel("CountryG"),
+    );
+    // One allocation per distinct string, so a foreign-key cell shares
+    // the allocation of the key it references.
+    let mut strings = Interner::new();
 
     // Geography tables.
     struct Inst {
@@ -313,34 +333,34 @@ pub fn generate(config: &GeoDblpConfig) -> Database {
             .iter()
             .position(|g| g.0 == *country)
             .expect("known country");
-        db.insert(
-            "CountryG",
-            vec![Value::str(format!("CO{ci:02}")), (*country).into()],
+        db.insert_at(
+            country_g,
+            vec![strings.intern(&format!("CO{ci:02}")), (*country).into()],
         )
         .expect("country row");
     }
     for &(ci, cj) in &emitted_cities {
         let city = GEOGRAPHY[ci].1[cj].0;
-        db.insert(
-            "CityG",
+        db.insert_at(
+            city_g,
             vec![
-                Value::str(format!("CT{ci:02}-{cj:02}")),
+                strings.intern(&format!("CT{ci:02}-{cj:02}")),
                 city.into(),
-                Value::str(format!("CO{ci:02}")),
+                strings.intern(&format!("CO{ci:02}")),
             ],
         )
         .expect("city row");
     }
     for &inst_idx in &used_insts {
         let inst_name = institution_name(inst_idx);
-        db.insert(
-            "AffiliationG",
+        db.insert_at(
+            affiliation_g,
             vec![
-                Value::str(&institutions[inst_idx].affid),
+                strings.intern(&institutions[inst_idx].affid),
                 inst_name.into(),
-                Value::str(
+                strings.intern(
                     inst_city[inst_idx]
-                        .clone()
+                        .as_deref()
                         .expect("used institutions have a city"),
                 ),
             ],
@@ -349,39 +369,40 @@ pub fn generate(config: &GeoDblpConfig) -> Database {
     }
 
     // Emit publications, authors, authored, affil records, geo authors.
-    let mut emitted_authors: std::collections::HashSet<String> = std::collections::HashSet::new();
-    let mut emitted_gauthors: std::collections::HashSet<String> = std::collections::HashSet::new();
+    let mut emitted_authors: std::collections::HashSet<&str> = std::collections::HashSet::new();
+    let mut emitted_gauthors: std::collections::HashSet<&str> = std::collections::HashSet::new();
     for (p, (pubid, year, venue, inst_idx, author_idxs)) in plan.iter().enumerate() {
-        db.insert(
-            "Publication",
-            vec![Value::str(pubid), (*year).into(), (*venue).into()],
+        let pubid = Value::str(pubid);
+        db.insert_at(
+            publication,
+            vec![pubid.clone(), (*year).into(), strings.intern(venue)],
         )
         .expect("publication row");
         let inst = &institutions[*inst_idx];
         for &a in author_idxs {
             let (id, name) = &inst.authors[a];
-            if emitted_authors.insert(id.clone()) {
-                db.insert("Author", vec![Value::str(id), Value::str(name)])
+            if emitted_authors.insert(id) {
+                db.insert_at(author, vec![strings.intern(id), strings.intern(name)])
                     .expect("author row");
             }
-            db.insert("Authored", vec![Value::str(id), Value::str(pubid)])
+            db.insert_at(authored, vec![strings.intern(id), pubid.clone()])
                 .expect("authored row");
         }
         // One crawled affiliation record per publication; the geo author is
         // the first author's geo mirror.
         let (gid, gname) = &inst.authors[author_idxs[0]];
-        let gaid = format!("G{gid}");
-        if emitted_gauthors.insert(gaid.clone()) {
-            db.insert("AuthorG", vec![Value::str(&gaid), Value::str(gname)])
+        let gaid = strings.intern(&format!("G{gid}"));
+        if emitted_gauthors.insert(gid) {
+            db.insert_at(author_g, vec![gaid.clone(), strings.intern(gname)])
                 .expect("geo author row");
         }
-        db.insert(
-            "AffilRec",
+        db.insert_at(
+            affil_rec,
             vec![
                 Value::str(format!("AR{p:06}")),
-                Value::str(pubid),
-                Value::str(&gaid),
-                Value::str(&inst.affid),
+                pubid,
+                gaid,
+                strings.intern(&inst.affid),
             ],
         )
         .expect("affil record row");

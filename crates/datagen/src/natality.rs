@@ -20,7 +20,7 @@
 //! numerical queries are intervention-additive and the cube pipeline
 //! (Algorithm 1) applies exactly, as in the paper's Section 5.1 runs.
 
-use exq_relstore::{Database, SchemaBuilder, Value, ValueType as T};
+use exq_relstore::{Database, Interner, SchemaBuilder, Value, ValueType as T};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -104,6 +104,13 @@ fn pick<'a>(rng: &mut SmallRng, choices: &[(&'a str, f64)]) -> &'a str {
 pub fn generate(config: &NatalityConfig) -> Database {
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let mut db = Database::new(natality_schema());
+    let natality = db
+        .schema()
+        .relation_index("Natality")
+        .expect("the schema above declares it");
+    // Every cell is one of a few dozen labels: one allocation each, shared
+    // by all the rows that carry it.
+    let mut strings = Interner::new();
 
     for id in 0..config.rows {
         // Race marginals ≈ Figure 7.
@@ -246,20 +253,20 @@ pub fn generate(config: &NatalityConfig) -> Database {
             "good"
         };
 
-        db.insert(
-            "Natality",
+        db.insert_at(
+            natality,
             vec![
                 Value::Int(id as i64),
-                ap.into(),
-                race.into(),
-                marital.into(),
-                age.into(),
-                tobacco.into(),
-                prenatal.into(),
-                edu.into(),
-                sex.into(),
-                hypertension.into(),
-                diabetes.into(),
+                strings.intern(ap),
+                strings.intern(race),
+                strings.intern(marital),
+                strings.intern(age),
+                strings.intern(tobacco),
+                strings.intern(prenatal),
+                strings.intern(edu),
+                strings.intern(sex),
+                strings.intern(hypertension),
+                strings.intern(diabetes),
             ],
         )
         .expect("natality row");

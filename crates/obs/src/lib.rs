@@ -949,9 +949,7 @@ mod tests {
     #[test]
     fn merge_conserves_counters_and_histogram_mass() {
         for seed in 0..16u64 {
-            let parts: Vec<Snapshot> = (0..4)
-                .map(|i| random_snapshot(seed * 5 + i, 40))
-                .collect();
+            let parts: Vec<Snapshot> = (0..4).map(|i| random_snapshot(seed * 5 + i, 40)).collect();
             let mut fleet = Snapshot::default();
             for part in &parts {
                 fleet.merge(part);

@@ -150,8 +150,7 @@ pub fn decode_snapshot(text: &str) -> Result<(Snapshot, Vec<Exemplar>), String> 
             }
             "h" => {
                 let mut fields = rest.splitn(5, ' ');
-                let kind =
-                    HistKind::parse(fields.next().ok_or_else(bad)?).ok_or_else(bad)?;
+                let kind = HistKind::parse(fields.next().ok_or_else(bad)?).ok_or_else(bad)?;
                 let count: u64 = fields.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
                 let sum: u128 = fields.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
                 let buckets_field = fields.next().ok_or_else(bad)?;
@@ -278,18 +277,18 @@ mod tests {
     #[test]
     fn malformed_inputs_are_rejected() {
         for bad in [
-            "",                                         // no magic
-            "exq-snapshot v0\n",                        // wrong version
-            &format!("{WIRE_MAGIC}\nx 1 name"),         // unknown tag
-            &format!("{WIRE_MAGIC}\nc notanum name"),   // bad counter value
-            &format!("{WIRE_MAGIC}\nc 5"),              // missing name
-            &format!("{WIRE_MAGIC}\ns 1 nan name"),     // bad span total
-            &format!("{WIRE_MAGIC}\nh bogus 1 1 - x"),  // bad kind
-            &format!("{WIRE_MAGIC}\nh values 1 1 9 x"), // bad bucket pair
+            "",                                               // no magic
+            "exq-snapshot v0\n",                              // wrong version
+            &format!("{WIRE_MAGIC}\nx 1 name"),               // unknown tag
+            &format!("{WIRE_MAGIC}\nc notanum name"),         // bad counter value
+            &format!("{WIRE_MAGIC}\nc 5"),                    // missing name
+            &format!("{WIRE_MAGIC}\ns 1 nan name"),           // bad span total
+            &format!("{WIRE_MAGIC}\nh bogus 1 1 - x"),        // bad kind
+            &format!("{WIRE_MAGIC}\nh values 1 1 9 x"),       // bad bucket pair
             &format!("{WIRE_MAGIC}\nh values 2 2 3:1,1:1 x"), // unsorted buckets
-            &format!("{WIRE_MAGIC}\nc 1 a\nc 2 a"),     // duplicate counter
-            &format!("{WIRE_MAGIC}\nn trailing\\"),     // dangling escape
-            &format!("{WIRE_MAGIC}\ne 1 2"),            // exemplar missing hist
+            &format!("{WIRE_MAGIC}\nc 1 a\nc 2 a"),           // duplicate counter
+            &format!("{WIRE_MAGIC}\nn trailing\\"),           // dangling escape
+            &format!("{WIRE_MAGIC}\ne 1 2"),                  // exemplar missing hist
         ] {
             assert!(decode_snapshot(bad).is_err(), "accepted: {bad:?}");
         }

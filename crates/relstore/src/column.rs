@@ -7,7 +7,7 @@
 //! of the stored rows, independent of thread count. The row storage stays
 //! authoritative; columns are a cache the hot path (join probes, semijoin
 //! membership, cube grouping) reads instead of cloning and hashing
-//! [`Value`]s per row.
+//! [`Value`](crate::value::Value)s per row.
 //!
 //! There is one encoding: every row of every column becomes a `u32` code
 //! into a first-appearance [`Dict`]. Distinctness is measured under the
@@ -23,8 +23,6 @@ use crate::dict::{Dict, DictBuilder};
 use crate::predicate::Predicate;
 use crate::schema::AttrRef;
 use crate::table::Relation;
-use crate::value::Value;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One attribute's dictionary-coded column: `codes[row]` indexes into
@@ -60,14 +58,7 @@ impl ColumnStore {
             .relations()
             .iter()
             .enumerate()
-            .map(|(rel, rs)| {
-                let relation = db.relation(rel);
-                Arc::new(
-                    (0..rs.arity())
-                        .map(|col| build_column(relation, col))
-                        .collect(),
-                )
-            })
+            .map(|(rel, rs)| Arc::new(build_columns(db.relation(rel), rs.arity())))
             .collect();
         ColumnStore { columns }
     }
@@ -276,17 +267,28 @@ impl CodedPredicate<'_> {
     }
 }
 
-/// Dictionary-encode one relation column by a sequential scan.
-fn build_column(relation: &Relation, col: usize) -> ColumnData {
-    let mut builder = DictBuilder::new();
-    let codes = relation
-        .rows()
-        .map(|row| builder.encode(&row[col]))
+/// Dictionary-encode every column of one relation in a single pass over
+/// its rows. Each row is its own allocation, so visiting it once for all
+/// its columns costs one trip through memory where a scan per column
+/// costs `arity`.
+fn build_columns(relation: &Relation, arity: usize) -> Vec<ColumnData> {
+    let mut builders: Vec<DictBuilder> = (0..arity).map(|_| DictBuilder::new()).collect();
+    let mut codes: Vec<Vec<u32>> = (0..arity)
+        .map(|_| Vec::with_capacity(relation.len()))
         .collect();
-    ColumnData {
-        codes,
-        dict: Arc::new(builder.finish()),
+    for row in relation.rows() {
+        for ((builder, codes), v) in builders.iter_mut().zip(&mut codes).zip(row) {
+            codes.push(builder.encode(v));
+        }
     }
+    builders
+        .into_iter()
+        .zip(codes)
+        .map(|(builder, codes)| ColumnData {
+            codes,
+            dict: Arc::new(builder.finish()),
+        })
+        .collect()
 }
 
 /// Extend one column over rows appended past `old_len`, per the parity
@@ -321,31 +323,20 @@ fn extend_column(old: &ColumnData, relation: &Relation, col: usize, old_len: usi
         };
     };
     // Slow path: at least one fresh distinct value. Collect the fresh
-    // values in first-appearance order, assigning them the next codes
-    // directly — identical to what resuming a [`DictBuilder`] would
-    // assign — then merge them into the old rank table in
+    // values in first-appearance order, numbering them on from the old
+    // dictionary's codes, then merge them into the old rank table in
     // O(d + k log d) instead of re-sorting all d values.
     all_codes.truncate(old_len + fresh_at);
-    let mut fresh: Vec<Value> = Vec::new();
-    let mut fresh_index: HashMap<&Value, u32> = HashMap::new();
+    let mut fresh = DictBuilder::new();
     for v in new_values().skip(fresh_at) {
-        let code = match dict.code(v) {
-            Some(code) => code,
-            None => match fresh_index.get(v) {
-                Some(&code) => code,
-                None => {
-                    let code = (dict.len() + fresh.len()) as u32;
-                    fresh.push(v.clone());
-                    fresh_index.insert(v, code);
-                    code
-                }
-            },
-        };
-        all_codes.push(code);
+        all_codes.push(
+            dict.code(v)
+                .unwrap_or_else(|| dict.len() as u32 + fresh.encode(v)),
+        );
     }
     ColumnData {
         codes: all_codes,
-        dict: Arc::new(dict.extended(fresh)),
+        dict: Arc::new(dict.extended(fresh.into_values())),
     }
 }
 
@@ -353,7 +344,7 @@ fn extend_column(old: &ColumnData, relation: &Relation, col: usize, old_len: usi
 mod tests {
     use super::*;
     use crate::schema::SchemaBuilder;
-    use crate::value::ValueType as T;
+    use crate::value::{Value, ValueType as T};
 
     /// Structural equality for tests: `Dict` holds a `HashMap`, so compare
     /// the deterministic parts (codes, decoded values, ranks, null code).

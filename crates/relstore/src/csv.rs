@@ -14,6 +14,7 @@
 //! always loads back (the round trip is property-tested).
 
 use crate::database::Database;
+use crate::dict::Interner;
 use crate::error::{Error, Result};
 use crate::value::{Value, ValueType};
 use std::io::{BufRead, Write};
@@ -141,7 +142,8 @@ pub fn parse_value(text: &str, ty: ValueType) -> Result<Value> {
 /// any order). Returns the number of rows inserted.
 pub fn load_relation(db: &mut Database, relation: &str, mut reader: impl BufRead) -> Result<usize> {
     let rel_idx = db.schema().relation_index(relation)?;
-    let schema = db.schema().relation(rel_idx).clone();
+    let db_schema = db.schema_arc();
+    let schema = db_schema.relation(rel_idx);
 
     let io_err = |_| Error::TypeMismatch {
         relation: relation.to_string(),
@@ -178,6 +180,10 @@ pub fn load_relation(db: &mut Database, relation: &str, mut reader: impl BufRead
         });
     }
 
+    // One allocation per distinct string: flat files repeat the same few
+    // labels down a column, and rows that share them are smaller to hold
+    // and cheaper to dictionary-code.
+    let mut strings = Interner::new();
     let mut inserted = 0;
     while let Some(line) = read_record(&mut reader).map_err(io_err)? {
         if line.is_empty() {
@@ -201,7 +207,10 @@ pub fn load_relation(db: &mut Database, relation: &str, mut reader: impl BufRead
             row[col] = if field.is_empty() && !quoted {
                 Value::Null
             } else {
-                parse_value(field, schema.attributes[col].ty)?
+                match schema.attributes[col].ty {
+                    ValueType::Str | ValueType::Any => strings.intern(field),
+                    ty => parse_value(field, ty)?,
+                }
             };
         }
         db.insert_at(rel_idx, row)?;
@@ -285,6 +294,29 @@ mod tests {
         for i in 0..2 {
             assert_eq!(d.relation(0).row(i), d2.relation(0).row(i));
         }
+    }
+
+    #[test]
+    fn loaded_rows_share_one_allocation_per_distinct_string() {
+        let csv = "id,name,score,flag\n1,ann,1.5,true\n2,\"b,c\",,false\n3,ann,2,true\n4,\"b,c\",0.5,\n5,\"\",,\n6,\"\",,\n";
+        let mut d = db();
+        assert_eq!(load_relation(&mut d, "R", csv.as_bytes()).unwrap(), 6);
+        let name = |row: usize| match &d.relation(0).row(row)[1] {
+            Value::Str(s) => std::sync::Arc::clone(s),
+            other => panic!("row {row} holds {other:?}"),
+        };
+        for (a, b) in [(0, 2), (1, 3), (4, 5)] {
+            assert!(
+                std::sync::Arc::ptr_eq(&name(a), &name(b)),
+                "rows {a} and {b}"
+            );
+        }
+        assert!(!std::sync::Arc::ptr_eq(&name(0), &name(1)));
+        // Sharing is invisible on the way out: the dump is, byte for
+        // byte, what these rows have always dumped as.
+        let mut out = Vec::new();
+        assert_eq!(dump_relation(&d, "R", &mut out).unwrap(), 6);
+        assert_eq!(String::from_utf8(out).unwrap(), csv);
     }
 
     #[test]

@@ -86,8 +86,7 @@ impl Database {
     pub fn insert_at(&mut self, rel: usize, row: Vec<Value>) -> Result<usize> {
         // Row storage is about to change, so any built columns are stale.
         self.columns.take();
-        let schema = self.schema.relation(rel).clone();
-        Arc::make_mut(&mut self.relations[rel]).push_checked(&schema, row)
+        Arc::make_mut(&mut self.relations[rel]).push_checked(self.schema.relation(rel), row)
     }
 
     /// Append a batch of rows atomically: either every row lands and
@@ -149,10 +148,10 @@ impl Database {
     ) -> Result<usize> {
         let mut appended = 0usize;
         for (rel, rows) in batch {
-            let schema = self.schema.relation(rel).clone();
+            let schema = self.schema.relation(rel);
             let relation = Arc::make_mut(&mut self.relations[rel]);
             for row in rows {
-                relation.push_checked(&schema, row)?;
+                relation.push_checked(schema, row)?;
                 appended += 1;
             }
         }

@@ -20,9 +20,16 @@
 //! of every relation has one and no consumer needs a `Value`-space
 //! fallback. The only bound is the one that keeps [`NO_CODE`] out of the
 //! code range, which the row-addressing width already implies.
+//!
+//! Every distinct value is stored once, in the code → value array. The
+//! way back, value → code, is a table of codes (`CodeTable`) that finds
+//! a value by probing that array, hashed by a fixed function of the value
+//! alone (`Value::code_hash`) — so a dictionary's layout, like its
+//! codes, repeats from run to run. [`Interner`] is the same table over
+//! strings: loaders use it to give equal strings one allocation, which
+//! [`DictBuilder::encode`] then recognises by address.
 
-use crate::value::Value;
-use std::collections::HashMap;
+use crate::value::{code_hash_str, Value};
 use std::sync::Arc;
 
 /// The reserved "no code" sentinel: used for failed cross-dictionary
@@ -44,6 +51,80 @@ fn assert_codes_fit(len: usize) {
     );
 }
 
+/// The value → code index of every dictionary in this module: an
+/// open-addressed, linearly probed table whose slots hold a code and the
+/// high half of its value's hash — never the value, which lives once in
+/// the owner's code → value array and is reached through the code. The
+/// hash half lets a probe skip occupied slots without touching that array
+/// and lets the table grow without rehashing a single value.
+///
+/// Nothing here is seeded, so layout and probe counts are a pure function
+/// of the insertion sequence; lookups return the one code whose value
+/// matches, so layout is never observable in a result either.
+#[derive(Debug, Clone, Default)]
+struct CodeTable {
+    /// `hash_half << 32 | code`; a slot whose code is [`NO_CODE`] is
+    /// free. Length is zero or a power of two, at most half full.
+    slots: Vec<u64>,
+    len: usize,
+}
+
+impl CodeTable {
+    const FREE: u64 = u64::MAX;
+
+    /// Where the probe sequence of a slot (or of a hash shifted into slot
+    /// position) starts. Tables of more than 2³² slots would start every
+    /// probe in their first 2³² — slower, still correct.
+    #[inline]
+    fn home(&self, slot: u64) -> usize {
+        (slot >> 32) as usize & (self.slots.len() - 1)
+    }
+
+    /// The code stored under `hash` for which `matches` holds.
+    #[inline]
+    fn find(&self, hash: u64, mut matches: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mut at = self.home(hash);
+        loop {
+            let slot = self.slots[at];
+            let code = slot as u32;
+            if code == NO_CODE {
+                return None;
+            }
+            if slot >> 32 == hash >> 32 && matches(code) {
+                return Some(code);
+            }
+            at = (at + 1) & (self.slots.len() - 1);
+        }
+    }
+
+    /// Store `code` under `hash`. The caller has checked with
+    /// [`CodeTable::find`] that no stored code's value equals this one's.
+    fn insert(&mut self, hash: u64, code: u32) {
+        if (self.len + 1) * 2 > self.slots.len() {
+            let grown = (self.slots.len() * 2).max(16);
+            let old = std::mem::replace(&mut self.slots, vec![CodeTable::FREE; grown]);
+            for slot in old {
+                if slot as u32 != NO_CODE {
+                    self.place(slot);
+                }
+            }
+        }
+        self.place((hash & !u64::from(NO_CODE)) | u64::from(code));
+        self.len += 1;
+    }
+
+    fn place(&mut self, slot: u64) {
+        let mut at = self.home(slot);
+        while self.slots[at] as u32 != NO_CODE {
+            at = (at + 1) & (self.slots.len() - 1);
+        }
+        self.slots[at] = slot;
+    }
+}
+
 /// The bulk storage of a [`Dict`]: code → value plus value → code for a
 /// contiguous code prefix. Shared (`Arc`) between a dictionary and its
 /// live-append extensions so that [`Dict::extended`] never deep-copies
@@ -52,8 +133,8 @@ fn assert_codes_fit(len: usize) {
 struct DictBase {
     /// Code → value, in first-appearance order.
     values: Vec<Value>,
-    /// Value → code (same equality/hash as every `Value`-keyed map).
-    index: HashMap<Value, u32>,
+    /// Value → code, probing `values`.
+    index: CodeTable,
 }
 
 /// An immutable value dictionary for one column.
@@ -69,8 +150,8 @@ pub struct Dict {
     base: Arc<DictBase>,
     /// Codes `base.values.len()..`, in first-appearance order.
     extra_values: Vec<Value>,
-    /// Value → code for the overlay values only.
-    extra_index: HashMap<Value, u32>,
+    /// Value → code for the overlay values only, probing `extra_values`.
+    extra_index: CodeTable,
     /// Code → rank of its value under the `Value` total order, for *all*
     /// codes. Owned: a flat `u32` array is cheap to copy, unlike the
     /// value storage.
@@ -105,10 +186,11 @@ impl Dict {
     /// `Float(2.0)` and vice versa).
     #[inline]
     pub fn code(&self, v: &Value) -> Option<u32> {
-        match self.base.index.get(v) {
-            Some(&code) => Some(code),
-            None if self.extra_index.is_empty() => None,
-            None => self.extra_index.get(v).copied(),
+        let hash = v.code_hash();
+        let is_v = |code| self.value(code) == v;
+        match self.base.index.find(hash, is_v) {
+            None => self.extra_index.find(hash, is_v),
+            found => found,
         }
     }
 
@@ -135,14 +217,14 @@ impl Dict {
     /// A dictionary extended with `fresh` values, which must be distinct
     /// from each other and from every value already coded (the caller
     /// checks [`Dict::code`] first). Fresh values take the next codes in
-    /// order, exactly as [`DictBuilder::resume`] + re-encoding would
-    /// assign them — but the rank table is *merged* rather than re-sorted:
-    /// the `k` fresh values are sorted among themselves, their insertion
-    /// positions in the old value order are found by binary search, and
-    /// every rank is then a shifted copy. That turns the
-    /// `O(d log d)`-comparison freeze of [`DictBuilder::finish`] into
-    /// `O(d + k log d)`, and the value storage itself is not copied at
-    /// all: the extension shares this dictionary's base and puts the
+    /// order, exactly as one [`DictBuilder`] fed the old values and then
+    /// the fresh ones would assign them — but the rank table is *merged*
+    /// rather than re-sorted: the `k` fresh values are sorted among
+    /// themselves, their insertion positions in the old value order are
+    /// found by binary search, and every rank is then a shifted copy. That
+    /// turns the `O(d log d)`-comparison freeze of [`DictBuilder::finish`]
+    /// into `O(d + k log d)`, and the value storage itself is not copied
+    /// at all: the extension shares this dictionary's base and puts the
     /// fresh values in the overlay (consolidating into a new base only
     /// once the overlay outgrows a fraction of it, so the amortized cost
     /// per fresh value stays constant).
@@ -194,36 +276,33 @@ impl Dict {
                 .position(Value::is_null)
                 .map(|p| (old_len + p) as u32)
         });
-        let (base, extra_values, extra_index) = if (self.extra_values.len() + fresh.len()) * 8
-            > self.base.values.len()
-        {
-            // Overlay would outgrow an eighth of the base: fold
-            // everything into a fresh base. O(d), but amortized over
-            // the ≥ d/8 overlay insertions since the last fold.
-            let mut values =
-                Vec::with_capacity(self.base.values.len() + self.extra_values.len() + fresh.len());
-            values.extend(self.base.values.iter().cloned());
-            values.extend(self.extra_values.iter().cloned());
-            values.extend(fresh);
-            let index = values
-                .iter()
-                .enumerate()
-                .map(|(c, v)| (v.clone(), c as u32))
-                .collect();
-            (
-                Arc::new(DictBase { values, index }),
-                Vec::new(),
-                HashMap::new(),
-            )
-        } else {
-            let mut extra_values = self.extra_values.clone();
-            let mut extra_index = self.extra_index.clone();
-            for (j, v) in fresh.iter().enumerate() {
-                extra_index.insert(v.clone(), (old_len + j) as u32);
-            }
-            extra_values.extend(fresh);
-            (Arc::clone(&self.base), extra_values, extra_index)
-        };
+        let (base, extra_values, extra_index) =
+            if (self.extra_values.len() + fresh.len()) * 8 > self.base.values.len() {
+                // Overlay would outgrow an eighth of the base: fold
+                // everything into a fresh base. O(d), but amortized over
+                // the ≥ d/8 overlay insertions since the last fold.
+                let mut values = Vec::with_capacity(old_len + fresh.len());
+                values.extend(self.base.values.iter().cloned());
+                values.extend(self.extra_values.iter().cloned());
+                values.extend(fresh);
+                let mut index = CodeTable::default();
+                for (code, v) in values.iter().enumerate() {
+                    index.insert(v.code_hash(), code as u32);
+                }
+                (
+                    Arc::new(DictBase { values, index }),
+                    Vec::new(),
+                    CodeTable::default(),
+                )
+            } else {
+                let mut extra_values = self.extra_values.clone();
+                let mut extra_index = self.extra_index.clone();
+                for (j, v) in fresh.iter().enumerate() {
+                    extra_index.insert(v.code_hash(), (old_len + j) as u32);
+                }
+                extra_values.extend(fresh);
+                (Arc::clone(&self.base), extra_values, extra_index)
+            };
         Dict {
             base,
             extra_values,
@@ -249,7 +328,13 @@ impl Dict {
 #[derive(Debug, Default)]
 pub struct DictBuilder {
     values: Vec<Value>,
-    index: HashMap<Value, u32>,
+    index: CodeTable,
+    /// Codes of string values met lately, filed under their allocation's
+    /// address. A cell in the same allocation as `values[code]` *is* that
+    /// string, so it takes that code without its bytes being hashed or
+    /// compared; any other cell goes through `index`. Addresses decide
+    /// only which of the two routes answers, never the answer.
+    recent: [u32; 32],
 }
 
 impl DictBuilder {
@@ -258,35 +343,39 @@ impl DictBuilder {
         DictBuilder::default()
     }
 
-    /// A builder seeded with every code of an existing dictionary, for
-    /// appending new rows to an already-encoded column. Because codes are
-    /// first-appearance order over the stored rows, resuming from the old
-    /// dictionary and encoding only the new rows yields *exactly* the
-    /// dictionary a from-scratch scan of old + new rows would: existing
-    /// codes are never reassigned, and fresh values take the next codes.
-    pub fn resume(dict: &Dict) -> DictBuilder {
-        let mut index = dict.base.index.clone();
-        for (j, v) in dict.extra_values.iter().enumerate() {
-            index.insert(v.clone(), (dict.base.values.len() + j) as u32);
-        }
-        let mut values = dict.base.values.clone();
-        values.extend(dict.extra_values.iter().cloned());
-        DictBuilder { values, index }
-    }
-
     /// Encode one value, assigning the next code on first appearance.
     ///
     /// # Panics
     ///
     /// If a fresh value would be assigned the [`NO_CODE`] sentinel.
+    #[inline]
     pub fn encode(&mut self, v: &Value) -> u32 {
-        if let Some(&code) = self.index.get(v) {
+        let Value::Str(s) = v else {
+            return self.encode_hashed(v);
+        };
+        let filed = (Arc::as_ptr(s).cast::<u8>() as usize >> 4) % self.recent.len();
+        if let Some(Value::Str(seen)) = self.values.get(self.recent[filed] as usize) {
+            if Arc::ptr_eq(seen, s) {
+                return self.recent[filed];
+            }
+        }
+        let code = self.encode_hashed(v);
+        self.recent[filed] = code;
+        code
+    }
+
+    fn encode_hashed(&mut self, v: &Value) -> u32 {
+        let hash = v.code_hash();
+        if let Some(code) = self
+            .index
+            .find(hash, |code| self.values[code as usize] == *v)
+        {
             return code;
         }
         assert_codes_fit(self.values.len() + 1);
         let code = self.values.len() as u32;
         self.values.push(v.clone());
-        self.index.insert(v.clone(), code);
+        self.index.insert(hash, code);
         code
     }
 
@@ -300,12 +389,19 @@ impl DictBuilder {
         self.values.is_empty()
     }
 
+    /// The distinct values seen, in code order.
+    pub(crate) fn into_values(self) -> Vec<Value> {
+        self.values
+    }
+
     /// Freeze into a [`Dict`], computing the rank table and null code.
     pub fn finish(self) -> Dict {
-        let DictBuilder { values, index } = self;
+        let DictBuilder { values, index, .. } = self;
         // Sort code ids by their values; the sort key is the Value total
         // order, under which all dictionary values are distinct, so the
-        // resulting permutation (and hence every rank) is unique.
+        // resulting permutation (and hence every rank) is unique. (Keys
+        // and years arrive in value order already; the sort notices in
+        // one pass, so that case needs no branch of its own here.)
         let mut by_value: Vec<u32> = (0..values.len() as u32).collect();
         by_value.sort_unstable_by(|&a, &b| values[a as usize].cmp(&values[b as usize]));
         let mut rank = vec![0u32; values.len()];
@@ -316,10 +412,43 @@ impl DictBuilder {
         Dict {
             base: Arc::new(DictBase { values, index }),
             extra_values: Vec::new(),
-            extra_index: HashMap::new(),
+            extra_index: CodeTable::default(),
             rank,
             null_code,
         }
+    }
+}
+
+/// Gives every distinct string one allocation. Loaders pass string cells
+/// through one of these so that the rows of a relation share storage and
+/// the dictionary build meets mostly pointers it has already seen.
+#[derive(Debug, Default)]
+pub struct Interner {
+    strings: Vec<Arc<str>>,
+    index: CodeTable,
+}
+
+impl Interner {
+    /// An empty interner.
+    pub fn new() -> Interner {
+        Interner::default()
+    }
+
+    /// `s` as a string [`Value`], sharing the allocation of every earlier
+    /// call with an equal string.
+    pub fn intern(&mut self, s: &str) -> Value {
+        let hash = code_hash_str(s);
+        let found = self
+            .index
+            .find(hash, |code| &*self.strings[code as usize] == s);
+        let code = found.unwrap_or_else(|| {
+            assert_codes_fit(self.strings.len() + 1);
+            let code = self.strings.len() as u32;
+            self.strings.push(Arc::from(s));
+            self.index.insert(hash, code);
+            code
+        });
+        Value::Str(Arc::clone(&self.strings[code as usize]))
     }
 }
 
@@ -399,30 +528,27 @@ mod tests {
         assert_eq!(t, vec![1, NO_CODE, 0]);
     }
 
+    /// Code for code: values, ranks, lookups and the null code.
+    fn assert_same_dict(got: &Dict, want: &Dict) {
+        assert_eq!(got.len(), want.len());
+        for code in 0..want.len() as u32 {
+            assert_eq!(got.value(code), want.value(code), "value of {code}");
+            assert_eq!(got.rank(code), want.rank(code), "rank of {code}");
+            assert_eq!(got.code(want.value(code)), Some(code), "code of {code}");
+        }
+        assert_eq!(got.null_code(), want.null_code());
+    }
+
     #[test]
-    fn resume_extends_without_rewriting_codes() {
+    fn extended_never_rewrites_codes_and_matches_one_build() {
         let old_rows = [Value::str("b"), Value::Null, Value::str("a")];
         let new_rows = [Value::str("a"), Value::Int(7), Value::Null, Value::str("c")];
         let old = dict_of(&old_rows);
+        // What an append hands over: the values no old row stored.
+        let extended = old.extended(vec![Value::Int(7), Value::str("c")]);
 
-        let mut resumed = DictBuilder::resume(&old);
-        for v in &new_rows {
-            resumed.encode(v);
-        }
-        let extended = resumed.finish();
-
-        let mut scratch = DictBuilder::new();
-        for v in old_rows.iter().chain(&new_rows) {
-            scratch.encode(v);
-        }
-        let rebuilt = scratch.finish();
-
-        assert_eq!(extended.len(), rebuilt.len());
-        for code in 0..extended.len() as u32 {
-            assert_eq!(extended.value(code), rebuilt.value(code));
-            assert_eq!(extended.rank(code), rebuilt.rank(code));
-        }
-        assert_eq!(extended.null_code(), rebuilt.null_code());
+        let all: Vec<Value> = old_rows.iter().chain(&new_rows).cloned().collect();
+        assert_same_dict(&extended, &dict_of(&all));
         // Old codes survive verbatim.
         for code in 0..old.len() as u32 {
             assert_eq!(extended.value(code), old.value(code));
@@ -432,9 +558,10 @@ mod tests {
     }
 
     #[test]
-    fn extended_matches_resume_and_refinish() {
+    fn extended_merges_ranks_like_a_full_sort() {
         // The merge-based rank update must agree, code for code and rank
-        // for rank, with resuming the builder and re-sorting everything.
+        // for rank, with building over old and fresh values and sorting
+        // everything.
         let old_rows = [
             Value::str("m"),
             Value::str("b"),
@@ -442,7 +569,6 @@ mod tests {
             Value::str("x"),
             Value::Null,
         ];
-        let old = dict_of(&old_rows);
         // Fresh values landing before, between, and after old ranks,
         // including consecutive insertions at one position.
         let fresh = vec![
@@ -452,56 +578,80 @@ mod tests {
             Value::Int(2),
             Value::str("q"),
         ];
-        let merged = old.extended(fresh.clone());
-
-        let mut resumed = DictBuilder::resume(&old);
-        for v in &fresh {
-            resumed.encode(v);
-        }
-        let refinished = resumed.finish();
-
-        assert_eq!(merged.len(), refinished.len());
-        for code in 0..merged.len() as u32 {
-            assert_eq!(merged.value(code), refinished.value(code));
-            assert_eq!(merged.rank(code), refinished.rank(code), "code {code}");
-            assert_eq!(merged.code(merged.value(code)), Some(code));
-        }
-        assert_eq!(merged.null_code(), refinished.null_code());
+        let merged = dict_of(&old_rows).extended(fresh.clone());
+        let all: Vec<Value> = old_rows.iter().cloned().chain(fresh).collect();
+        assert_same_dict(&merged, &dict_of(&all));
     }
 
     #[test]
     fn repeated_extensions_match_refinish_across_consolidation() {
         // Chain extensions until the overlay folds into a new base (the
         // small base here makes every step consolidate) and compare each
-        // step against the resume-and-refinish reference.
+        // step against one build over all the values so far.
         let mut rows: Vec<Value> = vec![Value::str("k"), Value::str("d"), Value::Int(40)];
         let mut d = dict_of(&rows);
         for step in 0..6 {
             let fresh = vec![Value::str(format!("s{step}")), Value::Int(step * 7 - 10)];
             let merged = d.extended(fresh.clone());
             rows.extend(fresh);
-            let reference = dict_of(&rows);
-            assert_eq!(merged.len(), reference.len(), "step {step}");
-            for code in 0..merged.len() as u32 {
-                assert_eq!(merged.value(code), reference.value(code), "step {step}");
-                assert_eq!(merged.rank(code), reference.rank(code), "step {step}");
-                assert_eq!(merged.code(merged.value(code)), Some(code), "step {step}");
-            }
-            assert_eq!(merged.null_code(), reference.null_code());
+            assert_same_dict(&merged, &dict_of(&rows));
             d = merged;
+        }
+    }
+
+    #[test]
+    fn overlay_extensions_match_one_build_until_and_past_the_fold() {
+        // One fresh value at a time over a 40-value base: five steps land
+        // in the overlay, the sixth folds it into a new base, and the
+        // rest start a second overlay.
+        let mut rows: Vec<Value> = (0..40).map(|i| Value::Int(i * 3)).collect();
+        let mut d = dict_of(&rows);
+        for step in 0..9 {
+            let fresh = vec![Value::str(format!("s{step}"))];
+            d = d.extended(fresh.clone());
+            rows.extend(fresh);
+            assert_same_dict(&d, &dict_of(&rows));
+            assert_eq!(d.code(&Value::str("absent")), None);
+        }
+    }
+
+    #[test]
+    fn code_table_keeps_codes_whose_hashes_collide() {
+        // Same hash half, hence same home slot and same tag: only the
+        // caller's value check tells them apart.
+        let mut t = CodeTable::default();
+        let hash = 0xABCD_0000_0000_0000;
+        for code in 0..100 {
+            assert_eq!(t.find(hash, |c| c == code), None);
+            t.insert(hash, code);
+        }
+        for code in 0..100 {
+            assert_eq!(t.find(hash, |c| c == code), Some(code));
+        }
+        assert_eq!(t.find(hash, |_| false), None);
+        assert_eq!(t.find(!hash, |_| true), None);
+    }
+
+    #[test]
+    fn interner_shares_one_allocation_per_distinct_string() {
+        let mut strings = Interner::new();
+        let texts = ["", "a", "b", "a", "longer than eight bytes", "b", ""];
+        let cells: Vec<Value> = texts.iter().map(|t| strings.intern(t)).collect();
+        for (i, a) in cells.iter().enumerate() {
+            assert_eq!(a.as_str(), Some(texts[i]));
+            for (j, b) in cells.iter().enumerate() {
+                let (Value::Str(a), Value::Str(b)) = (a, b) else {
+                    panic!("interned cells are strings");
+                };
+                assert_eq!(Arc::ptr_eq(a, b), texts[i] == texts[j], "{i} vs {j}");
+            }
         }
     }
 
     #[test]
     fn extended_with_no_fresh_values_is_identity() {
         let d = dict_of(&[Value::str("b"), Value::Null, Value::Int(9)]);
-        let same = d.extended(Vec::new());
-        assert_eq!(same.len(), d.len());
-        for code in 0..d.len() as u32 {
-            assert_eq!(same.value(code), d.value(code));
-            assert_eq!(same.rank(code), d.rank(code));
-        }
-        assert_eq!(same.null_code(), d.null_code());
+        assert_same_dict(&d.extended(Vec::new()), &d);
     }
 
     #[test]
@@ -512,19 +662,6 @@ mod tests {
         assert_eq!(merged.null_code(), Some(3));
         // Null sorts below everything under the total order.
         assert_eq!(merged.rank(3), 0);
-    }
-
-    #[test]
-    fn resume_on_unchanged_input_reproduces_dict() {
-        let rows = [Value::Int(3), Value::Null, Value::Float(1.5), Value::Int(3)];
-        let d = dict_of(&rows);
-        let again = DictBuilder::resume(&d).finish();
-        assert_eq!(again.len(), d.len());
-        for code in 0..d.len() as u32 {
-            assert_eq!(again.value(code), d.value(code));
-            assert_eq!(again.rank(code), d.rank(code));
-        }
-        assert_eq!(again.null_code(), d.null_code());
     }
 
     #[test]

@@ -229,6 +229,68 @@ impl Hash for Value {
     }
 }
 
+/// Multiply to 128 bits and xor the halves: every input bit reaches both
+/// ends of the result, which a plain wrapping multiply (whose low bits
+/// see only the operands' low bits) does not give.
+#[inline]
+fn fold_mul(a: u64, b: u64) -> u64 {
+    let m = u128::from(a) * u128::from(b);
+    (m as u64) ^ ((m >> 64) as u64)
+}
+
+const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+const FINISH: u64 = 0xD6E8_FEB8_6659_FD93;
+
+/// Seed-free hash of a string for the dictionary's code table
+/// ([`crate::dict`]). Eight bytes per step; the last step re-reads the
+/// final eight bytes, overlapping the step before it when the length is
+/// no multiple of eight, so there is no tail to pad. Strings shorter than
+/// a word are read as two overlapping halves or three single bytes. The
+/// length goes into the finishing multiply: strings of one length differ
+/// in some byte, and every byte is read, so two strings collide only if
+/// the mixing does.
+pub(crate) fn code_hash_str(s: &str) -> u64 {
+    let b = s.as_bytes();
+    let n = b.len();
+    let word = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("eight bytes"));
+    let half = |at: usize| u32::from_le_bytes(b[at..at + 4].try_into().expect("four bytes"));
+    let mut h = MIX;
+    if n >= 8 {
+        let mut at = 0;
+        while at + 8 < n {
+            h = fold_mul(h ^ word(at), MIX);
+            at += 8;
+        }
+        h = fold_mul(h ^ word(n - 8), MIX);
+    } else if n >= 4 {
+        h ^= u64::from(half(0)) | u64::from(half(n - 4)) << 32;
+    } else if n > 0 {
+        h ^= u64::from(b[0]) | u64::from(b[n / 2]) << 8 | u64::from(b[n - 1]) << 16;
+    }
+    fold_mul(fold_mul(h, MIX) ^ n as u64, FINISH)
+}
+
+impl Value {
+    /// Seed-free hash for the dictionary's code table. Equal values hash
+    /// equal under the same canonicalization as the [`Hash`] impl above
+    /// (an integral in-range `Float` hashes as the `Int` it equals); unlike
+    /// it, the result is a pure function of the value, so table layout —
+    /// and with it every probe count — repeats from run to run.
+    pub(crate) fn code_hash(&self) -> u64 {
+        let word = |class: u64, w: u64| fold_mul(fold_mul(w ^ MIX, MIX) ^ class, FINISH);
+        match self {
+            Value::Null => word(0, 0),
+            Value::Bool(b) => word(1, u64::from(*b)),
+            Value::Int(i) => word(2, *i as u64),
+            Value::Float(f) => match float_as_exact_int(*f) {
+                Some(i) => word(2, i as u64),
+                None => word(4, f.to_bits()),
+            },
+            Value::Str(s) => code_hash_str(s),
+        }
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -447,6 +509,34 @@ mod tests {
         for i in [0i64, 2, -7, 1 << 52, i64::MIN] {
             assert_eq!(Value::Int(i), Value::Float(i as f64));
             assert_eq!(hash_of(&Value::Int(i)), hash_of(&Value::Float(i as f64)));
+        }
+    }
+
+    #[test]
+    fn code_hash_follows_equality_and_reads_every_byte() {
+        for i in [0i64, 2, -7, 1 << 52, i64::MIN] {
+            assert_eq!(
+                Value::Int(i).code_hash(),
+                Value::Float(i as f64).code_hash()
+            );
+        }
+        assert_ne!(Value::Float(-0.0).code_hash(), Value::Int(0).code_hash());
+        assert_ne!(
+            Value::Int(1 << 53).code_hash(),
+            Value::Int((1 << 53) + 1).code_hash()
+        );
+        // Every way a length can sit against the word loop (three bytes,
+        // two halves, whole words with and without an overlapping last
+        // one): each end counts, and so does a trailing NUL.
+        for len in 0..=17 {
+            let s = "x".repeat(len);
+            assert_eq!(Value::str(&s).code_hash(), code_hash_str(&s));
+            assert_ne!(code_hash_str(&s), code_hash_str(&format!("{s}\0")));
+            assert_ne!(code_hash_str(&s), code_hash_str(&format!("{s}x")));
+            if len > 0 {
+                let other_end = format!("{}y", &s[1..]);
+                assert_ne!(code_hash_str(&s), code_hash_str(&other_end));
+            }
         }
     }
 

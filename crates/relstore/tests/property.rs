@@ -5,7 +5,8 @@
 use exq_relstore::aggregate::AggFunc;
 use exq_relstore::cube::{self, CubeStrategy};
 use exq_relstore::{
-    csv, Database, Predicate, SchemaBuilder, TupleSet, Universal, Value, ValueType as T,
+    csv, Database, DictBuilder, Predicate, SchemaBuilder, TupleSet, Universal, Value,
+    ValueType as T,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -324,6 +325,128 @@ proptest! {
         for pair in by_rank.windows(2) {
             prop_assert!(dict.value(pair[0]) < dict.value(pair[1]));
         }
+    }
+}
+
+/// [`arb_dict_value`] plus what the dictionary's own hash has to get
+/// right: integers above 2⁵³ (where rounding through `f64` would merge
+/// neighbours) beside the floats some of them equal, and strings of 5–10
+/// and 14–18 bytes (0–4 come with [`arb_dict_value`]), so every length
+/// its 8-byte word loop treats differently occurs, on both sides of one
+/// and of two whole words. Small alphabets and ranges, so that values
+/// repeat.
+fn arb_dict_value_wide() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        arb_dict_value(),
+        arb_dict_value(),
+        (0i64..4).prop_map(|k| Value::Int((1 << 53) + k)),
+        (0i64..4).prop_map(|k| Value::Float(((1i64 << 53) + k) as f64)),
+        (0i64..3).prop_map(|k| Value::Int(i64::MAX - k)),
+        Just(Value::Float(9_223_372_036_854_775_808.0)),
+        "[ab]{5,10}".prop_map(Value::str),
+        "[ab]{14,18}".prop_map(Value::str),
+    ]
+}
+
+/// Same variant, same bits: the equality under which a dictionary's
+/// representative is *the first spelling*, not merely an equal value.
+fn same_spelling(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+        _ => std::mem::discriminant(a) == std::mem::discriminant(b) && a == b,
+    }
+}
+
+/// A copy of `v` in an allocation of its own.
+fn reallocated(v: &Value) -> Value {
+    match v {
+        Value::Str(s) => Value::str(&**s),
+        other => other.clone(),
+    }
+}
+
+fn one_any_column_db(values: impl Iterator<Item = Value>) -> Database {
+    let schema = SchemaBuilder::new()
+        .relation("R", &[("id", T::Int), ("x", T::Any)], &["id"])
+        .build()
+        .unwrap();
+    let mut db = Database::new(schema);
+    for (i, v) in values.enumerate() {
+        db.insert("R", vec![(i as i64).into(), v]).unwrap();
+    }
+    db
+}
+
+proptest! {
+    /// The dictionary against the structure it replaced: a
+    /// `HashMap<Value, u32>` filled in first-appearance order. Codes,
+    /// representatives, ranks, the null code and lookups of values the
+    /// column never held must all agree — whatever the hash does with
+    /// `Int(2)`/`Float(2.0)`, `-0.0`, integers above 2⁵³, the empty
+    /// string, or a string one byte either side of a word boundary.
+    #[test]
+    fn dict_matches_hash_map_oracle(
+        values in proptest::collection::vec(arb_dict_value_wide(), 0..80),
+        probes in proptest::collection::vec(arb_dict_value_wide(), 0..40),
+    ) {
+        let mut oracle: std::collections::HashMap<Value, u32> = std::collections::HashMap::new();
+        let mut firsts: Vec<&Value> = Vec::new();
+        let mut builder = DictBuilder::new();
+        for v in &values {
+            let next = oracle.len() as u32;
+            let want = *oracle.entry(v.clone()).or_insert(next);
+            if want == next {
+                firsts.push(v);
+            }
+            prop_assert_eq!(builder.encode(v), want, "code of {:?}", v);
+        }
+        let dict = builder.finish();
+        prop_assert_eq!(dict.len(), firsts.len());
+        let mut by_value: Vec<usize> = (0..firsts.len()).collect();
+        by_value.sort_by_key(|&code| firsts[code]);
+        for (rank, &code) in by_value.iter().enumerate() {
+            prop_assert_eq!(dict.rank(code as u32), rank as u32, "rank of code {}", code);
+        }
+        for (code, first) in firsts.iter().enumerate() {
+            prop_assert!(
+                same_spelling(dict.value(code as u32), first),
+                "code {} decodes {:?}, first spelling {:?}", code, dict.value(code as u32), first
+            );
+        }
+        prop_assert_eq!(
+            dict.null_code(),
+            firsts.iter().position(|v| v.is_null()).map(|p| p as u32)
+        );
+        for v in values.iter().chain(&probes) {
+            prop_assert_eq!(dict.code(v), oracle.get(v).copied(), "lookup of {:?}", v);
+            prop_assert_eq!(dict.code(&reallocated(v)), oracle.get(v).copied());
+        }
+    }
+
+    /// Sharing allocations is invisible in code space: rows whose equal
+    /// strings share one allocation and rows where every cell has its own
+    /// build identical column stores, so the same-allocation shortcut can
+    /// never change a code.
+    #[test]
+    fn interned_and_reallocated_rows_build_identical_columns(
+        values in proptest::collection::vec(arb_dict_value_wide(), 1..80),
+    ) {
+        let mut strings = exq_relstore::Interner::new();
+        let interned = one_any_column_db(values.iter().map(|v| match v {
+            Value::Str(s) => strings.intern(s),
+            other => other.clone(),
+        }));
+        let apart = one_any_column_db(values.iter().map(reallocated));
+        let x = interned.schema().attr("R", "x").unwrap();
+        let (codes, dict) = interned.columns().dict_column(x);
+        let (codes2, dict2) = apart.columns().dict_column(x);
+        prop_assert_eq!(codes, codes2);
+        prop_assert_eq!(dict.len(), dict2.len());
+        for code in 0..dict.len() as u32 {
+            prop_assert!(same_spelling(dict.value(code), dict2.value(code)));
+            prop_assert_eq!(dict.rank(code), dict2.rank(code));
+        }
+        prop_assert_eq!(dict.null_code(), dict2.null_code());
     }
 }
 
@@ -873,17 +996,17 @@ fn join_and_semijoin_on_more_than_2_pow_20_distinct_keys_match_hash_index() {
 // Append stability (live ingestion)
 // ---------------------------------------------------------------------
 
-use exq_relstore::{ColumnStore, DictBuilder};
+use exq_relstore::ColumnStore;
 
 proptest! {
-    /// A chain of `DictBuilder::resume` appends is indistinguishable from
-    /// one from-scratch scan of all the rows: codes assigned at any epoch
-    /// are never reassigned by a later append, and the final dictionary
-    /// (values, ranks, null code) equals the rebuild exactly. This is the
-    /// contract that lets `ColumnStore::extend_for_append` keep old coded
-    /// columns byte-stable under live ingestion.
+    /// A chain of `Dict::extended` appends is indistinguishable from one
+    /// from-scratch scan of all the rows: codes assigned at any epoch are
+    /// never reassigned by a later append, and the final dictionary
+    /// (codes, values, ranks, null code) equals the rebuild exactly. This
+    /// is the contract that lets `ColumnStore::extend_for_append` keep old
+    /// coded columns byte-stable under live ingestion.
     #[test]
-    fn dict_resume_chain_never_recodes_and_matches_scratch(
+    fn dict_extended_chain_never_recodes_and_matches_scratch(
         initial in proptest::collection::vec(arb_dict_value(), 0..30),
         appends in proptest::collection::vec(
             proptest::collection::vec(arb_dict_value(), 0..12),
@@ -891,20 +1014,27 @@ proptest! {
         ),
     ) {
         use std::cmp::Ordering;
-        let mut builder = DictBuilder::new();
-        for v in &initial {
-            builder.encode(v);
-        }
-        let mut current = builder.finish();
+        let build = |rows: &[Value]| {
+            let mut builder = DictBuilder::new();
+            for v in rows {
+                builder.encode(v);
+            }
+            builder.finish()
+        };
+        let mut current = build(&initial);
         let mut all = initial.clone();
         for batch in &appends {
             let before: Vec<Value> =
                 (0..current.len() as u32).map(|c| current.value(c).clone()).collect();
-            let mut resumed = DictBuilder::resume(&current);
+            // What an append hands over: the batch's values that have no
+            // code yet, once each, in first-appearance order.
+            let mut fresh: Vec<Value> = Vec::new();
             for v in batch {
-                resumed.encode(v);
+                if current.code(v).is_none() && !fresh.contains(v) {
+                    fresh.push(v.clone());
+                }
             }
-            current = resumed.finish();
+            current = current.extended(fresh);
             all.extend(batch.iter().cloned());
             // Codes never change: the pre-append code→value table is a
             // verbatim prefix of the post-append one.
@@ -918,11 +1048,7 @@ proptest! {
             }
         }
         // Append-then-rebuild identity.
-        let mut scratch = DictBuilder::new();
-        for v in &all {
-            scratch.encode(v);
-        }
-        let scratch = scratch.finish();
+        let scratch = build(&all);
         prop_assert_eq!(current.len(), scratch.len());
         for code in 0..current.len() as u32 {
             prop_assert_eq!(
@@ -930,6 +1056,10 @@ proptest! {
                 Ordering::Equal
             );
             prop_assert_eq!(current.rank(code), scratch.rank(code));
+            prop_assert_eq!(current.code(scratch.value(code)), Some(code));
+        }
+        for v in &all {
+            prop_assert_eq!(current.code(v), scratch.code(v));
         }
         prop_assert_eq!(current.null_code(), scratch.null_code());
     }

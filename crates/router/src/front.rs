@@ -270,9 +270,9 @@ fn serve_one(inner: &FrontInner, stream: &mut TcpStream, carry: &mut Vec<u8>) ->
         inner.config.access_log.record(&AccessEntry {
             tenant: request.as_ref().and_then(|r| r.header("x-exq-tenant")),
             shard,
-            endpoint: request
-                .as_ref()
-                .map_or("-", |r| r.path.split_once('?').map_or(r.path.as_str(), |(p, _)| p)),
+            endpoint: request.as_ref().map_or("-", |r| {
+                r.path.split_once('?').map_or(r.path.as_str(), |(p, _)| p)
+            }),
             status: response.status,
             latency_ns: u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX),
             trace_id,
@@ -575,7 +575,9 @@ fn fleet_snapshot(inner: &FrontInner, trace_id: u64) -> (Snapshot, Vec<(usize, E
     let mut tagged = Vec::new();
     for (shard, snapshot, exemplars) in scraped {
         for (name, value) in &snapshot.counters {
-            fleet.counters.insert(format!("{name}.shard.{shard}"), *value);
+            fleet
+                .counters
+                .insert(format!("{name}.shard.{shard}"), *value);
         }
         fleet.merge(&snapshot);
         tagged.extend(exemplars.into_iter().map(|e| (shard, e)));
@@ -874,7 +876,8 @@ mod tests {
             assert!(text.contains(family), "missing {family} in {text}");
         }
         assert!(
-            text.lines().any(|l| l.starts_with("# exemplar ") && l.contains("shard=\"")),
+            text.lines()
+                .any(|l| l.starts_with("# exemplar ") && l.contains("shard=\"")),
             "no shard-tagged exemplar comment in {text}"
         );
 

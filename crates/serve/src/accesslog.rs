@@ -70,7 +70,12 @@ impl AccessLog {
         let out: Box<dyn Write + Send> = if path.as_os_str() == "-" {
             Box::new(std::io::stdout())
         } else {
-            Box::new(std::fs::OpenOptions::new().create(true).append(true).open(path)?)
+            Box::new(
+                std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(path)?,
+            )
         };
         Ok(AccessLog(Some(Arc::new(LogInner {
             out: Mutex::new(out),
@@ -92,7 +97,10 @@ impl AccessLog {
         let (ts_bucket, latency_bucket) = if inner.deterministic {
             (0, 0)
         } else {
-            (minute_bucket(), bucket_upper(bucket_index(entry.latency_ns)))
+            (
+                minute_bucket(),
+                bucket_upper(bucket_index(entry.latency_ns)),
+            )
         };
         let tenant = match entry.tenant {
             Some(tenant) => format!("\"{}\"", escape_json(tenant)),

@@ -200,7 +200,10 @@ impl TraceRetention {
 
     /// Number of traces ever retained.
     pub fn retained(&self) -> u64 {
-        self.state.lock().expect("trace retention poisoned").retained
+        self.state
+            .lock()
+            .expect("trace retention poisoned")
+            .retained
     }
 
     /// Current exemplars: the most recent retained trace per histogram.

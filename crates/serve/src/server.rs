@@ -22,11 +22,11 @@ use crate::accesslog::{AccessEntry, AccessLog};
 use crate::cache::ResultCache;
 use crate::catalog::{Catalog, Dataset};
 use crate::flight::FlightRecorder;
-use crate::retain::TraceRetention;
 use crate::http::{Limits, Request, Response};
 use crate::json::Json;
 use crate::key::{cache_key, CanonicalRequest};
 use crate::pump;
+use crate::retain::TraceRetention;
 use exq_core::jsonout;
 use exq_core::prelude::*;
 use exq_core::qparse;
@@ -353,9 +353,14 @@ fn serve_one(inner: &Inner, stream: &mut TcpStream, carry: &mut Vec<u8>) -> bool
         Some(r) => (r.method.as_str(), r.path.as_str()),
         None => ("-", "-"),
     };
-    inner
-        .flight
-        .record(trace_id, method, path, response.status, latency_ns, meta.cache);
+    inner.flight.record(
+        trace_id,
+        method,
+        path,
+        response.status,
+        latency_ns,
+        meta.cache,
+    );
     if inner.retention.observe(
         trace_id,
         method,
@@ -460,10 +465,7 @@ fn route(inner: &Inner, request: &Request) -> (Response, RouteMeta) {
                 // router front scrapes and merges into the fleet view.
                 Response::text(
                     200,
-                    exq_obs::encode_snapshot(
-                        &inner.sink.snapshot(),
-                        &inner.retention.exemplars(),
-                    ),
+                    exq_obs::encode_snapshot(&inner.sink.snapshot(), &inner.retention.exemplars()),
                 )
             } else {
                 Response::json(200, inner.sink.snapshot().to_json() + "\n")
@@ -575,7 +577,7 @@ impl Cost {
     }
 
     /// The JSON object spliced into the response document.
-    fn to_json(&self, cache: &str, epoch: u64) -> String {
+    fn to_json(self, cache: &str, epoch: u64) -> String {
         format!(
             "{{ \"rows_scanned\": {}, \"candidates\": {}, \"cube_cells\": {}, \
              \"cache\": \"{cache}\", \"epoch\": {epoch} }}",
@@ -584,7 +586,7 @@ impl Cost {
     }
 
     /// The `X-Exq-Cost` header value: same facts, flat `k=v` pairs.
-    fn to_header(&self, cache: &str, epoch: u64) -> String {
+    fn to_header(self, cache: &str, epoch: u64) -> String {
         format!(
             "rows={};candidates={};cells={};cache={cache};epoch={epoch}",
             self.rows_scanned, self.candidates, self.cube_cells,
@@ -618,16 +620,18 @@ fn account_tenant(inner: &Inner, tenant: Option<&str>, cost: &Cost) {
     inner
         .sink
         .add(&format!("server.tenant.cost.{tenant}.requests"), 1);
-    inner
-        .sink
-        .add(&format!("server.tenant.cost.{tenant}.rows"), cost.rows_scanned);
+    inner.sink.add(
+        &format!("server.tenant.cost.{tenant}.rows"),
+        cost.rows_scanned,
+    );
     inner.sink.add(
         &format!("server.tenant.cost.{tenant}.candidates"),
         cost.candidates,
     );
-    inner
-        .sink
-        .add(&format!("server.tenant.cost.{tenant}.cells"), cost.cube_cells);
+    inner.sink.add(
+        &format!("server.tenant.cost.{tenant}.cells"),
+        cost.cube_cells,
+    );
 }
 
 /// Normalize a tenant header value into a counter-name-safe token.
@@ -1099,7 +1103,10 @@ mod tests {
         // Sanitized names render as legal Prometheus counter names.
         let sink = MetricsSink::recording();
         sink.add(
-            &format!("server.tenant.cost.{}.requests", sanitize_tenant("we?ird").unwrap()),
+            &format!(
+                "server.tenant.cost.{}.requests",
+                sanitize_tenant("we?ird").unwrap()
+            ),
             1,
         );
         assert!(sink.snapshot().to_prometheus().contains("we_ird"));

@@ -652,7 +652,10 @@ fn cost_accounting_snapshot_wire_and_trace_retention() {
         .iter()
         .find(|t| t.get("trace_id").and_then(|v| v.as_usize()) == Some(cold_trace as usize))
         .expect("cold request retained");
-    assert_eq!(retained.get("reason").and_then(|v| v.as_str()), Some("slow"));
+    assert_eq!(
+        retained.get("reason").and_then(|v| v.as_str()),
+        Some("slow")
+    );
 
     let snapshot = handle.shutdown();
     // Tenant accounting: both requests billed to the sanitized tenant;
@@ -671,7 +674,9 @@ fn cost_accounting_snapshot_wire_and_trace_retention() {
     // every line with tenant and shard.
     let persisted = std::fs::read_to_string(&traces_path).unwrap();
     assert!(
-        persisted.lines().any(|l| l.contains(&format!("\"trace_id\": {cold_trace}"))),
+        persisted
+            .lines()
+            .any(|l| l.contains(&format!("\"trace_id\": {cold_trace}"))),
         "{persisted}"
     );
     let access = std::fs::read_to_string(&access_path).unwrap();
