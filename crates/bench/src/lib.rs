@@ -1,6 +1,6 @@
-//! Shared scenario builders for the benchmark harness and the criterion
-//! benches: the exact user questions of the paper's evaluation
-//! (Section 5), parameterized by dataset scale.
+//! Shared scenario builders for the `repro` binary: the exact user
+//! questions of the paper's evaluation (Section 5), parameterized by
+//! dataset scale.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -8,9 +8,9 @@
 //!   every catalogued name must be emitted or mentioned somewhere in
 //!   library/binary source, and every literal-name emit must be
 //!   catalogued. Catalogue lines may be prefixed `aux ` for names the
-//!   benches do not pin (`repro validate-bench` skips them, the audit
-//!   does not), and may end in `.*` to cover a family of
-//!   `format!`-built names.
+//!   reference workloads do not pin (the presence test in
+//!   `tests/trace_coverage.rs` skips them, the audit does not), and may
+//!   end in `.*` to cover a family of `format!`-built names.
 //! - catalogue names ↔ Prometheus naming (`L009`): each name must be
 //!   lower-case dotted (`[a-z0-9._]`) and survive
 //!   [`exq_obs::sanitize_name`] into a name the in-repo exposition
@@ -62,7 +62,7 @@ pub struct CatEntry {
     /// Counter, span, or histogram.
     pub kind: EmitKind,
     /// `aux` entries are emitted by the system but not pinned by the
-    /// benches; `repro validate-bench` skips them.
+    /// reference workloads; the catalogue presence test skips them.
     pub aux: bool,
     /// `name` is a prefix covering a `format!`-built family.
     pub wildcard: bool,
@@ -71,8 +71,8 @@ pub struct CatEntry {
 }
 
 /// Parse the catalogue. Total: unparseable lines are skipped (the
-/// audit checks names, not grammar; `repro validate-bench` has its own
-/// parser for the bench-pinning subset).
+/// audit checks names, not grammar). The audit and the catalogue
+/// presence test in `tests/trace_coverage.rs` share this parser.
 pub fn parse_catalogue(text: &str) -> Vec<CatEntry> {
     let mut entries = Vec::new();
     for (i, raw) in text.lines().enumerate() {
@@ -278,7 +278,7 @@ pub fn counters_audit(root: &Path, sources: &[LintSource]) -> std::io::Result<Ve
                 )
                 .with_help(
                     "emit it through the MetricsSink, or delete the entry — a stale \
-                     catalogue line makes `repro validate-bench` lie",
+                     catalogue line makes the catalogue presence test lie",
                 ),
             );
         }
@@ -299,8 +299,8 @@ pub fn counters_audit(root: &Path, sources: &[LintSource]) -> std::io::Result<Ve
                     ),
                 )
                 .with_help(
-                    "add it to the catalogue (prefix the line with `aux ` if the benches \
-                     do not pin it; suffix `.*` for a format!-built family)",
+                    "add it to the catalogue (prefix the line with `aux ` if the reference \
+                     workloads do not pin it; suffix `.*` for a format!-built family)",
                 ),
             );
         }

@@ -482,6 +482,12 @@ fn append_bumps_epoch_and_epoch_keys_the_cache() {
     // went 9 → 11 above) and counted exactly once.
     assert_eq!(snapshot.counter("ingest.rows_appended"), 2);
     assert_eq!(snapshot.counter("ingest.epoch_bumps"), 1);
+    // Request conservation (the invariant beside `span:server.request.parse`
+    // in assets/obs/counters.txt): the parse span counts the three
+    // question POSTs only; `server.requests` also counts the append and
+    // the GET.
+    assert_eq!(snapshot.spans["server.request.parse"].count, 3);
+    assert_eq!(snapshot.counter("server.requests"), 5);
 }
 
 #[test]

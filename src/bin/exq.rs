@@ -524,8 +524,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let threads = config.threads;
     let handle = exq::serve::start_on(addr, catalog, config, sink.clone())
         .map_err(|e| format!("bind {addr}: {e}"))?;
-    // Machine-readable ready line (the CI smoke job and loadtest parse
-    // the port from it), then serve until a signal lands.
+    // Machine-readable ready line (the CI smoke jobs and the router's
+    // worker supervisor parse the port from it), then serve until a
+    // signal lands.
     println!(
         "ready: listening on http://{} ({threads} workers)",
         handle.addr()

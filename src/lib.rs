@@ -29,7 +29,7 @@
 //!
 //! See the `examples/` directory for end-to-end walkthroughs
 //! (`quickstart`, `dblp_bump`, `natality`, `sigmod_pods`, `convergence`)
-//! and the `exq-bench` crate for the benchmark harness regenerating every
+//! and the `exq-bench` crate's `repro` binary, which regenerates every
 //! table and figure of the paper's evaluation.
 
 #![warn(missing_docs)]

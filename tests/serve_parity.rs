@@ -10,6 +10,8 @@
 //! metrics (running over pre-built intermediates) legitimately lack.
 //! Across clients the *full* bodies must agree after zeroing span
 //! wall-times — and on cache hits they agree without normalization.
+//! The same normalization makes a sharded `exq-router` front over real
+//! workers comparable with one single-process server.
 
 use exq::datagen::dblp;
 use exq::relstore::csv::dump_relation;
@@ -311,4 +313,159 @@ fn report_parity_cli_vs_server() {
     assert_eq!(response.status, 200, "{}", response.text());
     assert_eq!(semantic_prefix(&response.text()), semantic_prefix(&cli_doc));
     handle.shutdown();
+}
+
+/// A 2-worker in-process front over real `exq_serve` workers, each
+/// owning one DBLP dataset: routed explains are byte-identical to one
+/// single-process server holding both datasets; a killed worker costs
+/// its dataset bounded `503` + `Retry-After` answers while the other
+/// shard keeps answering `200`; a published replacement serves the
+/// pre-kill bytes; and a retained trace named by the fleet exposition's
+/// exemplar is retrievable through the front.
+#[test]
+fn front_over_two_workers_matches_one_server_and_survives_a_kill() {
+    use exq::router::{Front, FrontConfig, ShardMap};
+    use std::sync::Arc;
+
+    let db = Arc::new(dblp::generate(&dblp::DblpConfig {
+        papers_per_year_base: 6,
+        authors_per_institution: 4,
+        ..dblp::DblpConfig::default()
+    }));
+    // names[s] is the one dataset the hash ring assigns to shard s.
+    let map = ShardMap::new(2);
+    let mut owned: [Option<String>; 2] = [None, None];
+    for i in 0.. {
+        if owned.iter().all(Option::is_some) {
+            break;
+        }
+        let name = format!("dblp-{i}");
+        owned[map.shard_of(&name)].get_or_insert(name);
+    }
+    let names = owned.map(Option::unwrap);
+    let catalog_of = |names: &[String]| {
+        let mut catalog = Catalog::new();
+        for name in names {
+            catalog
+                .insert_database(name, Arc::clone(&db), &ExecConfig::sequential())
+                .unwrap();
+        }
+        catalog
+    };
+    let start_worker = |shard: usize| {
+        exq::serve::start(
+            catalog_of(std::slice::from_ref(&names[shard])),
+            ServerConfig {
+                threads: 1,
+                shard_id: Some(shard as u64),
+                // Retain every trace, so the fleet exposition carries
+                // exemplars.
+                trace_slow_ms: Some(0),
+                ..ServerConfig::default()
+            },
+            exq::obs::MetricsSink::recording(),
+        )
+        .unwrap()
+    };
+    let front = Front::start_on(
+        "127.0.0.1:0",
+        FrontConfig {
+            workers: 2,
+            per_worker_connections: 1,
+            datasets: names.to_vec(),
+            ..FrontConfig::default()
+        },
+        exq::obs::MetricsSink::recording(),
+    )
+    .unwrap();
+    let mut workers: Vec<Option<exq::serve::Handle>> = (0..2)
+        .map(|shard| {
+            let worker = start_worker(shard);
+            front.upstreams().set_addr(shard, Some(worker.addr()));
+            Some(worker)
+        })
+        .collect();
+    let question = asset("questions/bump.exq");
+    let body_for = |name: &str| {
+        format!(
+            "{{\"dataset\": \"{name}\", \"question\": \"{}\", \"attrs\": [\"Author.inst\"], \"top\": 3}}",
+            exq::obs::escape_json(&question)
+        )
+    };
+    let explain =
+        |name: &str| client::post_json(front.addr(), "/v1/explain", &body_for(name)).unwrap();
+
+    let reference = exq::serve::start(
+        catalog_of(&names),
+        ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        },
+        exq::obs::MetricsSink::recording(),
+    )
+    .unwrap();
+    let mut routed = Vec::new();
+    for name in &names {
+        let through = explain(name);
+        assert_eq!(through.status, 200, "{}", through.text());
+        let direct = client::post_json(reference.addr(), "/v1/explain", &body_for(name)).unwrap();
+        assert_eq!(direct.status, 200, "{}", direct.text());
+        assert_eq!(
+            normalize(&through.text()),
+            normalize(&direct.text()),
+            "{name}: routed explain must be byte-identical to a single-process server"
+        );
+        routed.push(normalize(&through.text()));
+    }
+    reference.shutdown();
+
+    // Kill shard 0: its dataset degrades to bounded 503s, never a wrong
+    // answer or a hang, while shard 1 keeps serving.
+    workers[0].take().unwrap().shutdown();
+    front.upstreams().set_addr(0, None);
+    for _ in 0..3 {
+        let down = explain(&names[0]);
+        assert_eq!(down.status, 503, "{}", down.text());
+        assert!(down.header("retry-after").is_some());
+        let alive = explain(&names[1]);
+        assert_eq!(alive.status, 200, "{}", alive.text());
+    }
+
+    // A published replacement answers with the pre-kill bytes.
+    let replacement = start_worker(0);
+    front.upstreams().set_addr(0, Some(replacement.addr()));
+    workers[0] = Some(replacement);
+    let back = explain(&names[0]);
+    assert_eq!(back.status, 200, "{}", back.text());
+    assert_eq!(
+        normalize(&back.text()),
+        routed[0],
+        "post-recovery explain must match the pre-kill bytes"
+    );
+
+    // The fleet exposition is checker-clean, and the trace its exemplar
+    // names is retrievable through the front's merged trace fan-in.
+    let prom = client::get(front.addr(), "/metrics").unwrap().text();
+    exq::obs::check_prometheus(&prom).unwrap_or_else(|e| panic!("{e}\n{prom}"));
+    let exemplar: u64 = prom
+        .lines()
+        .find_map(|line| {
+            line.strip_prefix("# exemplar ")?
+                .rsplit_once("trace_id=")?
+                .1
+                .parse()
+                .ok()
+        })
+        .expect("fleet exposition must carry an exemplar");
+    let traces = client::get(front.addr(), "/v1/debug/traces").unwrap();
+    assert_eq!(traces.status, 200);
+    assert!(
+        traces.text().contains(&format!("\"trace_id\": {exemplar}")),
+        "exemplar trace {exemplar} must be retrievable through the front"
+    );
+
+    front.shutdown();
+    for worker in workers.into_iter().flatten() {
+        worker.shutdown();
+    }
 }
