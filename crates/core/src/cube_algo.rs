@@ -2,21 +2,33 @@
 //!
 //! For an intervention-additive numerical query `Q = E(q_1, …, q_m)`:
 //!
-//! 1. compute `u_j = q_j(D)` for every sub-query;
+//! 1. compute `u_j = q_j(D)` for every sub-query, in one pass over `U`
+//!    that also records which tuples each `q_j` selects;
 //! 2. compute one data cube `C_j` per sub-query over the explanation
-//!    attributes `A'`, so each cube row holds `v_j(φ) = q_j(D_φ)`;
+//!    attributes `A'`, grouping exactly those tuples, so each cube row
+//!    holds `v_j(φ) = q_j(D_φ)`;
 //! 3. full-outer-join the cubes into the table `M` (missing explanations
-//!    count as zero) — implemented with the paper's dummy-value
-//!    optimization so the join is a plain hash equi-join;
+//!    count as zero). The paper substitutes a dummy value for the cube's
+//!    NULLs so the join is a plain hash equi-join; here cells are keyed
+//!    by dictionary codes, whose "don't care" code already differs from
+//!    every value's, so each cube folds straight into one table with a
+//!    lane per sub-query;
 //! 4. per row, `μ_interv(φ) = sign · E(u_1 − v_1, …, u_m − v_m)` and
 //!    `μ_aggr(φ) = sign · E(v_1, …, v_m)`.
+//!
+//! [`explanation_table_reference`] runs the same lines the paper's way —
+//! a selection scan per sub-query, `Value`-keyed cubes, the dummy-value
+//! join — as the oracle the differential tests hold the engine to.
 
 use crate::additivity::check_query;
 use crate::error::{Error, Result};
 use crate::question::UserQuestion;
-use crate::table_m::{self, ExplanationTable};
-use exq_relstore::cube::{self, Coord, CubeStrategy};
-use exq_relstore::{AttrRef, Database, ExecConfig, MetricsSink, Universal, Value};
+use crate::table_m::{self, ExplanationRow, ExplanationTable, DERIVE_BLOCK};
+use exq_relstore::cube::{self, CodedCube, Coord, CubeStrategy};
+use exq_relstore::dict::NO_CODE;
+use exq_relstore::{
+    par, AttrRef, CodeTuples, Database, Dict, ExecConfig, MetricsSink, Universal, Value,
+};
 use std::collections::HashMap;
 
 /// Configuration for Algorithm 1.
@@ -35,8 +47,9 @@ pub struct CubeAlgoConfig {
 }
 
 impl Default for CubeAlgoConfig {
+    /// [`CubeAlgoConfig::checked`]: the safe default.
     fn default() -> CubeAlgoConfig {
-        CubeAlgoConfig::unchecked()
+        CubeAlgoConfig::checked()
     }
 }
 
@@ -76,12 +89,63 @@ pub fn explanation_table(
     dims: &[AttrRef],
     config: CubeAlgoConfig,
 ) -> Result<ExplanationTable> {
-    explanation_table_in(db, u, question, dims, config, joined_coded_cells)
+    let sink = config.exec.metrics().clone();
+    let _span = sink.span("cube_algo");
+    begin(db, u, question, &config, &sink)?;
+
+    // Line 1: totals u_j, and the tuples each q_j selects.
+    let folded = sink.time("cube_algo.totals", || question.query.fold(db, u, true))?;
+
+    // Lines 2–3: one cube per sub-query over its selected tuples, folded
+    // into M's lanes as it finishes.
+    sink.add("cube_algo.sub_queries", question.query.arity() as u64);
+    let mut joined = Joined::new(dims.len(), question.query.arity());
+    for ((j, q), positions) in question
+        .query
+        .aggregates
+        .iter()
+        .enumerate()
+        .zip(folded.positions)
+    {
+        let c = sink.time("cube_algo.cubes", || {
+            cube::compute_coded_at(
+                db,
+                u,
+                &positions,
+                dims,
+                &q.func,
+                config.strategy,
+                &config.exec,
+            )
+        })?;
+        let _join_span = sink.span("cube_algo.join");
+        joined.fold(j, &c);
+    }
+    sink.add("cube_algo.joined_cells", joined.keys.len() as u64);
+
+    // Lines 4–5: degree columns.
+    let store = db.columns();
+    let dicts: Vec<&Dict> = dims.iter().map(|&a| store.dict_column(a).1).collect();
+    let rows = sink.time("cube_algo.derive", || {
+        joined.derive(question, &folded.values, &dicts, &config.exec)
+    });
+    // Same name the naive engine records, so the differential test can
+    // assert both engines evaluated the same candidate set.
+    sink.add("engine.candidates_evaluated", rows.len() as u64);
+
+    Ok(ExplanationTable {
+        dims: dims.to_vec(),
+        totals: folded.values,
+        rows,
+    })
 }
 
-/// [`explanation_table`] through the retained row-oriented cube
-/// (`cube::compute_rows_with`): the oracle the differential tests compare
-/// the engine against. Tables are bit-identical to [`explanation_table`]'s.
+/// [`explanation_table`] the way §4.2 writes it: each `u_j` by its own
+/// scan, one row-oriented cube per sub-query (`cube::compute_rows_with`,
+/// which evaluates the selection again), a hash join on dummy-substituted
+/// `Value` coordinates, and [`table_m::derive_rows`]. The oracle the
+/// differential tests compare the engine against; tables are
+/// bit-identical to [`explanation_table`]'s.
 pub fn explanation_table_reference(
     db: &Database,
     u: &Universal,
@@ -89,31 +153,40 @@ pub fn explanation_table_reference(
     dims: &[AttrRef],
     config: CubeAlgoConfig,
 ) -> Result<ExplanationTable> {
-    explanation_table_in(db, u, question, dims, config, joined_value_cells)
+    let sink = config.exec.metrics().clone();
+    let _span = sink.span("cube_algo");
+    begin(db, u, question, &config, &sink)?;
+    let totals = sink.time("cube_algo.totals", || {
+        question
+            .query
+            .aggregates
+            .iter()
+            .map(|q| q.eval(db, u))
+            .collect::<exq_relstore::Result<Vec<f64>>>()
+    })?;
+    sink.add("cube_algo.sub_queries", question.query.arity() as u64);
+    let cells = joined_value_cells(db, u, question, dims, &config, &sink)?;
+    sink.add("cube_algo.joined_cells", cells.len() as u64);
+    let rows = sink.time("cube_algo.derive", || {
+        table_m::derive_rows(question, &totals, &cells, &config.exec)
+    });
+    sink.add("engine.candidates_evaluated", rows.len() as u64);
+    Ok(ExplanationTable {
+        dims: dims.to_vec(),
+        totals,
+        rows,
+    })
 }
 
-/// Lines 2–3 of Algorithm 1: one cube per sub-query, full-outer-joined
-/// into `(coordinate, v_1..v_m)` cells in no particular order.
-type JoinedCells = fn(
-    &Database,
-    &Universal,
-    &UserQuestion,
-    &[AttrRef],
-    &CubeAlgoConfig,
-    &MetricsSink,
-) -> Result<Vec<(Coord, Vec<f64>)>>;
-
-/// Algorithm 1 around a choice of cube-and-join step.
-fn explanation_table_in(
+/// What both engines do first: count the run and, when configured to,
+/// refuse a query Algorithm 1 cannot answer exactly.
+fn begin(
     db: &Database,
     u: &Universal,
     question: &UserQuestion,
-    dims: &[AttrRef],
-    config: CubeAlgoConfig,
-    joined_cells: JoinedCells,
-) -> Result<ExplanationTable> {
-    let sink = config.exec.metrics().clone();
-    let _span = sink.span("cube_algo");
+    config: &CubeAlgoConfig,
+    sink: &MetricsSink,
+) -> Result<()> {
     sink.incr("cube_algo.runs");
     if config.enforce_additivity {
         let checks = sink.time("cube_algo.additivity_check", || {
@@ -129,31 +202,75 @@ fn explanation_table_in(
             return Err(Error::NotInterventionAdditive { failing });
         }
     }
+    Ok(())
+}
 
-    // Line 1: totals u_j.
-    let totals = sink.time("cube_algo.totals", || {
-        question.query.aggregate_values(db, u)
-    })?;
+/// `M` while the cubes are joined: one code tuple per candidate
+/// explanation, and beside it one lane per sub-query holding `v_j` — 0
+/// until cube `j` has the cell, which is the outer join's zero fill.
+struct Joined {
+    keys: CodeTuples,
+    /// Cell `id`'s lanes are `lanes[id·m..(id+1)·m]`.
+    lanes: Vec<f64>,
+    m: usize,
+}
 
-    // Line 2: per-sub-query cubes, joined (line 3).
-    sink.add("cube_algo.sub_queries", question.query.arity() as u64);
-    let cells = joined_cells(db, u, question, dims, &config, &sink)?;
-    sink.add("cube_algo.joined_cells", cells.len() as u64);
+impl Joined {
+    fn new(d: usize, m: usize) -> Joined {
+        Joined {
+            keys: CodeTuples::new(d),
+            lanes: Vec::new(),
+            m,
+        }
+    }
 
-    // Lines 4-5: degree columns, derived per cell in parallel blocks (the
-    // helper re-sorts by coordinate, so the HashMap drain order is moot).
-    let rows = sink.time("cube_algo.derive", || {
-        table_m::derive_rows(question, &totals, &cells, &config.exec)
-    });
-    // Same name the naive engine records, so the differential test can
-    // assert both engines evaluated the same candidate set.
-    sink.add("engine.candidates_evaluated", rows.len() as u64);
+    /// Line 3 for sub-query `j`: fill lane `j` from its cube.
+    fn fold(&mut self, j: usize, cube: &CodedCube) {
+        for (key, v) in cube.cells() {
+            let (id, new) = self.keys.insert(key);
+            if new {
+                self.lanes.resize(self.lanes.len() + self.m, 0.0);
+            }
+            self.lanes[id as usize * self.m + j] = v;
+        }
+    }
 
-    Ok(ExplanationTable {
-        dims: dims.to_vec(),
-        totals,
-        rows,
-    })
+    /// Lines 4–5: one degree row per cell, in coordinate order (the rank
+    /// order of the code keys), the trivial all-"don't care" explanation
+    /// dropped. Blocks of rows fan out over `exec`; each row's arithmetic
+    /// reads only its own cell, so the fan-out is exact at any thread
+    /// count, and a `Value` coordinate is built once per row of `M`.
+    fn derive(
+        &self,
+        question: &UserQuestion,
+        totals: &[f64],
+        dicts: &[&Dict],
+        exec: &ExecConfig,
+    ) -> Vec<ExplanationRow> {
+        let interv_sign = question.direction.interv_sign();
+        let aggr_sign = question.direction.aggr_sign();
+        let order = self.keys.value_order(dicts);
+        let parts = par::map_blocks(exec, &order, DERIVE_BLOCK, |_, ids| {
+            ids.iter()
+                .filter_map(|&id| {
+                    let key = self.keys.get(id);
+                    if key.iter().all(|&code| code == NO_CODE) {
+                        return None; // trivial explanation, excluded from M
+                    }
+                    let at = id as usize * self.m;
+                    let values = &self.lanes[at..at + self.m];
+                    let residual = |j: usize| totals[j] - values[j];
+                    Some(ExplanationRow {
+                        coord: cube::decode_key(dicts, key),
+                        mu_interv: interv_sign * question.query.combine_by(residual),
+                        mu_aggr: aggr_sign * question.query.combine(values),
+                        values: values.to_vec(),
+                    })
+                })
+                .collect::<Vec<_>>()
+        });
+        parts.into_iter().flatten().collect()
+    }
 }
 
 /// Lines 2–3 in `Value` space: one row-oriented cube per sub-query,
@@ -200,51 +317,6 @@ fn joined_value_cells(
     }
     // exq-lint: allow(L001): derive_rows re-sorts by coordinate, so the drain order is unobservable
     Ok(joined.into_iter().collect())
-}
-
-/// Lines 2–3 in code space: one coded cube per sub-query, hash-joined on
-/// `u32` coordinate tuples, decoded once at the end (don't-cares become
-/// the reserved dummy, exactly like the `Value` join).
-fn joined_coded_cells(
-    db: &Database,
-    u: &Universal,
-    question: &UserQuestion,
-    dims: &[AttrRef],
-    config: &CubeAlgoConfig,
-    sink: &MetricsSink,
-) -> Result<Vec<(Coord, Vec<f64>)>> {
-    let m = question.query.arity();
-    let mut joined: HashMap<Box<[u32]>, Vec<f64>> = HashMap::new();
-    let mut decoder: Option<cube::CodedCube> = None;
-    for (j, q) in question.query.aggregates.iter().enumerate() {
-        let mut c = sink.time("cube_algo.cubes", || {
-            cube::compute_coded_with(
-                db,
-                u,
-                &q.selection,
-                dims,
-                &q.func,
-                config.strategy,
-                &config.exec,
-            )
-        })?;
-        let _join_span = sink.span("cube_algo.join");
-        for (key, value) in std::mem::take(&mut c.cells) {
-            joined.entry(key).or_insert_with(|| vec![0.0; m])[j] = value;
-        }
-        decoder = Some(c);
-    }
-    // No sub-queries: no cubes, so no cells to decode.
-    let Some(decoder) = decoder else {
-        return Ok(Vec::new());
-    };
-    let dummy = Value::dummy();
-    let mut cells = Vec::with_capacity(joined.len());
-    // exq-lint: allow(L001): derive_rows re-sorts by coordinate, so the drain order is unobservable
-    for (key, values) in joined {
-        cells.push((decoder.decode_coord(&key, &dummy), values));
-    }
-    Ok(cells)
 }
 
 #[cfg(test)]
@@ -307,6 +379,14 @@ mod tests {
             db.schema().attr("R", "g").unwrap(),
             db.schema().attr("R", "h").unwrap(),
         ]
+    }
+
+    #[test]
+    fn default_config_enforces_additivity() {
+        let config = CubeAlgoConfig::default();
+        assert!(config.enforce_additivity);
+        assert_eq!(config.strategy, CubeAlgoConfig::checked().strategy);
+        assert!(!config.exec.is_parallel());
     }
 
     #[test]

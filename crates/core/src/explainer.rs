@@ -227,11 +227,16 @@ impl<'a> Explainer<'a> {
     /// otherwise. Cached: repeated calls (e.g. `top` for several degrees)
     /// reuse the first materialization.
     pub fn table(&self) -> Result<(ExplanationTable, EngineChoice)> {
+        self.cached_table().cloned()
+    }
+
+    /// The cached materialization, computed on first use.
+    fn cached_table(&self) -> Result<&(ExplanationTable, EngineChoice)> {
         if let Some(cached) = self.table_cache.get() {
-            return Ok(cached.clone());
+            return Ok(cached);
         }
         let computed = self.compute_table()?;
-        Ok(self.table_cache.get_or_init(|| computed).clone())
+        Ok(self.table_cache.get_or_init(|| computed))
     }
 
     fn compute_table(&self) -> Result<(ExplanationTable, EngineChoice)> {
@@ -272,9 +277,9 @@ impl<'a> Explainer<'a> {
 
     /// Top-K ranked explanations by the chosen degree.
     pub fn top(&self, kind: DegreeKind, k: usize) -> Result<Vec<Ranked>> {
-        let (table, _) = self.table()?;
+        let (table, _) = self.cached_table()?;
         Ok(topk::top_k(
-            &table,
+            table,
             kind,
             k,
             self.topk_strategy,

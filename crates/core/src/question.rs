@@ -6,7 +6,7 @@
 //! pairs `Q` with a direction — does the user find the value surprisingly
 //! `high` or `low`?
 
-use exq_relstore::aggregate::{evaluate, AggFunc};
+use exq_relstore::aggregate::{evaluate, evaluate_many, AggFunc, Folded};
 use exq_relstore::{Database, Predicate, Result, Universal, View};
 
 /// One aggregate sub-query `q_j = SELECT agg(…) FROM R_1 ⋈ … ⋈ R_k WHERE
@@ -75,16 +75,21 @@ impl NumExpr {
 
     /// Evaluate against the aggregate values `vals`.
     pub fn eval(&self, vals: &[f64]) -> f64 {
+        self.eval_by(&|i| vals[i])
+    }
+
+    /// Evaluate with aggregate `i`'s value given by `val(i)`.
+    fn eval_by(&self, val: &impl Fn(usize) -> f64) -> f64 {
         match self {
             NumExpr::Const(c) => *c,
-            NumExpr::Agg(i) => vals[*i],
-            NumExpr::Add(a, b) => a.eval(vals) + b.eval(vals),
-            NumExpr::Sub(a, b) => a.eval(vals) - b.eval(vals),
-            NumExpr::Mul(a, b) => a.eval(vals) * b.eval(vals),
-            NumExpr::Div(a, b) => a.eval(vals) / b.eval(vals),
-            NumExpr::Log(a) => a.eval(vals).ln(),
-            NumExpr::Exp(a) => a.eval(vals).exp(),
-            NumExpr::Neg(a) => -a.eval(vals),
+            NumExpr::Agg(i) => val(*i),
+            NumExpr::Add(a, b) => a.eval_by(val) + b.eval_by(val),
+            NumExpr::Sub(a, b) => a.eval_by(val) - b.eval_by(val),
+            NumExpr::Mul(a, b) => a.eval_by(val) * b.eval_by(val),
+            NumExpr::Div(a, b) => a.eval_by(val) / b.eval_by(val),
+            NumExpr::Log(a) => a.eval_by(val).ln(),
+            NumExpr::Exp(a) => a.eval_by(val).exp(),
+            NumExpr::Neg(a) => -a.eval_by(val),
         }
     }
 
@@ -232,17 +237,37 @@ impl NumericalQuery {
 
     /// Evaluate `E` on pre-computed aggregate values, applying smoothing.
     pub fn combine(&self, vals: &[f64]) -> f64 {
+        self.combine_by(|i| vals[i])
+    }
+
+    /// [`NumericalQuery::combine`] with aggregate `i`'s value given by
+    /// `val(i)`, so a caller deriving the values (`u_j − v_j`) need not
+    /// store them first.
+    pub fn combine_by(&self, val: impl Fn(usize) -> f64) -> f64 {
         if self.smoothing == 0.0 {
-            self.expr.eval(vals)
+            self.expr.eval_by(&val)
         } else {
-            let smoothed: Vec<f64> = vals.iter().map(|v| v + self.smoothing).collect();
-            self.expr.eval(&smoothed)
+            self.expr.eval_by(&|i| val(i) + self.smoothing)
         }
     }
 
-    /// Evaluate all aggregates over a pre-computed universal relation.
+    /// Evaluate all aggregates over a pre-computed universal relation, in
+    /// one pass ([`NumericalQuery::fold`] without positions).
     pub fn aggregate_values(&self, db: &Database, u: &Universal) -> Result<Vec<f64>> {
-        self.aggregates.iter().map(|q| q.eval(db, u)).collect()
+        Ok(self.fold(db, u, false)?.values)
+    }
+
+    /// Every `q_j(D)` in one pass over `u` — each bit-identical to
+    /// [`AggregateQuery::eval`] — and, with `keep_positions`, the
+    /// positions of the tuples each `q_j`'s selection keeps. Line 1 of
+    /// Algorithm 1 keeps them so its cubes never evaluate a selection.
+    pub fn fold(&self, db: &Database, u: &Universal, keep_positions: bool) -> Result<Folded> {
+        let pairs: Vec<(&Predicate, &AggFunc)> = self
+            .aggregates
+            .iter()
+            .map(|q| (&q.selection, &q.func))
+            .collect();
+        evaluate_many(db, u, &pairs, keep_positions)
     }
 
     /// Evaluate `Q` over a pre-computed universal relation.
@@ -432,6 +457,42 @@ mod tests {
     #[should_panic(expected = "at least two points")]
     fn regression_slope_needs_two_points() {
         NumericalQuery::regression_slope(vec![AggregateQuery::count_star(Predicate::True)]);
+    }
+
+    #[test]
+    fn fold_is_every_aggregate_in_one_pass() {
+        let db = db();
+        let u = Universal::compute(&db, &db.full_view());
+        let g = db.schema().attr("R", "g").unwrap();
+        let q = NumericalQuery::ratio(
+            AggregateQuery::count_star(Predicate::eq(g, "a")),
+            AggregateQuery::count_star(Predicate::eq(g, "b")),
+        );
+        let folded = q.fold(&db, &u, true).unwrap();
+        assert_eq!(folded.values, vec![3.0, 1.0]);
+        assert_eq!(folded.positions, vec![vec![0, 1, 2], vec![3]]);
+        assert_eq!(q.aggregate_values(&db, &u).unwrap(), folded.values);
+    }
+
+    #[test]
+    fn combine_by_smooths_each_derived_value_once() {
+        let (u, v) = ([5.0, 3.0, 4.0, 2.0], [1.0, 0.0, 2.0, -0.0]);
+        let q = |s: f64| {
+            NumericalQuery::double_ratio(
+                AggregateQuery::count_star(Predicate::True),
+                AggregateQuery::count_star(Predicate::True),
+                AggregateQuery::count_star(Predicate::True),
+                AggregateQuery::count_star(Predicate::True),
+            )
+            .with_smoothing(s)
+        };
+        let s = 1e-4;
+        let r = |j: usize| (u[j] - v[j]) + s;
+        let want = (r(0) / r(1)) / (r(2) / r(3));
+        assert_eq!(q(s).combine_by(|j| u[j] - v[j]).to_bits(), want.to_bits());
+        // Without smoothing a value is used as is: -0.0 stays -0.0.
+        let single = NumericalQuery::single(AggregateQuery::count_star(Predicate::True));
+        assert_eq!(single.combine(&[-0.0]).to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

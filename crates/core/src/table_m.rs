@@ -13,14 +13,14 @@ use exq_relstore::{AttrRef, Database, Value};
 use std::fmt;
 
 /// Cells per block when deriving degree rows in parallel.
-const DERIVE_BLOCK: usize = 1024;
+pub(crate) const DERIVE_BLOCK: usize = 1024;
 
-/// Lines 4–5 of Algorithm 1: turn joined cube cells (dummy-encoded
-/// coordinates plus the per-sub-query `v_j` vector) into degree rows,
-/// fanning blocks of cells out over `exec`. Each row's arithmetic reads
-/// only its own cell, so the fan-out is exact at any thread count; rows
-/// come back sorted by coordinate. The all-null (trivial) explanation is
-/// dropped.
+/// Lines 4–5 of Algorithm 1 as the reference engine runs them: turn
+/// joined cube cells (dummy-encoded coordinates plus the per-sub-query
+/// `v_j` vector) into degree rows, fanning blocks of cells out over
+/// `exec`. Each row's arithmetic reads only its own cell, so the fan-out
+/// is exact at any thread count; rows come back sorted by coordinate.
+/// The all-null (trivial) explanation is dropped.
 pub fn derive_rows(
     question: &UserQuestion,
     totals: &[f64],
@@ -137,14 +137,15 @@ impl ExplanationTable {
 
     /// Sort rows deterministically (descending degree, shorter first,
     /// then coordinate) by the chosen degree. Used by the top-K strategies.
+    /// Each row's degree and arity are read once, not per comparison.
     pub fn sorted_indices(&self, degree: impl Fn(&ExplanationRow) -> f64) -> Vec<usize> {
+        let keys: Vec<(f64, usize)> = self.rows.iter().map(|r| (degree(r), r.arity())).collect();
         let mut idx: Vec<usize> = (0..self.rows.len()).collect();
         idx.sort_by(|&a, &b| {
-            let (ra, rb) = (&self.rows[a], &self.rows[b]);
-            degree(rb)
-                .total_cmp(&degree(ra))
-                .then_with(|| ra.arity().cmp(&rb.arity()))
-                .then_with(|| ra.coord.cmp(&rb.coord))
+            let ((da, na), (db, nb)) = (keys[a], keys[b]);
+            db.total_cmp(&da)
+                .then(na.cmp(&nb))
+                .then_with(|| self.rows[a].coord.cmp(&self.rows[b].coord))
         });
         idx
     }

@@ -93,9 +93,10 @@ pub fn top_k(
             .collect(),
         TopKStrategy::MinimalSelfJoin => {
             let order = table.sorted_indices(|r| kind.of(r));
+            let arity: Vec<usize> = table.rows.iter().map(ExplanationRow::arity).collect();
             order
                 .into_iter()
-                .filter(|&i| !is_dominated(table, kind, polarity, i))
+                .filter(|&i| !is_dominated(table, &arity, kind, polarity, i))
                 .take(k)
                 .collect()
         }
@@ -142,8 +143,10 @@ pub fn rank_correlation(table: &ExplanationTable, a: DegreeKind, b: DegreeKind) 
 }
 
 /// Self-join dominance test: is row `i` dominated by any other row?
+/// `arity[j]` is row `j`'s arity.
 fn is_dominated(
     table: &ExplanationTable,
+    arity: &[usize],
     kind: DegreeKind,
     polarity: MinimalityPolarity,
     i: usize,
@@ -157,11 +160,11 @@ fn is_dominated(
         let simpler = match polarity {
             // φ' strictly generalizes φ: φ' pairs ⊊ φ pairs.
             MinimalityPolarity::PreferGeneral => {
-                other.arity() < phi.arity() && other.coord_generalizes(phi)
+                arity[j] < arity[i] && other.coord_generalizes(phi)
             }
             // φ' strictly specializes φ.
             MinimalityPolarity::PreferSpecific => {
-                other.arity() > phi.arity() && phi.coord_generalizes(other)
+                arity[j] > arity[i] && phi.coord_generalizes(other)
             }
         };
         simpler && mu <= kind.of(other)

@@ -309,16 +309,77 @@ pub fn evaluate(
     selection: &Predicate,
     func: &AggFunc,
 ) -> Result<f64> {
+    Ok(evaluate_many(db, u, &[(selection, func)], false)?.values[0])
+}
+
+/// Several aggregates over one universal relation, folded in one pass by
+/// [`evaluate_many`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Folded {
+    /// Each aggregate's value over the tuples its selection keeps.
+    pub values: Vec<f64>,
+    /// Per aggregate, the positions in `u` of those tuples, ascending;
+    /// empty unless asked for.
+    pub positions: Vec<Vec<u32>>,
+}
+
+/// Evaluate every `(selection, func)` pair over `u` in one sequential
+/// pass: each tuple is tested against every compiled selection, and each
+/// aggregate folds the tuples its selection keeps in tuple order — the
+/// order [`evaluate`] folds in, so every value is bit-identical to
+/// evaluating its pair alone. With `keep_positions`, the pass also
+/// records which tuples each selection kept, so a consumer that groups
+/// exactly those tuples (Algorithm 1's cubes) never evaluates the
+/// selection again.
+///
+/// The error is the one evaluating the pairs one by one, in order, would
+/// return: the first failing pair's, at its first failing tuple.
+///
+/// # Panics
+///
+/// With `keep_positions`, if `u` has more tuples than a `u32` addresses.
+pub fn evaluate_many(
+    db: &Database,
+    u: &Universal,
+    queries: &[(&Predicate, &AggFunc)],
+    keep_positions: bool,
+) -> Result<Folded> {
     let store = std::sync::Arc::clone(db.columns());
-    let coded = store.compile_predicate(selection);
-    let agg = func.compile(&store);
-    let mut state = func.new_state();
-    for t in u.iter() {
-        if coded.eval(t) {
-            agg.update(&mut state, db, t)?;
+    let compiled: Vec<_> = queries
+        .iter()
+        .map(|&(selection, func)| (store.compile_predicate(selection), func.compile(&store)))
+        .collect();
+    let mut states: Vec<AggState> = queries.iter().map(|(_, f)| f.new_state()).collect();
+    let mut positions = vec![Vec::new(); if keep_positions { queries.len() } else { 0 }];
+    if keep_positions {
+        assert!(
+            u32::try_from(u.len()).is_ok(),
+            "universal positions must fit in u32"
+        );
+    }
+    let mut failed: Option<(usize, Error)> = None;
+    for (i, t) in u.iter().enumerate() {
+        for (j, ((selection, agg), state)) in compiled.iter().zip(&mut states).enumerate() {
+            if !selection.eval(t) {
+                continue;
+            }
+            if let Err(e) = agg.update(state, db, t) {
+                if failed.as_ref().is_none_or(|&(k, _)| j < k) {
+                    failed = Some((j, e));
+                }
+            }
+            if keep_positions {
+                positions[j].push(i as u32);
+            }
         }
     }
-    Ok(state.finalize())
+    if let Some((_, e)) = failed {
+        return Err(e);
+    }
+    Ok(Folded {
+        values: states.iter().map(AggState::finalize).collect(),
+        positions,
+    })
 }
 
 #[cfg(test)]
@@ -505,6 +566,63 @@ mod tests {
             let whole = evaluate(&db, &u, &Predicate::True, &f).unwrap();
             assert_eq!(s1.finalize(), whole, "merge mismatch for {f:?}");
         }
+    }
+
+    #[test]
+    fn evaluate_many_folds_each_pair_as_evaluate_does() {
+        let db = db();
+        let u = Universal::compute(&db, &db.full_view());
+        let pairs = [
+            (Predicate::eq(g(&db), "a"), AggFunc::Sum(x(&db))),
+            (Predicate::True, AggFunc::CountDistinct(x(&db))),
+            (Predicate::eq(g(&db), "b"), AggFunc::Avg(x(&db))),
+            (Predicate::False, AggFunc::Max(x(&db))),
+        ];
+        let refs: Vec<(&Predicate, &AggFunc)> = pairs.iter().map(|(p, f)| (p, f)).collect();
+        let folded = evaluate_many(&db, &u, &refs, true).unwrap();
+        for (j, (p, f)) in pairs.iter().enumerate() {
+            let alone = evaluate(&db, &u, p, f).unwrap();
+            assert_eq!(folded.values[j].to_bits(), alone.to_bits(), "{f:?}");
+        }
+        let positions: [&[u32]; 4] = [&[0, 1], &[0, 1, 2, 3, 4], &[2, 3], &[]];
+        assert_eq!(folded.positions, positions);
+        let unkept = evaluate_many(&db, &u, &refs, false).unwrap();
+        assert_eq!(unkept.values, folded.values);
+        assert!(unkept.positions.is_empty());
+    }
+
+    #[test]
+    fn evaluate_many_reports_the_first_failing_pair() {
+        // Pair 1 fails on an earlier tuple than pair 0 does; evaluating
+        // the pairs in order meets pair 0's failure first.
+        let schema = SchemaBuilder::new()
+            .relation(
+                "R",
+                &[("id", T::Int), ("x", T::Any), ("y", T::Any)],
+                &["id"],
+            )
+            .build()
+            .unwrap();
+        let mut db = Database::new(schema);
+        db.insert("R", vec![1.into(), 1.into(), 1.into()]).unwrap();
+        db.insert("R", vec![2.into(), 2.into(), "y2".into()])
+            .unwrap();
+        db.insert("R", vec![3.into(), "x3".into(), 3.into()])
+            .unwrap();
+        let u = Universal::compute(&db, &db.full_view());
+        let (x, y) = (
+            db.schema().attr("R", "x").unwrap(),
+            db.schema().attr("R", "y").unwrap(),
+        );
+        let (sum_x, sum_y) = (AggFunc::Sum(x), AggFunc::Sum(y));
+        let err = evaluate_many(
+            &db,
+            &u,
+            &[(&Predicate::True, &sum_x), (&Predicate::True, &sum_y)],
+            true,
+        )
+        .unwrap_err();
+        assert_eq!(err, Error::NotNumeric("R.x".to_string()));
     }
 
     #[test]

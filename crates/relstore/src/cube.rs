@@ -16,6 +16,15 @@
 //!   once per parent. Cost `O(|U| + Σ_cells)`; wins when `|U| ≫ #cells`
 //!   (low-cardinality dimensions, the natality setting).
 //!
+//! The engine's kernel ([`compute_coded_at`]) groups a given list of
+//! universal positions — the tuples a selection kept, which Algorithm 1's
+//! first pass has already found — so it never evaluates a predicate. A
+//! cell key is a tuple of dictionary codes in one flat
+//! [`CodeTuples`] arena, with the cell's aggregate state beside it: no key
+//! costs an allocation. [`compute_rows_with`] keeps the same algorithm on
+//! cloned `Value` coordinates in hash maps, as the oracle the differential
+//! tests compare the kernel with.
+//!
 //! ```
 //! use exq_relstore::aggregate::AggFunc;
 //! use exq_relstore::cube::{compute, CubeStrategy};
@@ -36,29 +45,30 @@
 //! # Ok::<(), exq_relstore::Error>(())
 //! ```
 
-use crate::aggregate::{AggFunc, AggState};
-use crate::column::{CodedPredicate, ColumnStore};
+use crate::aggregate::{self, AggFunc, AggState};
+use crate::column::ColumnStore;
 use crate::database::Database;
-use crate::dict::{Dict, NO_CODE};
+use crate::dict::{CodeTuples, Dict, NO_CODE};
 use crate::error::{Error, Result};
 use crate::join::Universal;
 use crate::par::{self, ExecConfig};
 use crate::predicate::Predicate;
 use crate::schema::AttrRef;
 use crate::value::Value;
-use std::cmp::Ordering;
+use exq_obs::MetricsSink;
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::Arc;
 
 /// Maximum cube dimensionality. `2^16` masks per tuple is already far past
 /// anything interactive; the paper's experiments stop at 8.
 pub const MAX_CUBE_DIMS: usize = 16;
 
-/// Tuple-accumulation block size. Input tuples are folded into per-block
-/// cell maps which are then merged in block order, so the float-addition
-/// grouping is a function of the input length alone — never of the thread
-/// count. This is what makes cube output bit-identical at any `--threads`.
+/// Tuple-accumulation block size. Blocks are ranges of universal
+/// positions — block `b` is `[ACCUM_BLOCK·b, ACCUM_BLOCK·(b+1))` — whose
+/// tuples fold into per-block cells that are then merged in block order,
+/// so the float-addition grouping is a function of the input alone —
+/// never of the thread count. This is what makes cube output
+/// bit-identical at any `--threads`.
 const ACCUM_BLOCK: usize = 4096;
 
 /// Which cube algorithm to run.
@@ -168,7 +178,8 @@ pub fn compute(
 
 /// [`compute`] with an explicit executor. Output is bit-identical at any
 /// thread count: accumulation is blocked by `ACCUM_BLOCK` and merged in
-/// block order, and roll-up merges iterate cells in coordinate order.
+/// block order, and roll-up folds each parent's cells in coordinate
+/// order.
 ///
 /// Runs entirely in `u32` code space and decodes the cells at the end.
 pub fn compute_with(
@@ -183,12 +194,15 @@ pub fn compute_with(
     Ok(compute_coded_with(db, u, selection, dims, agg, strategy, exec)?.decode())
 }
 
-/// The retained row-oriented reference for [`compute_with`]: groups on
-/// cloned `Value` coordinates. Production never dispatches to it; the
-/// differential test suite asserts its cells are bit-identical to the
-/// coded path's, which holds because both run the *same* generic grouping
-/// code over the same block structure, tuple order, and fold order (see
-/// `CubeSpace`).
+/// The retained row-oriented reference for [`compute_with`]: evaluates
+/// `selection` per tuple through [`Predicate::eval`] and groups on cloned
+/// `Value` coordinates in hash maps. Production never dispatches to it;
+/// the differential test suite asserts its cells are bit-identical to the
+/// kernel's, which holds because both fold the same selected tuples in
+/// the same block structure and tuple order, and both roll a parent up in
+/// coordinate order: the kernel's rank keys order code tuples exactly
+/// like the `Value` order orders their decoded coordinates. So every
+/// float addition happens between the same numbers in the same order.
 pub fn compute_rows_with(
     db: &Database,
     u: &Universal,
@@ -198,45 +212,30 @@ pub fn compute_rows_with(
     strategy: CubeStrategy,
     exec: &ExecConfig,
 ) -> Result<Cube> {
-    if dims.len() > MAX_CUBE_DIMS {
-        return Err(Error::TooManyCubeDimensions(dims.len()));
-    }
-    agg.validate(db.schema())?;
-    let space = ValueSpace { dims };
-    let cells = compute_in(
-        db,
-        u,
-        &Selection::Rows(selection),
-        &space,
-        agg,
-        strategy,
-        exec,
-    )?;
+    check_input(db, dims, agg)?;
+    let sink = exec.metrics();
+    let _span = sink.span("cube");
+    let (states, selected) = match begin_run(sink, db, u, dims, strategy) {
+        CubeStrategy::SubsetEnumeration => {
+            rows_accumulate(db, u, selection, dims, agg, exec, true)?
+        }
+        CubeStrategy::LatticeRollup => rows_rollup(db, u, selection, dims, agg, exec)?,
+        CubeStrategy::Auto => unreachable!("begin_run never returns Auto"),
+    };
+    let cells: HashMap<Coord, f64> = states.into_iter().map(|(k, s)| (k, s.finalize())).collect();
+    record_cells(
+        sink,
+        selected,
+        dims.len(),
+        // exq-lint: allow(L001): per-level integer counting is order-independent
+        cells
+            .keys()
+            .map(|k| k.iter().filter(|v| !v.is_null()).count()),
+    );
     Ok(Cube {
         dims: dims.to_vec(),
         cells,
     })
-}
-
-/// The selection evaluator for one cube run: the reference path keeps the
-/// `Value`-based [`Predicate::eval`]; the coded path pre-compiles the
-/// predicate against the column store (per-code masks), which returns
-/// bit-identical decisions (see [`ColumnStore::compile_predicate`]).
-enum Selection<'a> {
-    /// Row-oriented reference: evaluate the predicate as given.
-    Rows(&'a Predicate),
-    /// Code-space compilation of the same predicate.
-    Coded(CodedPredicate<'a>),
-}
-
-impl Selection<'_> {
-    #[inline]
-    fn eval(&self, db: &Database, t: &[u32]) -> bool {
-        match self {
-            Selection::Rows(p) => p.eval(db, t),
-            Selection::Coded(p) => p.eval(t),
-        }
-    }
 }
 
 /// Compute the cube without materializing any `Value`, returning the
@@ -251,35 +250,92 @@ pub fn compute_coded_with(
     strategy: CubeStrategy,
     exec: &ExecConfig,
 ) -> Result<CodedCube> {
-    if dims.len() > MAX_CUBE_DIMS {
-        return Err(Error::TooManyCubeDimensions(dims.len()));
-    }
-    agg.validate(db.schema())?;
+    compute_coded_at(db, u, &select(db, u, selection), dims, agg, strategy, exec)
+}
+
+/// The cube over the universal tuples at `positions` — the engine's
+/// kernel. Algorithm 1 passes the positions its first pass recorded per
+/// sub-query ([`aggregate::evaluate_many`]), so no selection is evaluated
+/// here; [`compute_coded_with`] finds them first.
+///
+/// Errors as [`compute`] does.
+///
+/// # Panics
+///
+/// If `positions` is not strictly ascending or reaches past `u`.
+pub fn compute_coded_at(
+    db: &Database,
+    u: &Universal,
+    positions: &[u32],
+    dims: &[AttrRef],
+    agg: &AggFunc,
+    strategy: CubeStrategy,
+    exec: &ExecConfig,
+) -> Result<CodedCube> {
+    check_input(db, dims, agg)?;
+    assert!(
+        positions.windows(2).all(|w| w[0] < w[1])
+            && positions.last().is_none_or(|&p| (p as usize) < u.len()),
+        "cube positions must ascend strictly within the universal relation"
+    );
+    let sink = exec.metrics();
+    let _span = sink.span("cube");
     let store = Arc::clone(db.columns());
-    let space = CodedSpace::new(&store, dims);
-    let sel = Selection::Coded(store.compile_predicate(selection));
-    let cells = compute_in(db, u, &sel, &space, agg, strategy, exec)?;
-    Ok(CodedCube {
-        dims: dims.to_vec(),
-        store,
-        cells,
-    })
+    let cells = {
+        let coded = CodedDims::new(&store, dims);
+        match begin_run(sink, db, u, dims, strategy) {
+            CubeStrategy::SubsetEnumeration => {
+                vec![accumulate(db, u, positions, &coded, agg, exec, true)?]
+            }
+            CubeStrategy::LatticeRollup => lattice_rollup(db, u, positions, &coded, agg, exec)?,
+            CubeStrategy::Auto => unreachable!("begin_run never returns Auto"),
+        }
+    };
+    let cube = CodedCube::new(dims, store, cells);
+    record_cells(
+        sink,
+        positions.len() as u64,
+        dims.len(),
+        cube.cells()
+            .map(|(key, _)| key.iter().filter(|&&code| code != NO_CODE).count()),
+    );
+    Ok(cube)
 }
 
 /// A cube whose cells are keyed by dictionary codes instead of values:
-/// `cells[j]` holds the code of dimension `j`'s value in its column's
-/// dictionary, or [`NO_CODE`] for "don't care". Decodable at the output
-/// boundary; `core::cube_algo` joins several of these on raw code keys
-/// before decoding once.
+/// cell `i`'s key holds, per dimension, the code of its value in the
+/// column's dictionary, or [`NO_CODE`] for "don't care". Decodable at the
+/// output boundary; `core::cube_algo` joins several of these on raw code
+/// keys and decodes once per row of its table.
 #[derive(Debug, Clone)]
 pub struct CodedCube {
     dims: Vec<AttrRef>,
     store: Arc<ColumnStore>,
-    /// Aggregate value per coded cell.
-    pub cells: HashMap<Box<[u32]>, f64>,
+    /// Cell `i`'s key is `keys[i·d..(i+1)·d]`.
+    keys: Vec<u32>,
+    /// Cell `i`'s aggregate value.
+    values: Vec<f64>,
 }
 
 impl CodedCube {
+    /// Flatten finished cells, finalizing each state.
+    fn new(dims: &[AttrRef], store: Arc<ColumnStore>, parts: Vec<Cells>) -> CodedCube {
+        let mut keys = Vec::new();
+        let mut values = Vec::new();
+        for part in parts {
+            for id in 0..part.states.len() as u32 {
+                keys.extend_from_slice(part.keys.get(id));
+            }
+            values.extend(part.states.iter().map(AggState::finalize));
+        }
+        CodedCube {
+            dims: dims.to_vec(),
+            store,
+            keys,
+            values,
+        }
+    }
+
     /// The dimension attributes, in coordinate order.
     pub fn dims(&self) -> &[AttrRef] {
         &self.dims
@@ -287,38 +343,34 @@ impl CodedCube {
 
     /// Number of cells.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.values.len()
     }
 
     /// Whether the cube has no cells.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.values.is_empty()
     }
 
-    /// Decode one coded cell key into a `Value` coordinate, substituting
-    /// `dont_care` for [`NO_CODE`] slots ([`Value::Null`] for plain cube
-    /// semantics; Algorithm 1 uses its dummy marker instead).
-    pub fn decode_coord(&self, key: &[u32], dont_care: &Value) -> Coord {
-        self.dims
+    /// Every cell as `(key, value)`, in an order fixed by the input alone.
+    pub fn cells(&self) -> impl ExactSizeIterator<Item = (&[u32], f64)> + '_ {
+        let d = self.dims.len();
+        self.values
             .iter()
-            .zip(key)
-            .map(|(&a, &code)| {
-                if code == NO_CODE {
-                    dont_care.clone()
-                } else {
-                    self.store.dict_column(a).1.value(code).clone()
-                }
-            })
-            .collect()
+            .enumerate()
+            .map(move |(i, &v)| (&self.keys[i * d..(i + 1) * d], v))
     }
 
     /// Materialize as a value-keyed [`Cube`].
     pub fn decode(self) -> Cube {
-        let mut cells = HashMap::with_capacity(self.cells.len());
-        // exq-lint: allow(L001): map-to-map re-keying via a bijective decode; no order observable
-        for (key, &v) in &self.cells {
-            cells.insert(self.decode_coord(key, &Value::Null), v);
-        }
+        let dicts: Vec<&Dict> = self
+            .dims
+            .iter()
+            .map(|&a| self.store.dict_column(a).1)
+            .collect();
+        let cells = self
+            .cells()
+            .map(|(key, v)| (decode_key(&dicts, key), v))
+            .collect();
         Cube {
             dims: self.dims,
             cells,
@@ -326,54 +378,20 @@ impl CodedCube {
     }
 }
 
-/// The strategy dispatch and counter bookkeeping shared by both cube
-/// paths. Counter semantics are identical whichever [`CubeSpace`] runs:
-/// `cube.runs`, the strategy tag, `cube.input_tuples` (selected tuples),
-/// `cube.cells`, and per-level cell counts all describe the same
-/// stitched semantic events.
-fn compute_in<S: CubeSpace>(
-    db: &Database,
-    u: &Universal,
-    selection: &Selection<'_>,
-    space: &S,
-    agg: &AggFunc,
-    strategy: CubeStrategy,
-    exec: &ExecConfig,
-) -> Result<HashMap<S::Key, f64>> {
-    let sink = exec.metrics();
-    let _span = sink.span("cube");
-    sink.incr("cube.runs");
-    let resolved = resolve_strategy(db, u, space.dims(), strategy);
-    let (states, selected) = match resolved {
-        CubeStrategy::SubsetEnumeration => {
-            sink.incr("cube.strategy.subset_enumeration");
-            accumulate_in(db, u, selection, space, agg, exec, true)?
-        }
-        CubeStrategy::LatticeRollup => {
-            sink.incr("cube.strategy.lattice_rollup");
-            lattice_rollup_in(db, u, selection, space, agg, exec)?
-        }
-        CubeStrategy::Auto => unreachable!("resolve_strategy never returns Auto"),
-    };
-    sink.add("cube.input_tuples", selected);
-    let cells: HashMap<S::Key, f64> = states.into_iter().map(|(k, s)| (k, s.finalize())).collect();
-    sink.add("cube.cells", cells.len() as u64);
-    if sink.is_enabled() {
-        // Cells materialized per lattice level, where a cell's level is
-        // its number of specified (non-don't-care) coordinates — the
-        // grand total is level 0, finest-grain cells are level d.
-        let mut per_level = vec![0u64; space.dims().len() + 1];
-        // exq-lint: allow(L001): per-level integer counting is order-independent
-        for key in cells.keys() {
-            per_level[space.level_of(key)] += 1;
-        }
-        for (level, n) in per_level.iter().enumerate() {
-            if *n > 0 {
-                sink.add(&format!("cube.cells.level.{level}"), *n);
+/// Decode a code tuple into a coordinate: element `j` through `dicts[j]`,
+/// with [`NO_CODE`] ("don't care") as `Value::Null`.
+pub fn decode_key(dicts: &[&Dict], key: &[u32]) -> Coord {
+    dicts
+        .iter()
+        .zip(key)
+        .map(|(dict, &code)| {
+            if code == NO_CODE {
+                Value::Null
+            } else {
+                dict.value(code).clone()
             }
-        }
-    }
-    Ok(cells)
+        })
+        .collect()
 }
 
 /// Plain `GROUP BY` (no cube): only the finest-level cells. This is the
@@ -399,200 +417,77 @@ pub fn group_by_with(
     agg: &AggFunc,
     exec: &ExecConfig,
 ) -> Result<Cube> {
+    check_input(db, dims, agg)?;
+    let positions = select(db, u, selection);
+    let store = Arc::clone(db.columns());
+    let cells = accumulate(
+        db,
+        u,
+        &positions,
+        &CodedDims::new(&store, dims),
+        agg,
+        exec,
+        false,
+    )?;
+    Ok(CodedCube::new(dims, store, vec![cells]).decode())
+}
+
+/// The checks every cube entry point makes before touching a tuple.
+fn check_input(db: &Database, dims: &[AttrRef], agg: &AggFunc) -> Result<()> {
     if dims.len() > MAX_CUBE_DIMS {
         return Err(Error::TooManyCubeDimensions(dims.len()));
     }
-    agg.validate(db.schema())?;
-    let store = Arc::clone(db.columns());
-    let space = CodedSpace::new(&store, dims);
-    let sel = Selection::Coded(store.compile_predicate(selection));
-    let (states, _selected) = accumulate_in(db, u, &sel, &space, agg, exec, false)?;
-    // exq-lint: allow(L001): map-to-map re-keying; each cell finalizes independently, no order observable
-    let cells = states.into_iter().map(|(k, s)| (k, s.finalize())).collect();
-    let coded = CodedCube {
-        dims: dims.to_vec(),
-        store,
-        cells,
-    };
-    Ok(coded.decode())
+    agg.validate(db.schema())
 }
 
-/// A coordinate representation for the generic cube machinery.
-///
-/// [`accumulate_in`] and [`lattice_rollup_in`] are written once against
-/// this trait and instantiated for two spaces: [`CodedSpace`] (keys are
-/// `u32` dictionary codes — the engine) and [`ValueSpace`] (keys are
-/// cloned `Value` coordinates — the test reference). The bit-identity
-/// argument between the two is structural: both instantiations execute
-/// the same block partitioning, tuple order, entry/update sequence, and
-/// merge/fold order; the only difference is the key type, and the
-/// code↔value mapping is a bijection whose [`CubeSpace::cmp_keys`] orders
-/// keys exactly like the `Value` total order on decoded coordinates (the
-/// dictionary `rank` table, with "don't care" below everything, mirroring
-/// `Value::Null`). So every float addition happens between the same
-/// numbers in the same order in both spaces.
-trait CubeSpace: Sync {
-    /// One dimension's slot in an extracted base coordinate.
-    type Elem: Clone + Send;
-    /// A cell key: a full or masked coordinate.
-    type Key: Clone + Eq + Hash + Send + Sync;
-
-    /// The dimension attributes.
-    fn dims(&self) -> &[AttrRef];
-    /// Extract tuple `t`'s base coordinate into `out` (cleared first);
-    /// errors on NULL dimension values.
-    fn extract(&self, db: &Database, t: &[u32], out: &mut Vec<Self::Elem>) -> Result<()>;
-    /// The finest-level key for a base coordinate.
-    fn full_key(&self, base: &[Self::Elem]) -> Self::Key;
-    /// The key for `base` restricted to the dimensions set in `mask`.
-    fn masked_key(&self, base: &[Self::Elem], mask: u32) -> Self::Key;
-    /// Set dimension `j` of `key` to "don't care".
-    fn clear_dim(&self, key: &mut Self::Key, j: usize);
-    /// Total order on keys, equal to the lexicographic `Value` order of
-    /// the decoded coordinates.
-    fn cmp_keys(&self, a: &Self::Key, b: &Self::Key) -> Ordering;
-    /// Number of specified (non-don't-care) dimensions of `key`.
-    fn level_of(&self, key: &Self::Key) -> usize;
+/// The positions in `u` of the tuples satisfying `selection`, ascending.
+fn select(db: &Database, u: &Universal, selection: &Predicate) -> Vec<u32> {
+    let mut folded = aggregate::evaluate_many(db, u, &[(selection, &AggFunc::CountStar)], true)
+        .expect("COUNT(*) folds any tuple");
+    folded
+        .positions
+        .pop()
+        .expect("one selection, one position list")
 }
 
-/// The row-oriented reference space: coordinates of cloned [`Value`]s.
-struct ValueSpace<'a> {
-    dims: &'a [AttrRef],
+/// Open a cube run's books: count the run, resolve the strategy, and tag
+/// the run with it. Both cube paths keep the same books, so a request's
+/// counters do not say which one ran.
+fn begin_run(
+    sink: &MetricsSink,
+    db: &Database,
+    u: &Universal,
+    dims: &[AttrRef],
+    strategy: CubeStrategy,
+) -> CubeStrategy {
+    sink.incr("cube.runs");
+    let resolved = resolve_strategy(db, u, dims, strategy);
+    sink.incr(match resolved {
+        CubeStrategy::SubsetEnumeration => "cube.strategy.subset_enumeration",
+        CubeStrategy::LatticeRollup => "cube.strategy.lattice_rollup",
+        CubeStrategy::Auto => unreachable!("resolve_strategy never returns Auto"),
+    });
+    resolved
 }
 
-impl CubeSpace for ValueSpace<'_> {
-    type Elem = Value;
-    type Key = Coord;
-
-    fn dims(&self) -> &[AttrRef] {
-        self.dims
+/// Close a cube run's books: the selected tuples, the cells, and the
+/// cells per lattice level, where a cell's level is its number of
+/// specified (non-don't-care) coordinates — the grand total is level 0,
+/// finest-grain cells are level d.
+fn record_cells(sink: &MetricsSink, selected: u64, d: usize, levels: impl Iterator<Item = usize>) {
+    if !sink.is_enabled() {
+        return;
     }
-
-    fn extract(&self, db: &Database, t: &[u32], out: &mut Vec<Value>) -> Result<()> {
-        out.clear();
-        for &a in self.dims {
-            let v = db.value(a, t[a.rel] as usize);
-            if v.is_null() {
-                return Err(null_dimension_error(db, a));
-            }
-            out.push(v.clone());
+    sink.add("cube.input_tuples", selected);
+    let mut per_level = vec![0u64; d + 1];
+    for level in levels {
+        per_level[level] += 1;
+    }
+    sink.add("cube.cells", per_level.iter().sum());
+    for (level, n) in per_level.iter().enumerate() {
+        if *n > 0 {
+            sink.add(&format!("cube.cells.level.{level}"), *n);
         }
-        Ok(())
-    }
-
-    fn full_key(&self, base: &[Value]) -> Coord {
-        base.to_vec().into_boxed_slice()
-    }
-
-    fn masked_key(&self, base: &[Value], mask: u32) -> Coord {
-        base.iter()
-            .enumerate()
-            .map(|(j, v)| {
-                if mask & (1 << j) != 0 {
-                    v.clone()
-                } else {
-                    Value::Null
-                }
-            })
-            .collect()
-    }
-
-    fn clear_dim(&self, key: &mut Coord, j: usize) {
-        key[j] = Value::Null;
-    }
-
-    fn cmp_keys(&self, a: &Coord, b: &Coord) -> Ordering {
-        a.cmp(b)
-    }
-
-    fn level_of(&self, key: &Coord) -> usize {
-        key.iter().filter(|v| !v.is_null()).count()
-    }
-}
-
-/// The engine's space: coordinates of `u32` dictionary codes, with
-/// [`NO_CODE`] as "don't care".
-struct CodedSpace<'a> {
-    dims: &'a [AttrRef],
-    /// Per dimension: the column's codes (per row) and dictionary.
-    cols: Vec<(&'a [u32], &'a Dict)>,
-}
-
-impl<'a> CodedSpace<'a> {
-    fn new(store: &'a ColumnStore, dims: &'a [AttrRef]) -> CodedSpace<'a> {
-        let cols = dims.iter().map(|&a| store.dict_column(a)).collect();
-        CodedSpace { dims, cols }
-    }
-
-    /// Rank of one key slot under the decoded `Value` order: "don't care"
-    /// first (as `Value::Null` sorts below everything), then dictionary
-    /// rank. Null *values* never appear in keys ([`CubeSpace::extract`]
-    /// rejects them), so the two cannot collide.
-    #[inline]
-    fn slot_rank(&self, j: usize, code: u32) -> u64 {
-        if code == NO_CODE {
-            0
-        } else {
-            u64::from(self.cols[j].1.rank(code)) + 1
-        }
-    }
-}
-
-impl CubeSpace for CodedSpace<'_> {
-    type Elem = u32;
-    type Key = Box<[u32]>;
-
-    fn dims(&self) -> &[AttrRef] {
-        self.dims
-    }
-
-    fn extract(&self, db: &Database, t: &[u32], out: &mut Vec<u32>) -> Result<()> {
-        out.clear();
-        for (&a, &(codes, dict)) in self.dims.iter().zip(&self.cols) {
-            let code = codes[t[a.rel] as usize];
-            if dict.is_null_code(code) {
-                return Err(null_dimension_error(db, a));
-            }
-            out.push(code);
-        }
-        Ok(())
-    }
-
-    fn full_key(&self, base: &[u32]) -> Box<[u32]> {
-        base.into()
-    }
-
-    fn masked_key(&self, base: &[u32], mask: u32) -> Box<[u32]> {
-        base.iter()
-            .enumerate()
-            .map(
-                |(j, &code)| {
-                    if mask & (1 << j) != 0 {
-                        code
-                    } else {
-                        NO_CODE
-                    }
-                },
-            )
-            .collect()
-    }
-
-    fn clear_dim(&self, key: &mut Box<[u32]>, j: usize) {
-        key[j] = NO_CODE;
-    }
-
-    fn cmp_keys(&self, a: &Box<[u32]>, b: &Box<[u32]>) -> Ordering {
-        for (j, (&x, &y)) in a.iter().zip(b.iter()).enumerate() {
-            match self.slot_rank(j, x).cmp(&self.slot_rank(j, y)) {
-                Ordering::Equal => continue,
-                other => return other,
-            }
-        }
-        Ordering::Equal
-    }
-
-    fn level_of(&self, key: &Box<[u32]>) -> usize {
-        key.iter().filter(|&&code| code != NO_CODE).count()
     }
 }
 
@@ -606,60 +501,267 @@ fn null_dimension_error(db: &Database, a: AttrRef) -> Error {
     }
 }
 
-/// Fold the selected universal tuples into a cell map, one coordinate per
-/// tuple (`enumerate_masks = false`) or all `2^d` ancestor coordinates
+/// The cube's dimensions resolved against the column store.
+struct CodedDims<'a> {
+    attrs: &'a [AttrRef],
+    /// Per dimension: the column's codes (per row) and dictionary.
+    cols: Vec<(&'a [u32], &'a Dict)>,
+}
+
+impl<'a> CodedDims<'a> {
+    fn new(store: &'a ColumnStore, attrs: &'a [AttrRef]) -> CodedDims<'a> {
+        let cols = attrs.iter().map(|&a| store.dict_column(a)).collect();
+        CodedDims { attrs, cols }
+    }
+
+    fn len(&self) -> usize {
+        self.attrs.len()
+    }
+
+    fn dicts(&self) -> Vec<&'a Dict> {
+        self.cols.iter().map(|&(_, dict)| dict).collect()
+    }
+
+    /// Universal tuple `t`'s code per dimension, into `out`; errors on a
+    /// NULL dimension value.
+    #[inline]
+    fn extract(&self, db: &Database, t: &[u32], out: &mut [u32]) -> Result<()> {
+        for ((&a, &(codes, dict)), slot) in self.attrs.iter().zip(&self.cols).zip(out) {
+            let code = codes[t[a.rel] as usize];
+            if dict.is_null_code(code) {
+                return Err(null_dimension_error(db, a));
+            }
+            *slot = code;
+        }
+        Ok(())
+    }
+}
+
+/// Cells under construction: one code tuple per cell ([`NO_CODE`] =
+/// "don't care"), and the cell's aggregate state at the same index.
+struct Cells {
+    keys: CodeTuples,
+    states: Vec<AggState>,
+}
+
+impl Cells {
+    fn new(d: usize) -> Cells {
+        Cells {
+            keys: CodeTuples::new(d),
+            states: Vec::new(),
+        }
+    }
+
+    /// The state of cell `key`, created empty on first use.
+    #[inline]
+    fn state(&mut self, key: &[u32], agg: &AggFunc) -> &mut AggState {
+        let (id, new) = self.keys.insert(key);
+        if new {
+            self.states.push(agg.new_state());
+        }
+        &mut self.states[id as usize]
+    }
+
+    /// Merge cell `key`'s partial state into this set: a new cell starts
+    /// as a copy of it, an existing one merges it.
+    #[inline]
+    fn merge(&mut self, key: &[u32], state: &AggState) {
+        let (id, new) = self.keys.insert(key);
+        if new {
+            self.states.push(state.clone());
+        } else {
+            self.states[id as usize].merge(state);
+        }
+    }
+
+    /// Merge a later block's cells into these, moving its states.
+    fn absorb(&mut self, block: Cells) {
+        for (id, state) in block.states.into_iter().enumerate() {
+            let (at, new) = self.keys.insert(block.keys.get(id as u32));
+            if new {
+                self.states.push(state);
+            } else {
+                self.states[at as usize].merge(&state);
+            }
+        }
+    }
+}
+
+/// Fold the tuples at `positions` into cells, one key per tuple
+/// (`enumerate_masks = false`) or all `2^d` ancestor keys
 /// (`enumerate_masks = true`).
 ///
-/// Tuples are processed in fixed [`ACCUM_BLOCK`]-sized blocks and the
-/// per-block maps merged in block order, so both the error reported (the
-/// first failing tuple's, in input order) and the float-addition grouping
-/// are independent of the thread count. Also returns the number of tuples
-/// passing `selection` (summed over blocks in block order, so the count
-/// shares the determinism guarantee).
-fn accumulate_in<S: CubeSpace>(
+/// Tuples fold per [`ACCUM_BLOCK`] of universal positions and the blocks'
+/// cells merge in block order, so both the error reported (the first
+/// failing tuple's, in input order) and the float-addition grouping are
+/// independent of the thread count.
+fn accumulate(
     db: &Database,
     u: &Universal,
-    selection: &Selection<'_>,
-    space: &S,
+    positions: &[u32],
+    dims: &CodedDims<'_>,
     agg: &AggFunc,
     exec: &ExecConfig,
     enumerate_masks: bool,
-) -> Result<(HashMap<S::Key, AggState>, u64)> {
-    let d = space.dims().len();
+) -> Result<Cells> {
+    let d = dims.len();
     let store = Arc::clone(db.columns());
     let agg_eval = agg.compile(&store);
-    let parts = par::try_map_index_blocks(exec, u.len(), ACCUM_BLOCK, |_, range| {
-        let mut cells: HashMap<S::Key, AggState> = HashMap::new();
+    let blocks = par::try_map_index_blocks(exec, u.len(), ACCUM_BLOCK, |_, range| {
+        let from = positions.partition_point(|&p| (p as usize) < range.start);
+        let to = positions.partition_point(|&p| (p as usize) < range.end);
+        let mut cells = Cells::new(d);
+        let mut base = [0u32; MAX_CUBE_DIMS];
+        let mut key = [0u32; MAX_CUBE_DIMS];
+        for &p in &positions[from..to] {
+            let t = u.tuple(p as usize);
+            dims.extract(db, t, &mut base[..d])?;
+            if enumerate_masks {
+                for mask in 0..1u32 << d {
+                    for (j, slot) in key[..d].iter_mut().enumerate() {
+                        *slot = if mask & 1 << j != 0 { base[j] } else { NO_CODE };
+                    }
+                    agg_eval.update(cells.state(&key[..d], agg), db, t)?;
+                }
+            } else {
+                agg_eval.update(cells.state(&base[..d], agg), db, t)?;
+            }
+        }
+        Ok(cells)
+    })?;
+    let mut blocks = blocks.into_iter();
+    let mut cells = blocks.next().unwrap_or_else(|| Cells::new(d));
+    for block in blocks {
+        cells.absorb(block);
+    }
+    Ok(cells)
+}
+
+/// Group into finest-level cells, then roll up level by level (decreasing
+/// popcount). Returns the cells of every mask.
+///
+/// Each mask M (≠ full) aggregates from its parent P = M | lowest unset
+/// bit, which has exactly one more bit — so every mask of one level only
+/// reads cells of the level above, and the masks within a level are
+/// independent: the whole level can fan out. A parent's cells are folded
+/// in coordinate order (its rank order, computed once per parent), which
+/// fixes the float-addition order however the cells were inserted.
+fn lattice_rollup(
+    db: &Database,
+    u: &Universal,
+    positions: &[u32],
+    dims: &CodedDims<'_>,
+    agg: &AggFunc,
+    exec: &ExecConfig,
+) -> Result<Vec<Cells>> {
+    let d = dims.len();
+    let dicts = dims.dicts();
+    // Bits below a child's cleared bit are all set in its parent, so only
+    // masks with bit 0 set are ever parents and need a rank order.
+    let finish = |mask: usize, cells: Cells| {
+        let order = if mask & 1 == 1 {
+            cells.keys.value_order(&dicts)
+        } else {
+            Vec::new()
+        };
+        (cells, order)
+    };
+    let full = (1usize << d) - 1;
+    let mut per_mask: Vec<(Cells, Vec<u32>)> =
+        (0..=full).map(|_| (Cells::new(d), Vec::new())).collect();
+    per_mask[full] = finish(full, accumulate(db, u, positions, dims, agg, exec, false)?);
+    for level in (0..d as u32).rev() {
+        let level_masks: Vec<usize> = (0..full).filter(|m| m.count_ones() == level).collect();
+        let computed = par::map_blocks(exec, &level_masks, 1, |_, masks| {
+            masks
+                .iter()
+                .map(|&mask| (mask, finish(mask, rollup_one_mask(&per_mask, mask, d))))
+                .collect::<Vec<_>>()
+        });
+        for group in computed {
+            for (mask, finished) in group {
+                per_mask[mask] = finished;
+            }
+        }
+    }
+    Ok(per_mask.into_iter().map(|(cells, _)| cells).collect())
+}
+
+/// One roll-up mask's cells, from its (read-only, finished) parent.
+fn rollup_one_mask(per_mask: &[(Cells, Vec<u32>)], mask: usize, d: usize) -> Cells {
+    let cleared = (!mask).trailing_zeros() as usize;
+    let (parent, order) = &per_mask[mask | 1 << cleared];
+    let mut child = Cells::new(d);
+    let mut key = [0u32; MAX_CUBE_DIMS];
+    for &id in order {
+        key[..d].copy_from_slice(parent.keys.get(id));
+        key[cleared] = NO_CODE;
+        child.merge(&key[..d], &parent.states[id as usize]);
+    }
+    child
+}
+
+/// A `Value`-keyed cell map of the reference path.
+type RowCells = HashMap<Coord, AggState>;
+
+/// The reference's [`accumulate`]: the same blocks, tuple order and merge
+/// order over `Value` coordinates, with the selection evaluated per tuple.
+/// Also returns the number of tuples passing `selection`.
+fn rows_accumulate(
+    db: &Database,
+    u: &Universal,
+    selection: &Predicate,
+    dims: &[AttrRef],
+    agg: &AggFunc,
+    exec: &ExecConfig,
+    enumerate_masks: bool,
+) -> Result<(RowCells, u64)> {
+    let d = dims.len();
+    let blocks = par::try_map_index_blocks(exec, u.len(), ACCUM_BLOCK, |_, range| {
+        let mut cells = RowCells::new();
         let mut selected: u64 = 0;
-        let mut base: Vec<S::Elem> = Vec::with_capacity(d);
         for i in range {
             let t = u.tuple(i);
             if !selection.eval(db, t) {
                 continue;
             }
             selected += 1;
-            space.extract(db, t, &mut base)?;
-            if enumerate_masks {
-                for mask in 0..(1u32 << d) {
-                    let state = cells
-                        .entry(space.masked_key(&base, mask))
-                        .or_insert_with(|| agg.new_state());
-                    agg_eval.update(state, db, t)?;
+            let mut base = Vec::with_capacity(d);
+            for &a in dims {
+                let v = db.value(a, t[a.rel] as usize);
+                if v.is_null() {
+                    return Err(null_dimension_error(db, a));
                 }
-            } else {
-                let state = cells
-                    .entry(space.full_key(&base))
-                    .or_insert_with(|| agg.new_state());
-                agg_eval.update(state, db, t)?;
+                base.push(v.clone());
+            }
+            let masks = if enumerate_masks { 0..1u32 << d } else { 0..1 };
+            for mask in masks {
+                let key: Coord = if enumerate_masks {
+                    base.iter()
+                        .enumerate()
+                        .map(|(j, v)| {
+                            if mask & 1 << j != 0 {
+                                v.clone()
+                            } else {
+                                Value::Null
+                            }
+                        })
+                        .collect()
+                } else {
+                    base.clone().into_boxed_slice()
+                };
+                let state = cells.entry(key).or_insert_with(|| agg.new_state());
+                state.update(agg, db, t)?;
             }
         }
         Ok((cells, selected))
     })?;
-    let mut parts = parts.into_iter();
-    let (mut acc, mut selected) = parts.next().unwrap_or_default();
-    for (part, count) in parts {
+    let mut blocks = blocks.into_iter();
+    let (mut acc, mut selected) = blocks.next().unwrap_or_default();
+    for (block, count) in blocks {
         selected += count;
-        for (coord, state) in part {
+        // exq-lint: allow(L001): each key occurs once per block, so the merge order within a block is unobservable
+        for (coord, state) in block {
             match acc.get_mut(&coord) {
                 Some(existing) => existing.merge(&state),
                 None => {
@@ -671,79 +773,43 @@ fn accumulate_in<S: CubeSpace>(
     Ok((acc, selected))
 }
 
-fn lattice_rollup_in<S: CubeSpace>(
+/// The reference's [`lattice_rollup`], over `Value` coordinates, with
+/// every parent's cells sorted by the `Value` order.
+fn rows_rollup(
     db: &Database,
     u: &Universal,
-    selection: &Selection<'_>,
-    space: &S,
+    selection: &Predicate,
+    dims: &[AttrRef],
     agg: &AggFunc,
     exec: &ExecConfig,
-) -> Result<(HashMap<S::Key, AggState>, u64)> {
-    let d = space.dims().len();
-    // Finest-level grouping.
-    let (base_cells, selected) = accumulate_in(db, u, selection, space, agg, exec, false)?;
-
-    // Roll up level by level (decreasing popcount). Each mask M (≠ full)
-    // aggregates from its parent P = M | lowest unset bit, which has
-    // exactly one more bit — so every mask of one level only reads maps of
-    // the level above, and the masks within a level are independent: the
-    // whole level can fan out. Parent cells are folded in coordinate
-    // order, which fixes the float-addition order no matter how the
-    // parent's HashMap happens to be laid out.
-    let full = (1u32 << d) - 1;
-    let mut per_mask: Vec<HashMap<S::Key, AggState>> = (0..=full).map(|_| HashMap::new()).collect();
-    per_mask[full as usize] = base_cells;
-
+) -> Result<(RowCells, u64)> {
+    let d = dims.len();
+    let (base, selected) = rows_accumulate(db, u, selection, dims, agg, exec, false)?;
+    let full = (1usize << d) - 1;
+    let mut per_mask: Vec<RowCells> = (0..=full).map(|_| RowCells::new()).collect();
+    per_mask[full] = base;
     for level in (0..d as u32).rev() {
-        let level_masks: Vec<u32> = (0..full).filter(|m| m.count_ones() == level).collect();
-        let computed = par::map_blocks(exec, &level_masks, 1, |_, masks| {
-            masks
-                .iter()
-                .map(|&mask| (mask, rollup_one_mask_in(space, &per_mask, mask, d)))
-                .collect::<Vec<_>>()
-        });
-        for group in computed {
-            for (mask, cells) in group {
-                per_mask[mask as usize] = cells;
+        for mask in (0..full).filter(|m| m.count_ones() == level) {
+            let cleared = (!mask).trailing_zeros() as usize;
+            let mut parent: Vec<(&Coord, &AggState)> =
+                per_mask[mask | 1 << cleared].iter().collect();
+            parent.sort_unstable_by(|a, b| a.0.cmp(b.0));
+            let mut child = RowCells::new();
+            for (coord, state) in parent {
+                let mut key = coord.clone();
+                key[cleared] = Value::Null;
+                match child.get_mut(&key) {
+                    Some(existing) => existing.merge(state),
+                    None => {
+                        child.insert(key, state.clone());
+                    }
+                }
             }
+            per_mask[mask] = child;
         }
     }
-
-    // Flatten. Coordinates are disjoint across masks because no dimension
-    // value is null.
-    let mut out = HashMap::new();
-    for m in per_mask {
-        out.extend(m);
-    }
-    Ok((out, selected))
-}
-
-/// Compute one roll-up mask's cell map from its (read-only) parent level.
-fn rollup_one_mask_in<S: CubeSpace>(
-    space: &S,
-    per_mask: &[HashMap<S::Key, AggState>],
-    mask: u32,
-    d: usize,
-) -> HashMap<S::Key, AggState> {
-    let lowest_unset = (0..d as u32)
-        .find(|j| mask & (1 << j) == 0)
-        .expect("mask != full");
-    let parent = mask | (1 << lowest_unset);
-    let parent_cells = &per_mask[parent as usize];
-    let mut entries: Vec<(&S::Key, &AggState)> = parent_cells.iter().collect();
-    entries.sort_unstable_by(|a, b| space.cmp_keys(a.0, b.0));
-    let mut child: HashMap<S::Key, AggState> = HashMap::with_capacity(parent_cells.len());
-    for (coord, state) in entries {
-        let mut child_coord = coord.clone();
-        space.clear_dim(&mut child_coord, lowest_unset as usize);
-        match child.get_mut(&child_coord) {
-            Some(existing) => existing.merge(state),
-            None => {
-                child.insert(child_coord, state.clone());
-            }
-        }
-    }
-    child
+    // Keys are disjoint across masks because no dimension value is null.
+    Ok((per_mask.into_iter().flatten().collect(), selected))
 }
 
 #[cfg(test)]
@@ -963,20 +1029,26 @@ mod tests {
         let agg = AggFunc::Sum(db.schema().attr("R", "x").unwrap());
         for strategy in [CubeStrategy::SubsetEnumeration, CubeStrategy::LatticeRollup] {
             let seq = compute(&db, &u, &Predicate::True, &dims, &agg, strategy).unwrap();
-            for threads in [2, 3, 7] {
+            for threads in [1, 2, 3, 7] {
                 let exec = ExecConfig::with_threads(threads);
                 let par =
                     compute_with(&db, &u, &Predicate::True, &dims, &agg, strategy, &exec).unwrap();
-                assert_eq!(seq.cells.len(), par.cells.len());
-                for (coord, v) in &seq.cells {
-                    let pv = par
-                        .get(coord)
-                        .unwrap_or_else(|| panic!("missing {coord:?}"));
-                    assert_eq!(
-                        v.to_bits(),
-                        pv.to_bits(),
-                        "{strategy:?} cell {coord:?} differs at {threads} threads"
-                    );
+                // The `Value`-keyed reference folds in the same order.
+                let rows =
+                    compute_rows_with(&db, &u, &Predicate::True, &dims, &agg, strategy, &exec)
+                        .unwrap();
+                for other in [&par, &rows] {
+                    assert_eq!(seq.cells.len(), other.cells.len());
+                    for (coord, v) in &seq.cells {
+                        let pv = other
+                            .get(coord)
+                            .unwrap_or_else(|| panic!("missing {coord:?}"));
+                        assert_eq!(
+                            v.to_bits(),
+                            pv.to_bits(),
+                            "{strategy:?} cell {coord:?} differs at {threads} threads"
+                        );
+                    }
                 }
             }
         }
@@ -990,6 +1062,48 @@ mod tests {
             }
             assert_eq!(seq.cells.len(), par.cells.len());
         }
+    }
+
+    #[test]
+    fn cube_at_positions_is_the_cube_of_the_selection() {
+        let db = figure3_db();
+        let u = Universal::compute(&db, &db.full_view());
+        let dims = vec![
+            db.schema().attr("Author", "dom").unwrap(),
+            db.schema().attr("Publication", "venue").unwrap(),
+        ];
+        let sel = Predicate::eq(db.schema().attr("Publication", "year").unwrap(), 2001);
+        let positions: Vec<u32> = (0..u.len() as u32)
+            .filter(|&i| sel.eval(&db, u.tuple(i as usize)))
+            .collect();
+        let agg = AggFunc::CountStar;
+        let exec = ExecConfig::sequential();
+        for strategy in [CubeStrategy::SubsetEnumeration, CubeStrategy::LatticeRollup] {
+            let at = compute_coded_at(&db, &u, &positions, &dims, &agg, strategy, &exec).unwrap();
+            let with = compute_coded_with(&db, &u, &sel, &dims, &agg, strategy, &exec).unwrap();
+            assert!(at.cells().eq(with.cells()), "{strategy:?}");
+            assert_eq!(
+                at.decode().cells,
+                compute(&db, &u, &sel, &dims, &agg, strategy).unwrap().cells
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ascend strictly")]
+    fn cube_positions_out_of_order_are_rejected() {
+        let db = figure3_db();
+        let u = Universal::compute(&db, &db.full_view());
+        let dims = vec![db.schema().attr("Author", "name").unwrap()];
+        let _ = compute_coded_at(
+            &db,
+            &u,
+            &[2, 1],
+            &dims,
+            &AggFunc::CountStar,
+            CubeStrategy::Auto,
+            &ExecConfig::sequential(),
+        );
     }
 
     #[test]

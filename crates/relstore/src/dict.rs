@@ -27,7 +27,8 @@
 //! alone (`Value::code_hash`) — so a dictionary's layout, like its
 //! codes, repeats from run to run. [`Interner`] is the same table over
 //! strings: loaders use it to give equal strings one allocation, which
-//! [`DictBuilder::encode`] then recognises by address.
+//! [`DictBuilder::encode`] then recognises by address. [`CodeTuples`] is
+//! the same table over tuples of codes: the cube's cell keys.
 
 use crate::value::{code_hash_str, Value};
 use std::sync::Arc;
@@ -123,6 +124,141 @@ impl CodeTable {
         }
         self.slots[at] = slot;
     }
+}
+
+/// Distinct code tuples of one width, numbered `0, 1, …` in
+/// first-insertion order: `width` codes per tuple in one flat array,
+/// found through a `CodeTable` hashed by a fixed function of the codes
+/// alone. [`NO_CODE`] is an ordinary element here — the cube writes it
+/// for "don't care".
+///
+/// The cube keys its cells with this and Algorithm 1 joins its
+/// sub-query cubes on it, so no key costs an allocation. Ids follow the
+/// insertion sequence, so anything ordered by id repeats from run to
+/// run; the hash decides only where a tuple's id is filed.
+#[derive(Debug, Clone)]
+pub struct CodeTuples {
+    width: usize,
+    /// Tuple `id` is `codes[id * width..(id + 1) * width]`.
+    codes: Vec<u32>,
+    index: CodeTable,
+}
+
+impl CodeTuples {
+    /// An empty set of `width`-code tuples.
+    pub fn new(width: usize) -> CodeTuples {
+        CodeTuples {
+            width,
+            codes: Vec::new(),
+            index: CodeTable::default(),
+        }
+    }
+
+    /// Number of distinct tuples.
+    pub fn len(&self) -> usize {
+        self.index.len
+    }
+
+    /// Whether no tuple has been inserted.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The tuple numbered `id`.
+    #[inline]
+    pub fn get(&self, id: u32) -> &[u32] {
+        let at = id as usize * self.width;
+        &self.codes[at..at + self.width]
+    }
+
+    /// The id of `tuple`, inserting it under the next id if it is new;
+    /// the flag says whether it was.
+    ///
+    /// # Panics
+    ///
+    /// If `tuple` is not `width` codes long, or a new id would reach
+    /// [`NO_CODE`].
+    #[inline]
+    pub fn insert(&mut self, tuple: &[u32]) -> (u32, bool) {
+        assert_eq!(tuple.len(), self.width, "tuple width");
+        let hash = tuple_hash(tuple);
+        if let Some(id) = self.index.find(hash, |id| self.get(id) == tuple) {
+            return (id, false);
+        }
+        assert_codes_fit(self.len() + 1);
+        let id = self.len() as u32;
+        self.codes.extend_from_slice(tuple);
+        self.index.insert(hash, id);
+        (id, true)
+    }
+
+    /// The ids sorted by the `Value` order of the decoded tuples, where
+    /// element `j` decodes through `dicts[j]` and [`NO_CODE`] sorts below
+    /// every code, as `Value::Null` sorts below every value.
+    ///
+    /// Each tuple's rank key — per element, [`Dict::rank`] + 1, or 0 for
+    /// [`NO_CODE`] — is computed once. When the keys of every element fit
+    /// one `u64` together (element 0 in the high bits, so integer order is
+    /// key order), a comparison is one integer compare; otherwise it is a
+    /// slice compare.
+    ///
+    /// # Panics
+    ///
+    /// If `dicts` does not hold one dictionary per element.
+    pub fn value_order(&self, dicts: &[&Dict]) -> Vec<u32> {
+        assert_eq!(dicts.len(), self.width, "one dictionary per element");
+        let width = self.width;
+        let rank_key = |at: usize, code: u32| {
+            if code == NO_CODE {
+                0
+            } else {
+                dicts[at % width].rank(code) + 1
+            }
+        };
+        // Bits that hold every rank key of an element: 0..=len.
+        let bits: Vec<u32> = dicts
+            .iter()
+            .map(|d| u32::BITS - (d.len() as u32).leading_zeros())
+            .collect();
+        // Tuples are distinct, so their rank keys are: no ties to break.
+        if bits.iter().sum::<u32>() <= u64::BITS {
+            let mut keyed: Vec<(u64, u32)> = (0..self.len() as u32)
+                .map(|id| {
+                    let at = id as usize * width;
+                    let packed =
+                        self.get(id).iter().zip(&bits).enumerate().fold(
+                            0u64,
+                            |packed, (j, (&code, &b))| {
+                                packed << b | u64::from(rank_key(at + j, code))
+                            },
+                        );
+                    (packed, id)
+                })
+                .collect();
+            keyed.sort_unstable();
+            return keyed.into_iter().map(|(_, id)| id).collect();
+        }
+        let ranks: Vec<u32> = self
+            .codes
+            .iter()
+            .enumerate()
+            .map(|(at, &code)| rank_key(at, code))
+            .collect();
+        let key = |id: u32| &ranks[id as usize * width..(id as usize + 1) * width];
+        let mut order: Vec<u32> = (0..self.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        order
+    }
+}
+
+/// The hash of a code tuple [`CodeTuples`] files it under: a multiply-
+/// rotate fold, whose last multiply spreads every code into the high
+/// half that [`CodeTable`] probes and tags with.
+#[inline]
+fn tuple_hash(tuple: &[u32]) -> u64 {
+    tuple.iter().fold(0u64, |h, &code| {
+        (h.rotate_left(5) ^ u64::from(code)).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
 }
 
 /// The bulk storage of a [`Dict`]: code → value plus value → code for a
@@ -613,6 +749,92 @@ mod tests {
             assert_same_dict(&d, &dict_of(&rows));
             assert_eq!(d.code(&Value::str("absent")), None);
         }
+    }
+
+    #[test]
+    fn code_tuples_number_tuples_in_first_insertion_order() {
+        let mut t = CodeTuples::new(2);
+        assert_eq!(t.insert(&[3, NO_CODE]), (0, true));
+        assert_eq!(t.insert(&[1, 2]), (1, true));
+        assert_eq!(t.insert(&[3, NO_CODE]), (0, false));
+        assert_eq!(t.insert(&[NO_CODE, 3]), (2, true));
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.get(1), &[1, 2]);
+        // Enough tuples to grow the index several times.
+        let mut many = CodeTuples::new(3);
+        for i in 0..1000u32 {
+            assert_eq!(many.insert(&[i % 7, i, NO_CODE]), (i, true));
+        }
+        for i in 0..1000u32 {
+            assert_eq!(many.insert(&[i % 7, i, NO_CODE]), (i, false));
+        }
+        // Width 0 holds exactly one tuple, the empty one.
+        let mut empty = CodeTuples::new(0);
+        assert!(empty.is_empty());
+        assert_eq!(empty.insert(&[]), (0, true));
+        assert_eq!(empty.insert(&[]), (0, false));
+        assert_eq!(empty.len(), 1);
+    }
+
+    /// `value_order` sorts ids exactly as sorting the decoded tuples by
+    /// the `Value` order does, with `NO_CODE` decoding to `Value::Null`.
+    fn assert_value_order(dicts: &[Dict], tuples: &CodeTuples) {
+        let refs: Vec<&Dict> = dicts.iter().collect();
+        let decoded = |id: u32| -> Vec<Value> {
+            tuples
+                .get(id)
+                .iter()
+                .zip(dicts)
+                .map(|(&c, d)| {
+                    if c == NO_CODE {
+                        Value::Null
+                    } else {
+                        d.value(c).clone()
+                    }
+                })
+                .collect()
+        };
+        let mut want: Vec<u32> = (0..tuples.len() as u32).collect();
+        want.sort_by_key(|&id| decoded(id));
+        assert_eq!(tuples.value_order(&refs), want);
+    }
+
+    #[test]
+    fn value_order_is_the_value_order_packed_or_not() {
+        // Two small dictionaries: rank keys pack into one u64.
+        let small = [
+            dict_of(&[Value::str("m"), Value::str("b"), Value::str("x")]),
+            dict_of(&[Value::Int(9), Value::Float(-1.5), Value::Int(4)]),
+        ];
+        let mut t = CodeTuples::new(2);
+        for a in [0, 1, 2, NO_CODE] {
+            for b in [2, NO_CODE, 0, 1] {
+                t.insert(&[a, b]);
+            }
+        }
+        assert_value_order(&small, &t);
+        // Five 10 000-value dictionaries need 70 bits: slice compare.
+        let wide: Vec<Dict> = (0..5)
+            .map(|k| {
+                dict_of(
+                    &(0..10_000)
+                        .map(|i| Value::Int((i * 7919 + k) % 10_000))
+                        .collect::<Vec<_>>(),
+                )
+            })
+            .collect();
+        let mut t = CodeTuples::new(5);
+        for i in 0..500u32 {
+            let code = |k: u32| {
+                if (i + k).is_multiple_of(4) {
+                    NO_CODE
+                } else {
+                    (i * 37 + k * 11) % 10_000
+                }
+            };
+            t.insert(&[code(0), code(1), code(2), code(3), code(4)]);
+        }
+        assert_value_order(&wide, &t);
     }
 
     #[test]

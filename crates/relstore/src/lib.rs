@@ -74,7 +74,7 @@ pub mod value;
 
 pub use column::{CodedPredicate, ColumnData, ColumnStore};
 pub use database::{AppendBatch, Database, View};
-pub use dict::{Dict, DictBuilder, Interner};
+pub use dict::{CodeTuples, Dict, DictBuilder, Interner};
 pub use error::{Error, Result};
 pub use exq_obs::MetricsSink;
 pub use join::Universal;

@@ -7,6 +7,7 @@
 //! low-cardinality categorical data the paper's experiments use.
 
 use crate::database::Database;
+use crate::dict::CodeTuples;
 use crate::join::Universal;
 use crate::par::{self, ExecConfig};
 use crate::schema::AttrRef;
@@ -123,19 +124,27 @@ pub fn profile_with(db: &Database, exec: &ExecConfig) -> String {
 /// categorical data whose distinct-combination count is small relative to
 /// the sample, the estimate is near-exact; otherwise it is a lower bound
 /// — exactly the side that matters for the strategy decision.
+///
+/// Counts code tuples, not `Value` tuples: a dictionary gives each
+/// `Value` equality class one code, so the two counts are equal.
 pub fn estimate_distinct_coords(
     db: &Database,
     u: &Universal,
     dims: &[AttrRef],
     sample: usize,
 ) -> usize {
-    let mut seen: HashSet<Vec<Value>> = HashSet::new();
+    let store = db.columns();
+    let columns: Vec<(usize, &[u32])> = dims
+        .iter()
+        .map(|&a| (a.rel, store.dict_column(a).0))
+        .collect();
+    let mut seen = CodeTuples::new(dims.len());
+    let mut coord = vec![0u32; dims.len()];
     for t in u.iter().take(sample) {
-        let coord: Vec<Value> = dims
-            .iter()
-            .map(|&a| db.value(a, t[a.rel] as usize).clone())
-            .collect();
-        seen.insert(coord);
+        for (slot, &(rel, codes)) in coord.iter_mut().zip(&columns) {
+            *slot = codes[t[rel] as usize];
+        }
+        seen.insert(&coord);
     }
     seen.len()
 }
@@ -231,5 +240,32 @@ mod tests {
         );
         let id = db.schema().attr("R", "id").unwrap();
         assert_eq!(estimate_distinct_coords(&db, &u, &[g, id], 100), 4);
+    }
+
+    #[test]
+    fn distinct_coord_estimate_counts_value_equality_classes() {
+        // Int(2) and Float(2.0) are one value; NULL counts once.
+        let schema = SchemaBuilder::new()
+            .relation("R", &[("id", T::Int), ("x", T::Any)], &["id"])
+            .build()
+            .unwrap();
+        let mut db = Database::new(schema);
+        for (i, x) in [
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Null,
+            Value::Null,
+            Value::Int(3),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            db.insert("R", vec![(i as i64).into(), x]).unwrap();
+        }
+        let u = Universal::compute(&db, &db.full_view());
+        let x = db.schema().attr("R", "x").unwrap();
+        assert_eq!(estimate_distinct_coords(&db, &u, &[x], 100), 3);
+        assert_eq!(estimate_distinct_coords(&db, &u, &[], 100), 1);
+        assert_eq!(estimate_distinct_coords(&db, &u, &[x], 0), 0);
     }
 }

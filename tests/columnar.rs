@@ -1,19 +1,28 @@
-//! Differential tests for the columnar storage rebuild: the
-//! dictionary-coded cube/join path against the retained row-oriented
-//! `Value` reference path, bit for bit, on the two headline experiment
-//! workloads (DBLP Figure 2, natality Figure 10) — plus the
-//! thread-count stability of dictionary code assignment.
+//! Differential tests for the columnar engine: Algorithm 1 in code space
+//! (one selection pass, the coded cube kernel, the m-lane join) against
+//! the retained row-oriented `Value` reference path, bit for bit, for
+//! every cube strategy at 1, 2 and 7 threads — on the three experiment
+//! workloads (DBLP Figure 2, natality Figure 10, Geo-DBLP Figure 15) and
+//! on a float measure whose sums depend on the accumulation blocks —
+//! plus the thread-count stability of dictionary code assignment.
 
-use exq::datagen::{dblp, natality};
+use exq::datagen::{dblp, geodblp, natality};
 use exq::prelude::*;
 use exq_core::cube_algo::{self, CubeAlgoConfig};
 use exq_core::prepared::PreparedDb;
+use exq_core::table_m::ExplanationTable;
 use exq_relstore::aggregate::AggFunc;
 use exq_relstore::cube::{self, CubeStrategy};
-use exq_relstore::{AttrRef, Database, ExecConfig, Universal};
+use exq_relstore::{AttrRef, Database, ExecConfig, SchemaBuilder, Universal, ValueType};
 use std::sync::Arc;
 
 const THREADS: [usize; 3] = [1, 2, 7];
+
+const STRATEGIES: [CubeStrategy; 3] = [
+    CubeStrategy::Auto,
+    CubeStrategy::SubsetEnumeration,
+    CubeStrategy::LatticeRollup,
+];
 
 fn dblp_question(db: &Database) -> UserQuestion {
     let schema = db.schema();
@@ -57,18 +66,60 @@ fn natality_question(db: &Database) -> UserQuestion {
     )
 }
 
+/// Equal coordinates, and equal bits in every float — `==` on `f64`
+/// would let `-0.0` pass for `0.0`.
+fn assert_bit_identical(got: &ExplanationTable, want: &ExplanationTable, ctx: &str) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    assert_eq!(got.dims, want.dims, "{ctx}: dims");
+    assert_eq!(bits(&got.totals), bits(&want.totals), "{ctx}: totals");
+    assert_eq!(got.rows.len(), want.rows.len(), "{ctx}: row count");
+    for (g, w) in got.rows.iter().zip(&want.rows) {
+        assert_eq!(g.coord, w.coord, "{ctx}: row order");
+        assert_eq!(
+            bits(&g.values),
+            bits(&w.values),
+            "{ctx}: v at {:?}",
+            g.coord
+        );
+        assert_eq!(
+            bits(&[g.mu_interv, g.mu_aggr]),
+            bits(&[w.mu_interv, w.mu_aggr]),
+            "{ctx}: degrees at {:?}",
+            g.coord
+        );
+    }
+}
+
 /// `explanation_table` (the coded engine) against
 /// `explanation_table_reference` (the row-oriented oracle), requiring
-/// full bit-identity, at every thread count.
-fn assert_coded_matches_reference(db: &Database, question: &UserQuestion, dims: &[AttrRef]) {
+/// bit-identity per strategy at every thread count, with the
+/// one-thread reference as the common yardstick.
+fn assert_coded_matches_reference(
+    db: &Database,
+    question: &UserQuestion,
+    dims: &[AttrRef],
+    base: CubeAlgoConfig,
+) {
     let u = Universal::compute(db, &db.full_view());
-    for threads in THREADS {
-        let config = || CubeAlgoConfig::checked().with_exec(ExecConfig::with_threads(threads));
-        let coded = cube_algo::explanation_table(db, &u, question, dims, config()).unwrap();
-        let reference =
-            cube_algo::explanation_table_reference(db, &u, question, dims, config()).unwrap();
-        assert!(!coded.is_empty());
-        assert_eq!(coded, reference, "threads = {threads}");
+    for strategy in STRATEGIES {
+        let config = |threads| {
+            CubeAlgoConfig {
+                strategy,
+                ..base.clone()
+            }
+            .with_exec(ExecConfig::with_threads(threads))
+        };
+        let want =
+            cube_algo::explanation_table_reference(db, &u, question, dims, config(1)).unwrap();
+        assert!(!want.is_empty());
+        for threads in THREADS {
+            let ctx = format!("{strategy:?}, threads = {threads}");
+            let coded = cube_algo::explanation_table(db, &u, question, dims, config(threads));
+            assert_bit_identical(&coded.unwrap(), &want, &ctx);
+            let reference =
+                cube_algo::explanation_table_reference(db, &u, question, dims, config(threads));
+            assert_bit_identical(&reference.unwrap(), &want, &format!("reference, {ctx}"));
+        }
     }
 }
 
@@ -80,7 +131,7 @@ fn dblp_columnar_table_matches_row_reference() {
         schema.attr("Author", "inst").unwrap(),
         schema.attr("Author", "name").unwrap(),
     ];
-    assert_coded_matches_reference(&db, &dblp_question(&db), &dims);
+    assert_coded_matches_reference(&db, &dblp_question(&db), &dims, CubeAlgoConfig::checked());
 }
 
 #[test]
@@ -97,7 +148,104 @@ fn natality_columnar_table_matches_row_reference() {
         schema.attr("Natality", "edu").unwrap(),
         schema.attr("Natality", "marital").unwrap(),
     ];
-    assert_coded_matches_reference(&db, &natality_question(&db), &dims);
+    assert_coded_matches_reference(
+        &db,
+        &natality_question(&db),
+        &dims,
+        CubeAlgoConfig::checked(),
+    );
+}
+
+/// The Figure 15 question over the eight-relation Geo-DBLP join.
+#[test]
+fn geodblp_columnar_table_matches_row_reference() {
+    let db = geodblp::generate(&geodblp::GeoDblpConfig {
+        papers: 1500,
+        seed: 11,
+    });
+    let schema = db.schema();
+    let pubid = schema.attr("Publication", "pubid").unwrap();
+    let venue = schema.attr("Publication", "venue").unwrap();
+    let country = schema.attr("CountryG", "country").unwrap();
+    let q = |v: &str| AggregateQuery {
+        func: AggFunc::CountDistinct(pubid),
+        selection: Predicate::and([
+            Predicate::eq(country, "United Kingdom"),
+            Predicate::eq(venue, v),
+        ]),
+    };
+    let question = UserQuestion::new(
+        NumericalQuery::ratio(q("SIGMOD"), q("PODS")).with_smoothing(1e-4),
+        Direction::Low,
+    );
+    let dims = vec![
+        schema.attr("Author", "name").unwrap(),
+        schema.attr("AffiliationG", "inst").unwrap(),
+        schema.attr("CityG", "city").unwrap(),
+    ];
+    assert_coded_matches_reference(&db, &question, &dims, CubeAlgoConfig::checked());
+}
+
+/// A float measure, so every sum depends on how tuples group into
+/// accumulation blocks, under selections that leave whole 4096-position
+/// blocks without a single selected tuple. SUM is not intervention-
+/// additive, so the tables are computed unchecked — identically by both
+/// engines.
+#[test]
+fn float_measures_over_sparse_blocks_match_row_reference() {
+    let schema = SchemaBuilder::new()
+        .relation(
+            "R",
+            &[
+                ("id", ValueType::Int),
+                ("g", ValueType::Str),
+                ("h", ValueType::Int),
+                ("x", ValueType::Float),
+            ],
+            &["id"],
+        )
+        .build()
+        .unwrap();
+    let mut db = Database::new(schema);
+    for i in 0..20_000i64 {
+        let g = format!("g{}", i % 7);
+        let x = (i as f64) * 0.1 + 0.3;
+        db.insert(
+            "R",
+            vec![i.into(), g.as_str().into(), (i % 3).into(), x.into()],
+        )
+        .unwrap();
+    }
+    let schema = db.schema();
+    let (id, x) = (
+        schema.attr("R", "id").unwrap(),
+        schema.attr("R", "x").unwrap(),
+    );
+    // Blocks 0 and 4 partly, nothing in blocks 1–3.
+    let sparse = |hi: i64| {
+        Predicate::or([
+            Predicate::between(id, 100, 1_500),
+            Predicate::between(id, 16_384, hi),
+        ])
+    };
+    let question = UserQuestion::new(
+        NumericalQuery::ratio(
+            AggregateQuery {
+                func: AggFunc::Sum(x),
+                selection: sparse(19_999),
+            },
+            AggregateQuery {
+                func: AggFunc::Avg(x),
+                selection: sparse(17_000),
+            },
+        ),
+        Direction::High,
+    );
+    let dims = vec![
+        schema.attr("R", "g").unwrap(),
+        schema.attr("R", "h").unwrap(),
+    ];
+    assert_coded_matches_reference(&db, &question, &dims, CubeAlgoConfig::unchecked());
 }
 
 /// Cube-level differential, per strategy: the decoded coded cube equals
