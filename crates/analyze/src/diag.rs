@@ -1,8 +1,10 @@
 //! The [`Diagnostic`] type and the stable code catalogue.
 //!
-//! Codes are shared with `exq_relstore::Error::code` and
-//! `exq_core::Error::code` so a fault class gets the same code whether
-//! it is caught statically by `exq check` or dynamically by the engine:
+//! Every error code is produced by the engine's own grammar (the
+//! [`Fault`]s of `exq_relstore::parse` and `exq_core::qparse`, which
+//! `exq_relstore::Error::code` reports too), so a fault gets the same
+//! code from `exq check` as from `exq explain` or the server; the
+//! warnings come from this crate's passes:
 //!
 //! | code | meaning |
 //! |------|---------|
@@ -27,6 +29,8 @@
 //! | W004 | division in `expr` without smoothing |
 //! | W005 | cube dimensionality over the enumeration budget |
 
+use exq_relstore::text::Fault;
+pub use exq_relstore::text::{suggest, Span};
 use std::fmt;
 
 /// How bad a diagnostic is.
@@ -44,39 +48,6 @@ impl fmt::Display for Severity {
         match self {
             Severity::Error => write!(f, "error"),
             Severity::Warning => write!(f, "warning"),
-        }
-    }
-}
-
-/// A half-open source region on one line (1-based line and column,
-/// counted in chars; `len` is the caret width, at least 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Span {
-    /// 1-based line. Line 0 means "whole file" (e.g. a missing
-    /// directive).
-    pub line: usize,
-    /// 1-based char column; 0 when unknown.
-    pub col: usize,
-    /// Caret width in chars.
-    pub len: usize,
-}
-
-impl Span {
-    /// Span covering `len` chars starting at `line:col`.
-    pub fn new(line: usize, col: usize, len: usize) -> Span {
-        Span {
-            line,
-            col,
-            len: len.max(1),
-        }
-    }
-
-    /// Whole-file span (no line/col known).
-    pub fn file() -> Span {
-        Span {
-            line: 0,
-            col: 0,
-            len: 1,
         }
     }
 }
@@ -123,6 +94,18 @@ impl Diagnostic {
         }
     }
 
+    /// An engine [`Fault`] found in `file`, as an error.
+    pub fn from_fault(file: &str, fault: Fault) -> Self {
+        Diagnostic {
+            code: fault.code,
+            severity: Severity::Error,
+            file: file.to_string(),
+            span: fault.span,
+            message: fault.message,
+            help: fault.help,
+        }
+    }
+
     /// Attach a help suggestion.
     pub fn with_help(mut self, help: impl Into<String>) -> Self {
         self.help = Some(help.into());
@@ -130,48 +113,10 @@ impl Diagnostic {
     }
 }
 
-/// Levenshtein edit distance (small inputs only — identifier lengths).
-fn edit_distance(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut prev: Vec<usize> = (0..=b.len()).collect();
-    let mut cur = vec![0; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        cur[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let sub = prev[j] + usize::from(ca != cb);
-            cur[j + 1] = sub.min(prev[j + 1] + 1).min(cur[j] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[b.len()]
-}
-
-/// "Did you mean …?" — the closest candidate within an edit distance
-/// budget of one third of the name (minimum 1, maximum 3), ties broken
-/// by first occurrence. Case-insensitive exact matches always win.
-pub fn suggest<'a>(name: &str, candidates: impl IntoIterator<Item = &'a str>) -> Option<&'a str> {
-    let budget = (name.chars().count() / 3).clamp(1, 3);
-    let mut best: Option<(usize, &str)> = None;
-    for c in candidates {
-        if c == name {
-            continue;
-        }
-        let d = if c.eq_ignore_ascii_case(name) {
-            0
-        } else {
-            edit_distance(name, c)
-        };
-        if d <= budget && best.is_none_or(|(bd, _)| d < bd) {
-            best = Some((d, c));
-        }
-    }
-    best.map(|(_, c)| c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exq_relstore::text::edit_distance;
 
     #[test]
     fn distances() {

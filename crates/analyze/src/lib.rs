@@ -1,22 +1,24 @@
 //! # exq-analyze — static analysis for the `.exq` DSLs
 //!
-//! A compiler-style, multi-diagnostic semantic analyzer over schema and
-//! question files: unlike the strict execution-path parsers
-//! (`exq_relstore::parse`, `exq_core::qparse`), which stop at the first
-//! fault, this crate parses *tolerantly* and reports **every** problem in
-//! one run, each as a [`Diagnostic`] with a stable code, a `line:col`
-//! span, and — where the analyzer has a concrete fix — a help
+//! A compiler-style, multi-diagnostic checker for schema and question
+//! files. It has no grammar of its own: it runs the engine's (the
+//! syntax layers and lowerings of `exq_relstore::parse` and
+//! `exq_core::qparse`), which collect **every** fault rather than
+//! stopping at the first, so `exq check` accepts exactly what the engine
+//! accepts and reports each fault at the position and with the code the
+//! engine would. Each finding is a [`Diagnostic`] with a stable code, a
+//! `line:col` span, and — where there is a concrete fix — a help
 //! suggestion.
 //!
-//! The lint catalogue (see [`diag`] for the full code table) covers the
-//! faults the engine would reject anyway (unknown names, duplicate
-//! declarations, foreign-key arity/type errors, cyclic join graphs) plus
-//! paper-motivated structural checks the engine cannot see until run
-//! time: predicate type mismatches (`year = 'SIGMOD'`), unsatisfiable
-//! constant ranges (`year >= 2007 and year <= 2004`), division-prone
-//! `expr`s without a smoothing constant, Proposition 3.11's
-//! one-back-and-forth-key-per-relation bound, join-graph connectivity,
-//! and the cube dimensionality budget.
+//! The catalogue (see [`diag`] for the full code table) covers the
+//! faults the engine rejects (unknown names, duplicate declarations,
+//! foreign-key arity/type errors, cyclic join graphs, ill-typed
+//! comparisons such as `year = 'SIGMOD'`) plus paper-motivated
+//! warnings the engine cannot see until run time ([`passes`]):
+//! unsatisfiable constant ranges (`year >= 2007 and year <= 2004`),
+//! division-prone `expr`s without a smoothing constant, Proposition
+//! 3.11's one-back-and-forth-key-per-relation bound, join-graph
+//! connectivity, and the cube dimensionality budget.
 //!
 //! ```
 //! use exq_analyze::{analyze, SourceFile};
@@ -31,12 +33,9 @@
 
 pub mod diag;
 pub mod passes;
-pub mod pred;
 pub mod render;
-pub mod syntax;
 
 pub use diag::{Diagnostic, Severity, Span};
-pub use passes::SymbolTable;
 pub use render::{render_json, render_pretty};
 
 use exq_relstore::DatabaseSchema;
@@ -141,22 +140,15 @@ fn sort_key(d: &Diagnostic, order: &[&str]) -> (usize, usize, usize) {
 /// Analyze a schema and any number of question files against it.
 ///
 /// With `schema: None` the questions are checked without name
-/// resolution (no symbol table), which still catches syntax faults,
-/// duplicate names, undeclared `expr` references, missing directives,
-/// and unsmoothed division — use [`analyze_question_against`] when a
-/// validated [`DatabaseSchema`] is already in hand.
+/// resolution, which still catches syntax faults, duplicate names,
+/// undeclared `expr` references, missing directives, and unsmoothed
+/// division — use [`analyze_question_against`] when a validated
+/// [`DatabaseSchema`] is already in hand.
 pub fn analyze(schema: Option<&SourceFile>, questions: &[SourceFile]) -> Analysis {
     let mut diags = Vec::new();
-    let table = schema.map(|s| {
-        let ast = syntax::parse_schema_loose(&s.name, &s.text, &mut diags);
-        passes::check_schema(&s.name, &ast, &mut diags)
-    });
+    let relations = schema.map(|s| passes::check_schema(&s.name, &s.text, &mut diags));
     for q in questions {
-        let ast = syntax::parse_question_loose(&q.name, &q.text, &mut diags);
-        match &table {
-            Some(t) => passes::check_question(&q.name, &ast, t, &mut diags),
-            None => passes::check_question_schema_free(&q.name, &ast, &mut diags),
-        }
+        passes::check_question(&q.name, &q.text, relations.as_deref(), &mut diags);
     }
     let order: Vec<&str> = schema
         .iter()
@@ -168,13 +160,15 @@ pub fn analyze(schema: Option<&SourceFile>, questions: &[SourceFile]) -> Analysi
 }
 
 /// Analyze a question file against an already-validated schema (the
-/// explainer's load path: the schema parsed strictly, so only the
-/// question needs checking).
+/// explainer's load path renders this when the question is rejected).
 pub fn analyze_question_against(schema: &DatabaseSchema, question: &SourceFile) -> Analysis {
-    let table = SymbolTable::from_schema(schema);
     let mut diags = Vec::new();
-    let ast = syntax::parse_question_loose(&question.name, &question.text, &mut diags);
-    passes::check_question(&question.name, &ast, &table, &mut diags);
+    passes::check_question(
+        &question.name,
+        &question.text,
+        Some(schema.relations()),
+        &mut diags,
+    );
     diags.sort_by_key(|d| (d.span.line, d.span.col));
     Analysis { diagnostics: diags }
 }

@@ -52,9 +52,11 @@ pub enum Error {
     BadAggregateIndex { index: usize, count: usize },
     /// Too many cube dimensions for the subset-enumeration strategy.
     TooManyCubeDimensions(usize),
-    /// A text-format parse error (schema DSL, predicate language).
-    /// `line` and `col` are 1-based; `col` is 0 when unknown.
+    /// A fault in `.exq` text (schema, predicate, question), with its
+    /// `exq-analyze` code. `line` and `col` are 1-based; both are 0 for a
+    /// whole-file fault.
     Parse {
+        code: &'static str,
         line: usize,
         col: usize,
         message: String,
@@ -75,7 +77,7 @@ impl Error {
             Error::ForeignKeyArity { .. } => "E005",
             Error::ForeignKeyTarget { .. } => "E006",
             Error::CyclicSchema => "E007",
-            Error::Parse { .. } => "E010",
+            Error::Parse { code, .. } => code,
             Error::RowArity { .. } => "E101",
             Error::TypeMismatch { .. } => "E102",
             Error::DuplicateKey { .. } => "E103",
@@ -139,10 +141,11 @@ impl fmt::Display for Error {
             Error::TooManyCubeDimensions(d) => {
                 write!(f, "{d} cube dimensions exceed the subset-enumeration limit")
             }
-            Error::Parse { line, col: 0, message } => {
+            Error::Parse { line: 0, message, .. } => write!(f, "parse error: {message}"),
+            Error::Parse { line, col: 0, message, .. } => {
                 write!(f, "parse error (line {line}): {message}")
             }
-            Error::Parse { line, col, message } => {
+            Error::Parse { line, col, message, .. } => {
                 write!(f, "parse error (line {line}, col {col}): {message}")
             }
         }

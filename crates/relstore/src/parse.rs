@@ -1,7 +1,12 @@
-//! Text formats: a schema DSL and a predicate expression language.
+//! Text formats: the schema DSL and the predicate language.
 //!
 //! Real deployments declare schemas and selections in configuration, not
-//! Rust code. Two hand-rolled parsers (no dependencies):
+//! Rust code. Each language has one grammar, in two layers (see
+//! [`crate::text`]): a *syntax layer* that turns text into an unresolved
+//! AST with spans plus every syntax [`Fault`], and a *lowering* that
+//! resolves the AST into engine values plus every semantic [`Fault`].
+//! The strict entry points ([`parse_schema`], [`parse_predicate`]) run
+//! both and return the first fault; `exq check` renders all of them.
 //!
 //! ## Schema DSL ([`parse_schema`])
 //!
@@ -29,195 +34,515 @@
 //! Comparison operators `= != <> < <= > >=`, boolean `and`/`or`/`not`
 //! (case-insensitive), parentheses, string literals in single or double
 //! quotes, integer/float/true/false/null literals. Attributes are
-//! `Relation.attr` or a bare `attr` when unambiguous across the schema.
+//! `Relation.attr` or a bare `attr` when unambiguous across the schema;
+//! a literal must suit the attribute's type (`E008`).
 
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::predicate::{CmpOp, Predicate};
-use crate::schema::{AttrRef, DatabaseSchema, SchemaBuilder};
-use crate::text::{col_of, strip_comment};
+use crate::schema::{AttrRef, Attribute, DatabaseSchema, FkKind, RelationSchema, SchemaBuilder};
+use crate::text::{content_lines, describe, first_error, suggest, Fault, Span, Tok, Tokens};
 use crate::value::{Value, ValueType};
 
-fn parse_err(line: usize, col: usize, message: impl Into<String>) -> Error {
-    Error::Parse {
-        line,
-        col,
-        message: message.into(),
+// ---------------------------------------------------------------------
+// Schema DSL: syntax layer
+// ---------------------------------------------------------------------
+
+/// One `name: type [key]` column.
+#[derive(Debug, Clone)]
+pub struct ColDecl {
+    /// Column name.
+    pub name: String,
+    /// Where the name appears.
+    pub span: Span,
+    /// Declared type; `None` when the type token was faulty (already
+    /// reported; read as `any` downstream so one fault does not cascade).
+    pub ty: Option<ValueType>,
+    /// Member of the primary key?
+    pub key: bool,
+}
+
+/// One `relation Name(…)` declaration.
+#[derive(Debug, Clone)]
+pub struct RelDecl {
+    /// Relation name.
+    pub name: String,
+    /// Where the name appears.
+    pub span: Span,
+    /// The columns, in declaration order.
+    pub columns: Vec<ColDecl>,
+}
+
+impl RelDecl {
+    /// The columns, a repeated name counting only at its first
+    /// declaration.
+    pub fn unique_columns(&self) -> impl Iterator<Item = &ColDecl> {
+        self.columns
+            .iter()
+            .enumerate()
+            .filter(|(i, c)| !self.columns[..*i].iter().any(|p| p.name == c.name))
+            .map(|(_, c)| c)
     }
 }
 
-// ---------------------------------------------------------------------
-// Schema DSL
-// ---------------------------------------------------------------------
+/// One `fk From(cols) -> To` / `<->` declaration.
+#[derive(Debug, Clone)]
+pub struct FkDecl {
+    /// Source relation name.
+    pub from: String,
+    /// Where the source name appears.
+    pub from_span: Span,
+    /// Source columns with their spans.
+    pub cols: Vec<(String, Span)>,
+    /// `<->` (back-and-forth) rather than `->`.
+    pub back_and_forth: bool,
+    /// Target relation name.
+    pub to: String,
+    /// Where the target name appears.
+    pub to_span: Span,
+}
 
-/// Parse the schema DSL into a validated [`DatabaseSchema`].
-pub fn parse_schema(text: &str) -> Result<DatabaseSchema> {
-    let mut builder = SchemaBuilder::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = strip_comment(raw).trim();
-        if line.is_empty() {
-            continue;
+/// A schema file's declarations, names unresolved.
+#[derive(Debug, Default)]
+pub struct SchemaAst {
+    /// Every syntactically recognizable relation declaration.
+    pub relations: Vec<RelDecl>,
+    /// Every syntactically recognizable foreign key.
+    pub fks: Vec<FkDecl>,
+}
+
+impl SchemaAst {
+    /// Index of the relation named `name`; the first declaration wins.
+    pub fn rel_index(&self, name: &str) -> Option<usize> {
+        self.relations.iter().position(|r| r.name == name)
+    }
+
+    /// The relations as engine schemas: the first declaration of a
+    /// relation or column name wins and a faulty type reads as `any`.
+    /// Lowering builds the schema from these; `exq check` resolves
+    /// questions against them even when the schema itself faults.
+    pub fn relation_schemas(&self) -> Vec<RelationSchema> {
+        self.relations
+            .iter()
+            .enumerate()
+            .filter(|(i, r)| self.rel_index(&r.name) == Some(*i))
+            .map(|(_, r)| {
+                let cols: Vec<&ColDecl> = r.unique_columns().collect();
+                RelationSchema {
+                    name: r.name.clone(),
+                    attributes: cols
+                        .iter()
+                        .map(|c| Attribute {
+                            name: c.name.clone(),
+                            ty: c.ty.unwrap_or(ValueType::Any),
+                        })
+                        .collect(),
+                    primary_key: (0..cols.len()).filter(|&i| cols[i].key).collect(),
+                }
+            })
+            .collect()
+    }
+
+    /// Union-find over the foreign keys whose two ends resolve, in
+    /// declaration order: the root of every relation (by index in
+    /// [`SchemaAst::relations`]) and the indices of the keys that close
+    /// a cycle.
+    pub fn fk_forest(&self) -> (Vec<usize>, Vec<usize>) {
+        fn find(parent: &mut [usize], mut x: usize) -> usize {
+            while parent[x] != x {
+                parent[x] = parent[parent[x]];
+                x = parent[x];
+            }
+            x
         }
+        let mut parent: Vec<usize> = (0..self.relations.len()).collect();
+        let mut closing = Vec::new();
+        for (i, fk) in self.fks.iter().enumerate() {
+            let (Some(a), Some(b)) = (self.rel_index(&fk.from), self.rel_index(&fk.to)) else {
+                continue;
+            };
+            let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
+            if ra == rb {
+                closing.push(i);
+            } else {
+                parent[ra] = rb;
+            }
+        }
+        let roots = (0..parent.len()).map(|i| find(&mut parent, i)).collect();
+        (roots, closing)
+    }
+}
+
+/// The schema syntax layer: every declaration it can recognize, and an
+/// `E010` fault for each syntax problem. A faulty line is skipped (a
+/// faulty column only drops that column) and parsing resumes.
+pub fn schema_syntax(text: &str) -> (SchemaAst, Vec<Fault>) {
+    let mut ast = SchemaAst::default();
+    let mut faults = Vec::new();
+    for (line_no, raw, line) in content_lines(text) {
         if let Some(rest) = line.strip_prefix("relation ") {
-            builder = parse_relation_line(builder, raw, rest.trim(), line_no)?;
+            ast.relations
+                .extend(relation_decl(raw, rest.trim(), line_no, &mut faults));
         } else if let Some(rest) = line.strip_prefix("fk ") {
-            builder = parse_fk_line(builder, raw, rest.trim(), line_no)?;
+            ast.fks
+                .extend(fk_decl(raw, rest.trim(), line_no, &mut faults));
         } else {
-            return Err(parse_err(
-                line_no,
-                col_of(raw, line),
-                format!("expected `relation` or `fk`, got `{line}`"),
-            ));
+            let word = line.split_whitespace().next().unwrap_or(line);
+            faults.push(
+                Fault::new(
+                    "E010",
+                    Span::of(line_no, raw, word),
+                    format!("expected `relation` or `fk`, got `{word}`"),
+                )
+                .with_suggestion(suggest(word, ["relation", "fk"])),
+            );
         }
     }
-    builder.build()
+    (ast, faults)
 }
 
 /// `Name(col: type [key], …)`
-fn parse_relation_line(
-    builder: SchemaBuilder,
-    raw: &str,
-    rest: &str,
-    line: usize,
-) -> Result<SchemaBuilder> {
-    let open = rest
-        .find('(')
-        .ok_or_else(|| parse_err(line, col_of(raw, rest), "expected `(` after relation name"))?;
-    if !rest.ends_with(')') {
-        return Err(parse_err(
-            line,
-            col_of(raw, rest) + rest.chars().count(),
-            "expected `)` at end of relation declaration",
+fn relation_decl(raw: &str, rest: &str, line: usize, faults: &mut Vec<Fault>) -> Option<RelDecl> {
+    let at = |sub: &str| Span::of(line, raw, sub);
+    let Some(open) = rest.find('(') else {
+        faults.push(Fault::new(
+            "E010",
+            at(rest),
+            "expected `(` after relation name",
         ));
-    }
+        return None;
+    };
     let name = rest[..open].trim();
     if name.is_empty() {
-        return Err(parse_err(line, col_of(raw, rest), "missing relation name"));
+        faults.push(Fault::new("E010", at(rest), "missing relation name"));
+        return None;
     }
-    let body = &rest[open + 1..rest.len() - 1];
-    let mut columns: Vec<(String, ValueType)> = Vec::new();
-    let mut keys: Vec<String> = Vec::new();
+    let body = rest[open + 1..].strip_suffix(')').unwrap_or_else(|| {
+        faults.push(
+            Fault::new(
+                "E010",
+                Span::new(line, at(rest).col + rest.chars().count(), 1),
+                "expected `)` at end of relation declaration",
+            )
+            .with_help("close the column list with `)`"),
+        );
+        &rest[open + 1..] // recover: analyze the columns that are there
+    });
+    let mut columns = Vec::new();
     for col_spec in body.split(',') {
         let col_spec = col_spec.trim();
-        let at = |sub: &str| col_of(raw, sub);
         if col_spec.is_empty() {
-            return Err(parse_err(line, at(body), "empty column declaration"));
+            faults.push(Fault::new("E010", at(body), "empty column declaration"));
+            continue;
         }
-        let (col_name, rest) = col_spec.split_once(':').ok_or_else(|| {
-            parse_err(
-                line,
-                at(col_spec),
-                format!("expected `name: type` in `{col_spec}`"),
-            )
-        })?;
-        let col_name = col_name.trim().to_string();
-        let mut parts = rest.split_whitespace();
-        let ty_text = parts.next().ok_or_else(|| {
-            parse_err(line, at(col_spec), format!("missing type in `{col_spec}`"))
-        })?;
-        let ty = match ty_text {
-            "str" => ValueType::Str,
-            "int" => ValueType::Int,
-            "float" => ValueType::Float,
-            "bool" => ValueType::Bool,
-            "any" => ValueType::Any,
-            other => {
-                return Err(parse_err(
-                    line,
-                    at(other),
-                    format!("unknown type `{other}`"),
-                ))
+        let Some((col_name, col_rest)) = col_spec.split_once(':') else {
+            faults.push(
+                Fault::new(
+                    "E010",
+                    at(col_spec),
+                    format!("expected `name: type` in `{col_spec}`"),
+                )
+                .with_help("declare columns as `name: str|int|float|bool|any [key]`"),
+            );
+            continue;
+        };
+        let col_name = col_name.trim();
+        let mut parts = col_rest.split_whitespace();
+        let ty = match parts.next() {
+            Some("str") => Some(ValueType::Str),
+            Some("int") => Some(ValueType::Int),
+            Some("float") => Some(ValueType::Float),
+            Some("bool") => Some(ValueType::Bool),
+            Some("any") => Some(ValueType::Any),
+            Some(other) => {
+                faults.push(
+                    Fault::new("E010", at(other), format!("unknown type `{other}`"))
+                        .with_suggestion(suggest(other, ["str", "int", "float", "bool", "any"])),
+                );
+                None
+            }
+            None => {
+                faults.push(Fault::new(
+                    "E010",
+                    at(col_spec),
+                    format!("missing type in `{col_spec}`"),
+                ));
+                None
             }
         };
-        match parts.next() {
-            None => {}
-            Some("key") => keys.push(col_name.clone()),
+        let key = match parts.next() {
+            None => false,
+            Some("key") => true,
             Some(other) => {
-                return Err(parse_err(
-                    line,
-                    at(other),
-                    format!("unexpected token `{other}` after type"),
-                ))
+                faults.push(
+                    Fault::new(
+                        "E010",
+                        at(other),
+                        format!("unexpected token `{other}` after type"),
+                    )
+                    .with_help("only `key` may follow the column type"),
+                );
+                false
             }
-        }
+        };
         if let Some(extra) = parts.next() {
-            return Err(parse_err(
-                line,
+            faults.push(Fault::new(
+                "E010",
                 at(extra),
                 format!("trailing tokens in `{col_spec}`"),
             ));
         }
-        columns.push((col_name, ty));
+        columns.push(ColDecl {
+            name: col_name.to_string(),
+            span: at(col_name),
+            ty,
+            key,
+        });
     }
-    if keys.is_empty() {
-        return Err(parse_err(
-            line,
-            col_of(raw, name),
-            format!("relation `{name}` declares no key column"),
-        ));
-    }
-    let cols_ref: Vec<(&str, ValueType)> = columns.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-    let keys_ref: Vec<&str> = keys.iter().map(String::as_str).collect();
-    Ok(builder.relation(name, &cols_ref, &keys_ref))
+    Some(RelDecl {
+        name: name.to_string(),
+        span: at(name),
+        columns,
+    })
 }
 
 /// `From(col, …) -> To` or `From(col, …) <-> To`
-fn parse_fk_line(
-    builder: SchemaBuilder,
-    raw: &str,
-    rest: &str,
-    line: usize,
-) -> Result<SchemaBuilder> {
+fn fk_decl(raw: &str, rest: &str, line: usize, faults: &mut Vec<Fault>) -> Option<FkDecl> {
+    let at = |sub: &str| Span::of(line, raw, sub);
     let (head, target, back_and_forth) = if let Some((h, t)) = rest.split_once("<->") {
         (h.trim(), t.trim(), true)
     } else if let Some((h, t)) = rest.split_once("->") {
         (h.trim(), t.trim(), false)
     } else {
-        return Err(parse_err(
-            line,
-            col_of(raw, rest),
-            "expected `->` or `<->` in foreign key",
-        ));
+        faults.push(
+            Fault::new("E010", at(rest), "expected `->` or `<->` in foreign key")
+                .with_help("declare foreign keys as `fk From(col, …) -> To` (or `<->`)"),
+        );
+        return None;
     };
     if target.is_empty() {
-        return Err(parse_err(
-            line,
-            col_of(raw, rest) + rest.chars().count(),
+        faults.push(Fault::new(
+            "E010",
+            Span::new(line, at(rest).col + rest.chars().count(), 1),
             "missing foreign-key target relation",
         ));
+        return None;
     }
-    let open = head.find('(').ok_or_else(|| {
-        parse_err(
-            line,
-            col_of(raw, head),
+    let Some(open) = head.find('(') else {
+        faults.push(Fault::new(
+            "E010",
+            at(head),
             "expected `(columns)` after relation",
-        )
-    })?;
-    if !head.ends_with(')') {
-        return Err(parse_err(
-            line,
-            col_of(raw, head) + head.chars().count(),
+        ));
+        return None;
+    };
+    let body = head[open + 1..].strip_suffix(')').unwrap_or_else(|| {
+        faults.push(Fault::new(
+            "E010",
+            Span::new(line, at(head).col + head.chars().count(), 1),
             "expected `)` after foreign-key columns",
         ));
-    }
+        &head[open + 1..]
+    });
     let from = head[..open].trim();
-    let cols: Vec<&str> = head[open + 1..head.len() - 1]
+    let cols: Vec<(String, Span)> = body
         .split(',')
         .map(str::trim)
         .filter(|c| !c.is_empty())
+        .map(|c| (c.to_string(), at(c)))
         .collect();
     if from.is_empty() || cols.is_empty() {
-        return Err(parse_err(
-            line,
-            col_of(raw, head),
+        faults.push(Fault::new(
+            "E010",
+            at(head),
             "malformed foreign-key declaration",
         ));
+        return None;
     }
-    Ok(if back_and_forth {
-        builder.back_and_forth_fk(from, &cols, target)
-    } else {
-        builder.standard_fk(from, &cols, target)
+    Some(FkDecl {
+        from: from.to_string(),
+        from_span: at(from),
+        cols,
+        back_and_forth,
+        to: target.to_string(),
+        to_span: at(target),
     })
+}
+
+// ---------------------------------------------------------------------
+// Schema DSL: lowering
+// ---------------------------------------------------------------------
+
+/// Lower a schema AST: every semantic fault — duplicate names (`E003`,
+/// `E004`), keyless relations (`E012`), foreign keys naming unknown
+/// relations or columns (`E001`, `E002`), with the wrong arity (`E005`)
+/// or column types (`E006`), or closing a cycle (`E007`) — or the
+/// validated schema when there is none.
+pub fn lower_schema(ast: &SchemaAst) -> std::result::Result<DatabaseSchema, Vec<Fault>> {
+    let mut faults = Vec::new();
+    for (i, rel) in ast.relations.iter().enumerate() {
+        if ast.rel_index(&rel.name) != Some(i) {
+            faults.push(
+                Fault::new(
+                    "E003",
+                    rel.span,
+                    format!("duplicate relation `{}`", rel.name),
+                )
+                .with_help("the first declaration wins; remove or rename this one"),
+            );
+        }
+        for (j, col) in rel.columns.iter().enumerate() {
+            if rel.columns[..j].iter().any(|c| c.name == col.name) {
+                faults.push(Fault::new(
+                    "E004",
+                    col.span,
+                    format!(
+                        "duplicate attribute `{}` in relation `{}`",
+                        col.name, rel.name
+                    ),
+                ));
+            }
+        }
+        if !rel.columns.is_empty() && !rel.columns.iter().any(|c| c.key) {
+            faults.push(
+                Fault::new(
+                    "E012",
+                    rel.span,
+                    format!("relation `{}` declares no key column", rel.name),
+                )
+                .with_help("mark the identifying columns with `key`, e.g. `id: str key`"),
+            );
+        }
+    }
+    let rel_names = || ast.relations.iter().map(|r| r.name.as_str());
+    for fk in &ast.fks {
+        let lookup = |name: &str, span: Span, faults: &mut Vec<Fault>| {
+            let rel = ast.rel_index(name).map(|i| &ast.relations[i]);
+            if rel.is_none() {
+                faults.push(
+                    Fault::new(
+                        "E001",
+                        span,
+                        format!("unknown relation `{name}` in foreign key"),
+                    )
+                    .with_suggestion(suggest(name, rel_names())),
+                );
+            }
+            rel
+        };
+        let from = lookup(&fk.from, fk.from_span, &mut faults);
+        let to = lookup(&fk.to, fk.to_span, &mut faults);
+        let mut col_types: Vec<Option<ValueType>> = Vec::new();
+        if let Some(from) = from {
+            for (col, span) in &fk.cols {
+                let found = from.unique_columns().find(|c| c.name == *col);
+                if found.is_none() {
+                    faults.push(
+                        Fault::new(
+                            "E002",
+                            *span,
+                            format!("unknown attribute `{}.{col}` in foreign key", fk.from),
+                        )
+                        .with_suggestion(suggest(
+                            col,
+                            from.unique_columns().map(|c| c.name.as_str()),
+                        )),
+                    );
+                }
+                col_types.push(found.and_then(|c| c.ty));
+            }
+        }
+        let Some(to) = to else { continue };
+        let pk: Vec<&ColDecl> = to.unique_columns().filter(|c| c.key).collect();
+        if fk.cols.len() != pk.len() {
+            faults.push(
+                Fault::new(
+                    "E005",
+                    fk.from_span,
+                    format!(
+                        "foreign key {} -> {} references {} column{} but the target's primary \
+                         key has {}",
+                        fk.from,
+                        fk.to,
+                        fk.cols.len(),
+                        if fk.cols.len() == 1 { "" } else { "s" },
+                        pk.len()
+                    ),
+                )
+                .with_help("a foreign key must cover the target's full primary key, in order"),
+            );
+            continue;
+        }
+        for ((from_ty, (col, span)), key) in col_types.iter().zip(&fk.cols).zip(&pk) {
+            let (Some(from_ty), Some(to_ty)) = (*from_ty, key.ty) else {
+                continue; // a faulty declaration, already reported
+            };
+            if from_ty != to_ty && from_ty != ValueType::Any && to_ty != ValueType::Any {
+                faults.push(
+                    Fault::new(
+                        "E006",
+                        *span,
+                        format!(
+                            "foreign key {} -> {}: column `{col}` has type {from_ty} but target \
+                             key `{}.{}` has type {to_ty}",
+                            fk.from, fk.to, fk.to, key.name
+                        ),
+                    )
+                    .with_help("align the column types on both sides of the key"),
+                );
+            }
+        }
+    }
+    for i in ast.fk_forest().1 {
+        let fk = &ast.fks[i];
+        let (kind, arrow) = if fk.back_and_forth {
+            ("back-and-forth foreign key", "<->")
+        } else {
+            ("foreign key", "->")
+        };
+        faults.push(
+            Fault::new(
+                "E007",
+                fk.from_span,
+                format!(
+                    "{kind} {} {arrow} {} closes a cycle in the join graph",
+                    fk.from, fk.to
+                ),
+            )
+            .with_help(
+                "the universal relation and the intervention fixpoint require an acyclic \
+                 foreign-key forest; remove this key or restructure the schema",
+            ),
+        );
+    }
+    if !faults.is_empty() {
+        return Err(faults);
+    }
+    let mut builder = SchemaBuilder::new();
+    for r in ast.relation_schemas() {
+        builder = builder.push_relation(r);
+    }
+    for fk in &ast.fks {
+        let cols: Vec<&str> = fk.cols.iter().map(|(c, _)| c.as_str()).collect();
+        builder = if fk.back_and_forth {
+            builder.back_and_forth_fk(&fk.from, &cols, &fk.to)
+        } else {
+            builder.standard_fk(&fk.from, &cols, &fk.to)
+        };
+    }
+    // The checks above cover every rule `build` enforces.
+    builder
+        .build()
+        .map_err(|e| vec![Fault::new(e.code(), Span::file(), e.to_string())])
+}
+
+/// Parse the schema DSL into a validated [`DatabaseSchema`]: the syntax
+/// layer, then lowering; the first fault is the error.
+pub fn parse_schema(text: &str) -> Result<DatabaseSchema> {
+    let (ast, faults) = schema_syntax(text);
+    if !faults.is_empty() {
+        return Err(first_error(faults));
+    }
+    lower_schema(&ast).map_err(first_error)
 }
 
 /// Render a schema in the DSL ([`parse_schema`] ∘ `schema_to_text` is the
@@ -249,8 +574,8 @@ pub fn schema_to_text(schema: &DatabaseSchema) -> String {
             .map(|&c| from.attributes[c].name.as_str())
             .collect();
         let arrow = match fk.kind {
-            crate::schema::FkKind::Standard => "->",
-            crate::schema::FkKind::BackAndForth => "<->",
+            FkKind::Standard => "->",
+            FkKind::BackAndForth => "<->",
         };
         let _ = writeln!(
             out,
@@ -265,322 +590,324 @@ pub fn schema_to_text(schema: &DatabaseSchema) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Predicate language
+// Predicate language: syntax layer
 // ---------------------------------------------------------------------
 
+/// A predicate, attribute names unresolved.
 #[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Ident(String),
-    Str(String),
-    Int(i64),
-    Float(f64),
-    Op(CmpOp),
-    LParen,
-    RParen,
-    And,
-    Or,
-    Not,
-    True,
-    False,
-    Null,
+pub enum PredAst {
+    /// `attr op literal`.
+    Atom {
+        /// Attribute text (`attr` or `Rel.attr`).
+        attr: String,
+        /// Where the attribute appears.
+        attr_span: Span,
+        /// Comparison operator.
+        op: CmpOp,
+        /// The literal.
+        value: Value,
+        /// Where the literal appears.
+        value_span: Span,
+    },
+    /// Conjunction (two or more parts).
+    And(Vec<PredAst>),
+    /// Disjunction (two or more parts).
+    Or(Vec<PredAst>),
+    /// Negation.
+    Not(Box<PredAst>),
+    /// `true` / `false` (and the empty predicate, `true`).
+    Const(bool),
 }
 
-/// Tokenize predicate text; each token carries its 1-based char column
-/// within `text` so parse errors can point at the offending token.
-fn tokenize(text: &str) -> Result<Vec<(Token, usize)>> {
-    let mut tokens = Vec::new();
-    let chars: Vec<char> = text.chars().collect();
-    let mut i = 0;
-    let err = |col: usize, msg: String| parse_err(1, col, msg);
-    while i < chars.len() {
-        let c = chars[i];
-        let col = i + 1;
-        match c {
-            c if c.is_whitespace() => i += 1,
-            '(' => {
-                tokens.push((Token::LParen, col));
-                i += 1;
+impl PredAst {
+    /// Visit every atom.
+    pub fn for_each_atom<'a>(&'a self, f: &mut impl FnMut(&'a PredAst)) {
+        match self {
+            PredAst::Atom { .. } => f(self),
+            PredAst::And(parts) | PredAst::Or(parts) => {
+                parts.iter().for_each(|p| p.for_each_atom(f));
             }
-            ')' => {
-                tokens.push((Token::RParen, col));
-                i += 1;
-            }
-            '\'' | '"' => {
-                let quote = c;
-                let mut s = String::new();
-                i += 1;
-                loop {
-                    if i >= chars.len() {
-                        return Err(err(col, "unterminated string literal".to_string()));
-                    }
-                    if chars[i] == quote {
-                        // Doubled quote = escaped quote.
-                        if i + 1 < chars.len() && chars[i + 1] == quote {
-                            s.push(quote);
-                            i += 2;
-                            continue;
-                        }
-                        i += 1;
-                        break;
-                    }
-                    s.push(chars[i]);
-                    i += 1;
-                }
-                tokens.push((Token::Str(s), col));
-            }
-            '=' => {
-                tokens.push((Token::Op(CmpOp::Eq), col));
-                i += 1;
-            }
-            '!' if chars.get(i + 1) == Some(&'=') => {
-                tokens.push((Token::Op(CmpOp::Ne), col));
-                i += 2;
-            }
-            '<' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    tokens.push((Token::Op(CmpOp::Le), col));
-                    i += 2;
-                } else if chars.get(i + 1) == Some(&'>') {
-                    tokens.push((Token::Op(CmpOp::Ne), col));
-                    i += 2;
-                } else {
-                    tokens.push((Token::Op(CmpOp::Lt), col));
-                    i += 1;
-                }
-            }
-            '>' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    tokens.push((Token::Op(CmpOp::Ge), col));
-                    i += 2;
-                } else {
-                    tokens.push((Token::Op(CmpOp::Gt), col));
-                    i += 1;
-                }
-            }
-            c if c.is_ascii_digit()
-                || (c == '-' && chars.get(i + 1).is_some_and(|n| n.is_ascii_digit())) =>
-            {
-                let start = i;
-                i += 1;
-                let mut is_float = false;
-                while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '.') {
-                    is_float |= chars[i] == '.';
-                    i += 1;
-                }
-                let text: String = chars[start..i].iter().collect();
-                if is_float {
-                    tokens.push((
-                        Token::Float(
-                            text.parse()
-                                .map_err(|_| err(col, format!("bad float `{text}`")))?,
-                        ),
-                        col,
-                    ));
-                } else {
-                    tokens.push((
-                        Token::Int(
-                            text.parse()
-                                .map_err(|_| err(col, format!("bad integer `{text}`")))?,
-                        ),
-                        col,
-                    ));
-                }
-            }
-            c if c.is_alphanumeric() || c == '_' => {
-                let start = i;
-                while i < chars.len()
-                    && (chars[i].is_alphanumeric() || chars[i] == '_' || chars[i] == '.')
-                {
-                    i += 1;
-                }
-                let word: String = chars[start..i].iter().collect();
-                match word.to_ascii_lowercase().as_str() {
-                    "and" => tokens.push((Token::And, col)),
-                    "or" => tokens.push((Token::Or, col)),
-                    "not" => tokens.push((Token::Not, col)),
-                    "true" => tokens.push((Token::True, col)),
-                    "false" => tokens.push((Token::False, col)),
-                    "null" => tokens.push((Token::Null, col)),
-                    _ => tokens.push((Token::Ident(word), col)),
-                }
-            }
-            other => return Err(err(col, format!("unexpected character `{other}`"))),
+            PredAst::Not(inner) => inner.for_each_atom(f),
+            PredAst::Const(_) => {}
         }
     }
-    Ok(tokens)
+}
+
+/// Words a predicate reserves (ASCII case-insensitive).
+const PRED_KEYWORDS: [&str; 6] = ["and", "or", "not", "true", "false", "null"];
+
+/// The predicate syntax layer over `text`, found on line `line` at
+/// 0-based char offset `col0` of its source (so spans point into the
+/// original file). Every syntax fault is `E011`; after one, parsing
+/// resumes at the next `and`/`or` clause.
+pub fn predicate_syntax(
+    text: &str,
+    line: usize,
+    col0: usize,
+) -> std::result::Result<PredAst, Vec<Fault>> {
+    let tokens = Tokens::lex(text, line, col0).map_err(|f| vec![f])?;
+    if tokens.is_empty() {
+        return Ok(PredAst::Const(true));
+    }
+    tokens.parse_clauses(
+        disjunction,
+        |t| matches!(t, Tok::Word(w) if w.eq_ignore_ascii_case("and") || w.eq_ignore_ascii_case("or")),
+        "trailing tokens after predicate",
+    )
+}
+
+fn expected(what: &str, tok: Option<Tok>, span: Span) -> Fault {
+    Fault::new(
+        "E011",
+        span,
+        format!("expected {what}, got {}", describe(tok.as_ref())),
+    )
+}
+
+/// `item (kw item)*`, two or more items wrapped by `join`.
+fn joined(
+    t: &mut Tokens,
+    kw: &str,
+    item: fn(&mut Tokens) -> std::result::Result<PredAst, Fault>,
+    join: fn(Vec<PredAst>) -> PredAst,
+) -> std::result::Result<PredAst, Fault> {
+    let mut parts = vec![item(t)?];
+    while t.peek_word(kw) {
+        t.bump();
+        parts.push(item(t)?);
+    }
+    Ok(if parts.len() == 1 {
+        parts.pop().expect("non-empty")
+    } else {
+        join(parts)
+    })
+}
+
+fn disjunction(t: &mut Tokens) -> std::result::Result<PredAst, Fault> {
+    joined(t, "or", conjunction, PredAst::Or)
+}
+
+fn conjunction(t: &mut Tokens) -> std::result::Result<PredAst, Fault> {
+    joined(t, "and", unary, PredAst::And)
+}
+
+fn unary(t: &mut Tokens) -> std::result::Result<PredAst, Fault> {
+    if t.peek_word("not") {
+        t.bump();
+        return Ok(PredAst::Not(Box::new(unary(t)?)));
+    }
+    for (kw, b) in [("true", true), ("false", false)] {
+        if t.peek_word(kw) {
+            t.bump();
+            return Ok(PredAst::Const(b));
+        }
+    }
+    if t.peek() != Some(&Tok::LParen) {
+        return comparison(t);
+    }
+    t.bump();
+    let inner = disjunction(t)?;
+    match t.bump() {
+        (Some(Tok::RParen), _) => Ok(inner),
+        (other, span) => Err(expected("`)`", other, span)),
+    }
+}
+
+fn comparison(t: &mut Tokens) -> std::result::Result<PredAst, Fault> {
+    let attr = match t.bump() {
+        (Some(Tok::Word(w)), span) if !PRED_KEYWORDS.iter().any(|k| w.eq_ignore_ascii_case(k)) => {
+            (w, span)
+        }
+        (other, span) => return Err(expected("attribute", other, span)),
+    };
+    let op = match t.bump() {
+        (Some(Tok::Op(op)), _) => op,
+        (other, span) => return Err(expected("comparison operator", other, span)),
+    };
+    let (value, value_span) = match t.bump() {
+        (Some(Tok::Str(s)), span) => (Value::str(s), span),
+        (Some(Tok::Num(n)), span) => (number(&n, span)?, span),
+        // A `-` directly before a number is its sign.
+        (Some(Tok::Minus), minus) if t.here().col == minus.col + 1 => match t.bump() {
+            (Some(Tok::Num(n)), span) => {
+                let span = Span::new(span.line, minus.col, span.len + 1);
+                (number(&format!("-{n}"), span)?, span)
+            }
+            (other, span) => return Err(expected("literal", other, span)),
+        },
+        (Some(Tok::Word(w)), span) if w.eq_ignore_ascii_case("true") => (Value::Bool(true), span),
+        (Some(Tok::Word(w)), span) if w.eq_ignore_ascii_case("false") => (Value::Bool(false), span),
+        (Some(Tok::Word(w)), span) if w.eq_ignore_ascii_case("null") => (Value::Null, span),
+        (other, span) => return Err(expected("literal", other, span)),
+    };
+    Ok(PredAst::Atom {
+        attr: attr.0,
+        attr_span: attr.1,
+        op,
+        value,
+        value_span,
+    })
+}
+
+/// A numeric literal: a float when it has a `.`, else an integer.
+fn number(text: &str, span: Span) -> std::result::Result<Value, Fault> {
+    let value = if text.contains('.') {
+        text.parse().map(Value::Float).ok()
+    } else {
+        text.parse().map(Value::Int).ok()
+    };
+    value.ok_or_else(|| Fault::new("E011", span, format!("bad number `{text}`")))
+}
+
+// ---------------------------------------------------------------------
+// Predicate language: lowering
+// ---------------------------------------------------------------------
+
+/// The one attribute resolver: `Relation.attr`, or a bare `attr` that is
+/// unique across `relations`, to its reference and declared type.
+/// Faults: unknown relation (`E001`), unknown attribute (`E002`),
+/// ambiguous bare name (`E013`).
+pub fn lower_attr(
+    relations: &[RelationSchema],
+    name: &str,
+    span: Span,
+) -> std::result::Result<(AttrRef, ValueType), Fault> {
+    let typed = |a: AttrRef| (a, relations[a.rel].attributes[a.col].ty);
+    if let Some((rel_name, col_name)) = name.split_once('.') {
+        let Some(rel) = relations.iter().position(|r| r.name == rel_name) else {
+            let s = suggest(rel_name, relations.iter().map(|r| r.name.as_str()));
+            return Err(
+                Fault::new("E001", span, format!("unknown relation `{rel_name}`"))
+                    .with_suggestion(s.map(|s| format!("{s}.{col_name}"))),
+            );
+        };
+        let r = &relations[rel];
+        return match r.attr_index(col_name) {
+            Some(col) => Ok(typed(AttrRef { rel, col })),
+            None => {
+                let s = suggest(col_name, r.attributes.iter().map(|a| a.name.as_str()));
+                Err(Fault::new(
+                    "E002",
+                    span,
+                    format!("unknown attribute `{rel_name}.{col_name}`"),
+                )
+                .with_suggestion(s.map(|s| format!("{rel_name}.{s}"))))
+            }
+        };
+    }
+    let mut matches = relations
+        .iter()
+        .enumerate()
+        .filter_map(|(rel, r)| r.attr_index(name).map(|col| AttrRef { rel, col }));
+    match (matches.next(), matches.next()) {
+        (Some(a), None) => Ok(typed(a)),
+        (None, _) => {
+            let all = relations
+                .iter()
+                .flat_map(|r| r.attributes.iter().map(|a| a.name.as_str()));
+            Err(
+                Fault::new("E002", span, format!("unknown attribute `{name}`"))
+                    .with_suggestion(suggest(name, all)),
+            )
+        }
+        (Some(first), Some(_)) => {
+            let rels: Vec<&str> = relations
+                .iter()
+                .filter(|r| r.attr_index(name).is_some())
+                .map(|r| r.name.as_str())
+                .collect();
+            Err(Fault::new(
+                "E013",
+                span,
+                format!(
+                    "attribute `{name}` is ambiguous (declared in {})",
+                    rels.join(", ")
+                ),
+            )
+            .with_help(format!(
+                "qualify it, e.g. `{}.{name}`",
+                relations[first.rel].name
+            )))
+        }
+    }
 }
 
 /// Resolve an attribute name: `Relation.attr` or a bare `attr` that is
-/// unique across the schema.
+/// unique across the schema (see [`lower_attr`]).
 pub fn resolve_attr(schema: &DatabaseSchema, name: &str) -> Result<AttrRef> {
-    if name.contains('.') {
-        return schema.attr_path(name);
-    }
-    let mut matches = Vec::new();
-    for (rel, r) in schema.relations().iter().enumerate() {
-        if let Some(col) = r.attr_index(name) {
-            matches.push(AttrRef { rel, col });
-        }
-    }
-    match matches.as_slice() {
-        [one] => Ok(*one),
-        [] => Err(Error::UnknownAttribute {
-            relation: "*".to_string(),
-            attribute: name.to_string(),
-        }),
-        _ => Err(parse_err(
-            1,
-            0,
-            format!("attribute `{name}` is ambiguous; qualify it as Relation.{name}"),
-        )),
-    }
+    lower_attr(schema.relations(), name, Span::file())
+        .map(|(a, _)| a)
+        .map_err(Fault::into_error)
 }
 
-struct PredParser<'a> {
-    schema: &'a DatabaseSchema,
-    tokens: Vec<(Token, usize)>,
-    pos: usize,
-    /// Line number reported in errors.
-    line: usize,
-    /// Char offset added to token columns (predicate text embedded in a
-    /// larger line, e.g. after `where `).
-    col0: usize,
-    /// Column just past the end of the text (for end-of-input errors).
-    end_col: usize,
-}
-
-impl PredParser<'_> {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|(t, _)| t)
-    }
-
-    /// Column of the current token, or of end-of-input.
-    fn here(&self) -> usize {
-        self.tokens
-            .get(self.pos)
-            .map_or(self.end_col, |&(_, col)| col)
-            + self.col0
-    }
-
-    fn err_here(&self, message: impl Into<String>) -> Error {
-        parse_err(self.line, self.here(), message)
-    }
-
-    // exq-lint: allow(L006): cursor advance over this parser's own token/position types; sharing would couple the strict and loose token enums
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|(t, _)| t.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    // exq-lint: allow(L006): precedence-climbing skeleton; operates on this parser's Token/Predicate, the strict/loose pair differ in error arms
-    fn expr(&mut self) -> Result<Predicate> {
-        let mut parts = vec![self.conjunction()?];
-        while self.peek() == Some(&Token::Or) {
-            self.next();
-            parts.push(self.conjunction()?);
-        }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("non-empty")
-        } else {
-            Predicate::Or(parts)
-        })
-    }
-
-    // exq-lint: allow(L006): precedence-climbing skeleton; see `expr` above
-    fn conjunction(&mut self) -> Result<Predicate> {
-        let mut parts = vec![self.unary()?];
-        while self.peek() == Some(&Token::And) {
-            self.next();
-            parts.push(self.unary()?);
-        }
-        Ok(if parts.len() == 1 {
-            parts.pop().expect("non-empty")
-        } else {
-            Predicate::And(parts)
-        })
-    }
-
-    fn unary(&mut self) -> Result<Predicate> {
-        match self.peek() {
-            Some(Token::Not) => {
-                self.next();
-                Ok(Predicate::not(self.unary()?))
-            }
-            Some(Token::LParen) => {
-                self.next();
-                let inner = self.expr()?;
-                match self.peek() {
-                    Some(Token::RParen) => {
-                        self.next();
-                        Ok(inner)
-                    }
-                    _ => Err(self.err_here("expected `)`")),
+/// Lower a predicate AST against `relations`, pushing every fault:
+/// unresolvable attributes and ill-typed comparisons (`E008` — a literal
+/// must be null, or suit the attribute's type, ints and floats being
+/// interchangeable). The result is meaningful only when no fault was
+/// pushed.
+pub fn lower_predicate(
+    relations: &[RelationSchema],
+    ast: &PredAst,
+    faults: &mut Vec<Fault>,
+) -> Predicate {
+    let mut all = |parts: &[PredAst]| -> Vec<Predicate> {
+        parts
+            .iter()
+            .map(|p| lower_predicate(relations, p, faults))
+            .collect()
+    };
+    match ast {
+        PredAst::Const(true) => Predicate::True,
+        PredAst::Const(false) => Predicate::False,
+        PredAst::And(parts) => Predicate::And(all(parts)),
+        PredAst::Or(parts) => Predicate::Or(all(parts)),
+        PredAst::Not(inner) => Predicate::not(lower_predicate(relations, inner, faults)),
+        PredAst::Atom {
+            attr,
+            attr_span,
+            op,
+            value,
+            value_span,
+        } => match lower_attr(relations, attr, *attr_span) {
+            Ok((a, ty)) => {
+                let comparable =
+                    ty.admits(value) || (ty == ValueType::Int && matches!(value, Value::Float(_)));
+                if !comparable {
+                    faults.push(type_mismatch(attr, ty, value, *value_span));
                 }
+                Predicate::cmp(a, *op, value.clone())
             }
-            Some(Token::True) => {
-                self.next();
-                Ok(Predicate::True)
+            Err(f) => {
+                faults.push(f);
+                Predicate::True
             }
-            Some(Token::False) => {
-                self.next();
-                Ok(Predicate::False)
-            }
-            _ => self.comparison(),
-        }
+        },
     }
+}
 
-    fn comparison(&mut self) -> Result<Predicate> {
-        let attr_col = self.here();
-        let attr = match self.next() {
-            Some(Token::Ident(name)) => {
-                resolve_attr(self.schema, &name).map_err(|e| match e {
-                    // Patch in the real position (resolve_attr has no
-                    // access to token spans).
-                    Error::Parse {
-                        col: 0, message, ..
-                    } => parse_err(self.line, attr_col, message),
-                    other => other,
-                })?
-            }
-            other => {
-                return Err(parse_err(
-                    self.line,
-                    attr_col,
-                    format!("expected attribute, got {other:?}"),
-                ))
-            }
-        };
-        let op_col = self.here();
-        let op = match self.next() {
-            Some(Token::Op(op)) => op,
-            other => {
-                return Err(parse_err(
-                    self.line,
-                    op_col,
-                    format!("expected comparison operator, got {other:?}"),
-                ))
-            }
-        };
-        let lit_col = self.here();
-        let value = match self.next() {
-            Some(Token::Str(s)) => Value::str(s),
-            Some(Token::Int(i)) => Value::Int(i),
-            Some(Token::Float(f)) => Value::Float(f),
-            Some(Token::True) => Value::Bool(true),
-            Some(Token::False) => Value::Bool(false),
-            Some(Token::Null) => Value::Null,
-            other => {
-                return Err(parse_err(
-                    self.line,
-                    lit_col,
-                    format!("expected literal, got {other:?}"),
-                ))
-            }
-        };
-        Ok(Predicate::cmp(attr, op, value))
+fn type_mismatch(attr: &str, ty: ValueType, value: &Value, span: Span) -> Fault {
+    let kind = match value {
+        Value::Str(_) => "a string",
+        Value::Int(_) => "an integer",
+        Value::Float(_) => "a float",
+        Value::Bool(_) => "a boolean",
+        Value::Null => "a null",
+    };
+    let fault = Fault::new(
+        "E008",
+        span,
+        format!(
+            "type mismatch: attribute `{attr}` has type {ty} but is compared to {kind} literal"
+        ),
+    );
+    match (ty, value) {
+        (ValueType::Str, Value::Int(_) | Value::Float(_)) => {
+            fault.with_help(format!("quote the value: `'{value}'`"))
+        }
+        (ValueType::Int | ValueType::Float, Value::Str(s)) if s.parse::<f64>().is_ok() => {
+            fault.with_help(format!("remove the quotes: `{s}`"))
+        }
+        _ => fault,
     }
 }
 
@@ -640,44 +967,18 @@ pub fn parse_predicate(schema: &DatabaseSchema, text: &str) -> Result<Predicate>
 
 /// [`parse_predicate`] for predicate text embedded in a larger source:
 /// errors report `line` and columns offset by `col0` (the 0-based char
-/// offset of `text` within its source line). Used by the question-file
-/// parser and the static analyzer so `where`-clause diagnostics point
-/// into the original file.
+/// offset of `text` within its source line).
 pub fn parse_predicate_at(
     schema: &DatabaseSchema,
     text: &str,
     line: usize,
     col0: usize,
 ) -> Result<Predicate> {
-    let tokens = tokenize(text).map_err(|e| match e {
-        Error::Parse { col, message, .. } => parse_err(line, col0 + col, message),
-        other => other,
-    })?;
-    if tokens.is_empty() {
-        return Ok(Predicate::True);
-    }
-    let mut parser = PredParser {
-        schema,
-        tokens,
-        pos: 0,
-        line,
-        col0,
-        end_col: text.chars().count() + 1,
-    };
-    let pred = parser.expr()?;
-    if parser.pos != parser.tokens.len() {
-        let col = parser.here();
-        return Err(parse_err(
-            line,
-            col,
-            format!(
-                "trailing tokens after predicate: {:?}",
-                parser.tokens[parser.pos..]
-                    .iter()
-                    .map(|(t, _)| t)
-                    .collect::<Vec<_>>()
-            ),
-        ));
+    let ast = predicate_syntax(text, line, col0).map_err(first_error)?;
+    let mut faults = Vec::new();
+    let pred = lower_predicate(schema.relations(), &ast, &mut faults);
+    if !faults.is_empty() {
+        return Err(first_error(faults));
     }
     Ok(pred)
 }
@@ -687,6 +988,7 @@ mod tests {
     use super::*;
     use crate::database::Database;
     use crate::join::Universal;
+    use crate::text::strip_comment;
 
     const SCHEMA_TEXT: &str = "
 # the running example
@@ -734,6 +1036,60 @@ fk Authored(pubid) <-> Publication   # every author is necessary
                 msg.contains(fragment),
                 "`{text}` → `{msg}` (wanted `{fragment}`)"
             );
+        }
+    }
+
+    fn codes(faults: &[Fault]) -> Vec<&'static str> {
+        faults.iter().map(|f| f.code).collect()
+    }
+
+    #[test]
+    fn schema_recovers_past_errors() {
+        let text = "relation A(id: blob key)\nwibble\nrelation B(id: int key)\nfk A(id) => B\n";
+        let (ast, faults) = schema_syntax(text);
+        // Both relations survive despite the bad type and the bad line.
+        assert_eq!(ast.relations.len(), 2);
+        assert_eq!(ast.fks.len(), 0);
+        assert_eq!(codes(&faults), ["E010", "E010", "E010"]);
+        // The unknown type has no type but keeps its name.
+        assert_eq!(ast.relations[0].columns[0].ty, None);
+        assert!(ast.relations[0].columns[0].key);
+    }
+
+    #[test]
+    fn schema_spans_point_at_fragments() {
+        let text = "relation A(id: blob key)";
+        let (_, faults) = schema_syntax(text);
+        assert_eq!(faults.len(), 1);
+        let col = text.find("blob").unwrap() + 1;
+        assert_eq!(faults[0].span, Span::new(1, col, 4));
+        // The strict entry point reports the same fault.
+        let err = parse_schema(text).unwrap_err();
+        assert_eq!((err.code(), err.position()), ("E010", Some((1, col))));
+    }
+
+    #[test]
+    fn schema_faults_carry_their_own_codes() {
+        for (text, code) in [
+            ("relation X(a: int)", "E012"),
+            ("relation X(a: int key)\nrelation X(b: int key)", "E003"),
+            ("relation X(a: int key, a: str)", "E004"),
+            ("relation X(a: int key)\nfk X(a) -> Y", "E001"),
+            (
+                "relation X(a: int key)\nrelation Y(b: int key)\nfk X(z) -> Y",
+                "E002",
+            ),
+            (
+                "relation X(a: int key, b: int key)\nrelation Y(c: int key)\nfk Y(c) -> X",
+                "E005",
+            ),
+            (
+                "relation X(a: int key)\nrelation Y(c: str key)\nfk Y(c) -> X",
+                "E006",
+            ),
+            ("relation X(a: int key)\nfk X(a) -> X", "E007"),
+        ] {
+            assert_eq!(parse_schema(text).unwrap_err().code(), code, "`{text}`");
         }
     }
 
@@ -884,6 +1240,108 @@ fk Authored(pubid) <-> Publication   # every author is necessary
                     "semantics changed via `{text}`"
                 );
             }
+        }
+    }
+
+    fn pred_syntax(text: &str) -> std::result::Result<PredAst, Vec<Fault>> {
+        predicate_syntax(text, 3, 10)
+    }
+
+    #[test]
+    fn parses_conjunctions() {
+        let Ok(PredAst::And(parts)) = pred_syntax("venue = 'SIGMOD' and year >= 2000") else {
+            panic!("expected And")
+        };
+        assert_eq!(parts.len(), 2);
+        let PredAst::Atom { attr, value, .. } = &parts[0] else {
+            panic!("expected Atom")
+        };
+        assert_eq!(attr, "venue");
+        assert_eq!(*value, Value::str("SIGMOD"));
+    }
+
+    #[test]
+    fn spans_are_offset() {
+        let Ok(PredAst::Atom {
+            attr_span,
+            value_span,
+            ..
+        }) = pred_syntax("year >= -2000")
+        else {
+            panic!("expected Atom")
+        };
+        assert_eq!(attr_span, Span::new(3, 11, 4)); // col0 10 + col 1
+        assert_eq!(value_span, Span::new(3, 19, 5));
+    }
+
+    #[test]
+    fn syntax_faults_are_reported_not_fatal() {
+        for text in [
+            "venue =",
+            "= 'x'",
+            "(a = 1",
+            "a = 1 extra",
+            "'open",
+            "a = 1.2.3",
+        ] {
+            let faults = pred_syntax(text).unwrap_err();
+            assert_eq!(codes(&faults), ["E011"], "`{text}`");
+            assert!(
+                faults[0].span.col > 10,
+                "`{text}` col {}",
+                faults[0].span.col
+            );
+        }
+        // Parsing resumes at the next clause: one fault per bad clause.
+        let faults = pred_syntax("a = = 1 and b = 2 and c 3 or d = 4").unwrap_err();
+        assert_eq!(codes(&faults), ["E011", "E011"]);
+        assert!(
+            faults[1].message.contains("got `3`"),
+            "{}",
+            faults[1].message
+        );
+    }
+
+    #[test]
+    fn empty_is_true() {
+        assert_eq!(pred_syntax("   "), Ok(PredAst::Const(true)));
+    }
+
+    #[test]
+    fn atom_visitor_reaches_nested() {
+        let ast = pred_syntax("not (a = 1 or (b = 2 and c = 3))").unwrap();
+        let mut n = 0;
+        ast.for_each_atom(&mut |_| n += 1);
+        assert_eq!(n, 3);
+    }
+
+    #[test]
+    fn ill_typed_comparisons_are_rejected() {
+        let db = sample_db();
+        let schema = db.schema();
+        for text in ["year = 'x'", "venue = 2004", "year = true", "venue < 1.5"] {
+            let err = parse_predicate(schema, text).unwrap_err();
+            assert_eq!(err.code(), "E008", "`{text}`: {err}");
+        }
+        for text in ["year = 2001.5", "venue = null", "year != -3"] {
+            assert!(parse_predicate(schema, text).is_ok(), "`{text}`");
+        }
+    }
+
+    #[test]
+    fn resolution_faults_are_located() {
+        let db = sample_db();
+        for (text, code, col) in [
+            ("year = 1 and zzz = 1", "E002", 14),
+            ("Pub.year = 1", "E001", 1),
+            ("id = 'A1'", "E013", 1),
+        ] {
+            let err = parse_predicate(db.schema(), text).unwrap_err();
+            assert_eq!(
+                (err.code(), err.position()),
+                (code, Some((1, col))),
+                "{err}"
+            );
         }
     }
 

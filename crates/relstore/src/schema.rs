@@ -327,6 +327,13 @@ impl SchemaBuilder {
         self
     }
 
+    /// Declare a relation given as a [`RelationSchema`] (the schema
+    /// DSL's lowering).
+    pub(crate) fn push_relation(mut self, relation: RelationSchema) -> Self {
+        self.relations.push(relation);
+        self
+    }
+
     /// Declare a standard foreign key `from.cols → to.pk`.
     pub fn standard_fk(mut self, from: &str, cols: &[&str], to: &str) -> Self {
         self.fks.push((

@@ -77,7 +77,6 @@ impl Value {
     /// which is **lossy** above 2⁵³ — do not fold `Int`s through this in
     /// accumulation loops (`AggState` keeps an exact `i128` lane instead);
     /// it is fine for one-shot conversions at an f64 output boundary.
-    // exq-lint: allow(L006): structurally parallel to analyze's Lit::as_num, but on an unrelated enum
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Int(i) => Some(*i as f64),

@@ -673,7 +673,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// `parse_predicate ∘ predicate_to_text` preserves evaluation on every
-    /// tuple, for arbitrary boolean predicates.
+    /// tuple, for arbitrary well-typed boolean predicates; an ill-typed
+    /// one is rejected with E008.
     #[test]
     fn predicate_text_round_trip(
         rows in proptest::collection::vec((any::<u8>(), any::<u8>(), -100i32..100), 1..15),
@@ -682,10 +683,30 @@ proptest! {
         let db = small_db(&rows);
         let u = Universal::compute(&db, &db.full_view());
         let text = exq_relstore::parse::predicate_to_text(db.schema(), &pred);
-        let back = exq_relstore::parse::parse_predicate(db.schema(), &text)
-            .map_err(|e| TestCaseError::fail(format!("`{text}` failed to re-parse: {e}")))?;
-        for t in u.iter() {
-            prop_assert_eq!(pred.eval(&db, t), back.eval(&db, t), "via `{}`", text);
+        // The generator's columns are all `int`: a string or boolean
+        // literal is ill-typed, and the parser rejects it with E008.
+        fn well_typed(p: &exq_relstore::Predicate) -> bool {
+            use exq_relstore::Predicate as P;
+            match p {
+                P::Atom(a) => matches!(a.value, Value::Null | Value::Int(_) | Value::Float(_)),
+                P::And(ps) | P::Or(ps) => ps.iter().all(well_typed),
+                P::Not(inner) => well_typed(inner),
+                P::True | P::False => true,
+            }
+        }
+        match exq_relstore::parse::parse_predicate(db.schema(), &text) {
+            Ok(back) => {
+                prop_assert!(well_typed(&pred), "ill-typed `{}` parsed", text);
+                for t in u.iter() {
+                    prop_assert_eq!(pred.eval(&db, t), back.eval(&db, t), "via `{}`", text);
+                }
+            }
+            Err(e) => prop_assert!(
+                !well_typed(&pred) && e.code() == "E008",
+                "`{}` failed to re-parse: {}",
+                text,
+                e
+            ),
         }
     }
 }

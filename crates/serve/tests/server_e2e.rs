@@ -698,6 +698,40 @@ fn cost_accounting_snapshot_wire_and_trace_retention() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A malformed or ill-typed question is the client's fault: 422, and
+/// the worker that parsed it keeps serving.
+#[test]
+fn malformed_questions_get_422_and_leave_the_worker_alive() {
+    // One worker: if a request killed it, nothing would answer after.
+    let handle = start(ServerConfig {
+        threads: 1,
+        ..ServerConfig::default()
+    });
+    let addr = handle.addr();
+    for question in [
+        // A non-ASCII byte where `where` is expected.
+        r"agg a = count(*) wherë = 1\ndir high",
+        // Ill-typed: `A.g` is a string, `sum` needs a number.
+        r"agg a = count(*) where g = 1\ndir high",
+        r"agg a = sum(g)\ndir high",
+    ] {
+        let body = format!(r#"{{"dataset": "test", "question": "{question}", "attrs": ["A.g"]}}"#);
+        let response = client::post_json(addr, "/v1/explain", &body).unwrap();
+        assert_eq!(response.status, 422, "{question}: {}", response.text());
+    }
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(client::get(addr, "/healthz").map(|r| r.status));
+    });
+    let health = rx
+        .recv_timeout(Duration::from_secs(1))
+        .expect("/healthz answers within 1 s");
+    assert_eq!(health.unwrap(), 200);
+    let snapshot = handle.shutdown();
+    assert_eq!(snapshot.counter("server.responses.server_error"), 0);
+    assert_eq!(snapshot.counter("server.responses.client_error"), 3);
+}
+
 /// Shutdown drains: requests accepted before the signal complete.
 #[test]
 fn shutdown_completes_queued_work() {

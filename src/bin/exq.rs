@@ -180,15 +180,14 @@ impl Obs {
 fn load_database(args: &Args, obs: &Obs) -> Result<Database, String> {
     let schema_file = args.one("schema")?;
     let schema_text = fs::read_to_string(schema_file).map_err(|e| format!("{schema_file}: {e}"))?;
-    let source = SourceFile::schema(schema_file, schema_text.as_str());
-    let analysis = analyze::analyze_schema(&source);
-    if analysis.has_errors() {
-        return Err(format!(
+    let schema = parse::parse_schema(&schema_text).map_err(|_| {
+        let source = SourceFile::schema(schema_file, schema_text.as_str());
+        let analysis = analyze::analyze_schema(&source);
+        format!(
             "schema rejected by `exq check`:\n\n{}",
             analysis.render_pretty(&[&source])
-        ));
-    }
-    let schema = parse::parse_schema(&schema_text).map_err(|e| e.to_string())?;
+        )
+    })?;
     let mut db = Database::new(schema);
     for spec in args.many("table") {
         let (rel, file) = spec
@@ -208,16 +207,14 @@ fn build_explainer<'a>(db: &'a Database, args: &Args, obs: &Obs) -> Result<Expla
     let question_file = args.one("question")?;
     let question_text =
         fs::read_to_string(question_file).map_err(|e| format!("{question_file}: {e}"))?;
-    let source = SourceFile::question(question_file, question_text.as_str());
-    let analysis = analyze::analyze_question_against(db.schema(), &source);
-    if analysis.has_errors() {
-        return Err(format!(
+    let question = qparse::parse_question(db.schema(), &question_text).map_err(|_| {
+        let source = SourceFile::question(question_file, question_text.as_str());
+        let analysis = analyze::analyze_question_against(db.schema(), &source);
+        format!(
             "question rejected by `exq check`:\n\n{}",
             analysis.render_pretty(&[&source])
-        ));
-    }
-    let question =
-        qparse::parse_question(db.schema(), &question_text).map_err(|e| e.to_string())?;
+        )
+    })?;
     let mut explainer =
         Explainer::new(db, question).exec(args.exec()?.with_metrics(obs.sink.clone()));
     if let Some(attrs) = args.optional("attrs") {

@@ -12,8 +12,8 @@
 //!   monotonic counters and span timers threaded through every hot path,
 //!   with counter totals bit-identical across thread counts;
 //! * [`analyze`] (`exq-analyze`) — the `exq check` static analyzer:
-//!   tolerant parsing plus semantic lint passes producing multi-error
-//!   diagnostics with stable codes, spans, and fix suggestions;
+//!   the engine's own grammar, reporting every fault, plus warning passes,
+//!   rendered as diagnostics with stable codes, spans, and fix suggestions;
 //! * [`datagen`] (`exq-datagen`) — seeded synthetic datasets standing in
 //!   for the paper's DBLP, natality, and Geo-DBLP data;
 //! * [`serve`] (`exq-serve`) — the resident HTTP explanation server:
