@@ -600,80 +600,39 @@ fn ex41() {
     }
 }
 
+/// The naive engine's candidate sweep — the one parallel operator — at
+/// 1/2/4/8 threads on the Figure 12 workload, asserting that every
+/// thread count produces a bit-identical table.
 fn scaling(full: bool) {
-    header("Thread scaling — join → cube → Algorithm 1 at 1/2/4/8 threads");
-    let threads = [1usize, 2, 4, 8];
-
-    // (a) The Figure 13 workload: Algorithm 1 end-to-end (universal join,
-    // per-sub-query cubes, degree derivation), Q_Race and Q_Marital.
-    let rows = if full { 2_000_000 } else { 400_000 };
-    let db = natality_db(rows);
-    let dims = natality_dims(&db, 4);
-    println!(
-        "(host reports {} available core(s))",
-        std::thread::available_parallelism().map_or(0, usize::from)
-    );
-    // Warm-up: fault in the data and let the allocator settle, so the
-    // 1-thread row is not penalized for going first.
-    {
-        let u = Universal::compute(&db, &db.full_view());
-        let _ =
-            cube_algo::explanation_table(&db, &u, &q_race(&db), &dims, CubeAlgoConfig::checked())
-                .unwrap();
-    }
-    println!("(a) Algorithm 1, Figure 13 workload ({rows} rows, d = 4)");
-    println!(
-        "{:>8} {:>12} {:>12} {:>14} {:>12} {:>9}",
-        "threads", "join", "Q_Race M", "Q_Marital M", "total", "speedup"
-    );
-    let mut baseline: Option<(Duration, exq_core::table_m::ExplanationTable)> = None;
-    for &n in &threads {
-        let exec = ExecConfig::with_threads(n);
-        let (u, t_join) = timed(|| Universal::compute_with(&db, &db.full_view(), &exec));
-        let config = CubeAlgoConfig::checked().with_exec(exec);
-        let (m_race, t_race) = timed(|| {
-            cube_algo::explanation_table(&db, &u, &q_race(&db), &dims, config.clone()).unwrap()
-        });
-        let (_, t_marital) = timed(|| {
-            cube_algo::explanation_table(&db, &u, &q_marital(&db), &dims, config.clone()).unwrap()
-        });
-        let total = t_join + t_race + t_marital;
-        let speedup = baseline
-            .as_ref()
-            .map_or(1.0, |(t1, _)| t1.as_secs_f64() / total.as_secs_f64());
-        match &baseline {
-            None => baseline = Some((total, m_race)),
-            Some((_, m1)) => assert_eq!(m1, &m_race, "tables must be bit-identical"),
-        }
-        println!(
-            "{:>8} {:>12?} {:>12?} {:>14?} {:>12?} {:>8.2}x",
-            n, t_join, t_race, t_marital, total, speedup
-        );
-    }
-
-    // (b) The Figure 12 workload: the naive engine, parallel across
-    // candidates (program P per candidate).
+    header("Thread scaling — the naive candidate sweep at 1/2/4/8 threads");
     let nrows = if full { 40_000 } else { 8_000 };
     let db = natality_db(nrows);
     let dims = natality_dims(&db, 2);
     let question = q_race(&db);
     let u = Universal::compute(&db, &db.full_view());
     let engine = InterventionEngine::with_universal(&db, u);
-    println!("\n(b) naive engine, Figure 12 workload ({nrows} rows, d = 2)");
+    println!(
+        "(host reports {} available core(s))",
+        std::thread::available_parallelism().map_or(0, usize::from)
+    );
+    println!("naive engine, Figure 12 workload ({nrows} rows, d = 2)");
     println!("{:>8} {:>12} {:>9}", "threads", "table M", "speedup");
-    let mut base: Option<Duration> = None;
-    for &n in &threads {
+    let mut baseline: Option<(Duration, exq_core::table_m::ExplanationTable)> = None;
+    for n in [1usize, 2, 4, 8] {
         let exec = ExecConfig::with_threads(n);
-        let (_, t) = timed(|| {
+        let (m, t) = timed(|| {
             naive::explanation_table_naive_with(&db, &engine, &question, &dims, &exec).unwrap()
         });
-        let speedup = base
+        let speedup = baseline
             .as_ref()
-            .map_or(1.0, |t1| t1.as_secs_f64() / t.as_secs_f64());
-        base.get_or_insert(t);
+            .map_or(1.0, |(t1, _)| t1.as_secs_f64() / t.as_secs_f64());
+        match &baseline {
+            None => baseline = Some((t, m)),
+            Some((_, m1)) => assert_eq!(m1, &m, "tables must be bit-identical"),
+        }
         println!("{:>8} {:>12?} {:>8.2}x", n, t, speedup);
     }
-    println!("(every thread count produces a bit-identical table; asserted for (a))");
+    println!("(every thread count produces a bit-identical table; asserted)");
 }
 
 /// The ablations below Algorithm 1: the two cube strategies (DESIGN.md

@@ -23,11 +23,11 @@
 use crate::additivity::check_query;
 use crate::error::{Error, Result};
 use crate::question::UserQuestion;
-use crate::table_m::{self, ExplanationRow, ExplanationTable, DERIVE_BLOCK};
+use crate::table_m::{self, ExplanationRow, ExplanationTable};
 use exq_relstore::cube::{self, CodedCube, Coord, CubeStrategy};
 use exq_relstore::dict::NO_CODE;
 use exq_relstore::{
-    par, AttrRef, CodeTuples, Database, Dict, ExecConfig, MetricsSink, Universal, Value,
+    AttrRef, CodeTuples, Database, Dict, ExecConfig, MetricsSink, Universal, Value,
 };
 use std::collections::HashMap;
 
@@ -41,8 +41,7 @@ pub struct CubeAlgoConfig {
     /// anyway — the μ_interv column is then an *approximation* (the
     /// μ_aggr column is always exact).
     pub enforce_additivity: bool,
-    /// The executor the cubes and the degree derivation run on. Output is
-    /// bit-identical at any thread count.
+    /// The executor the cubes run under; carries the metrics sink.
     pub exec: ExecConfig,
 }
 
@@ -127,7 +126,7 @@ pub fn explanation_table(
     let store = db.columns();
     let dicts: Vec<&Dict> = dims.iter().map(|&a| store.dict_column(a).1).collect();
     let rows = sink.time("cube_algo.derive", || {
-        joined.derive(question, &folded.values, &dicts, &config.exec)
+        joined.derive(question, &folded.values, &dicts)
     });
     // Same name the naive engine records, so the differential test can
     // assert both engines evaluated the same candidate set.
@@ -168,7 +167,7 @@ pub fn explanation_table_reference(
     let cells = joined_value_cells(db, u, question, dims, &config, &sink)?;
     sink.add("cube_algo.joined_cells", cells.len() as u64);
     let rows = sink.time("cube_algo.derive", || {
-        table_m::derive_rows(question, &totals, &cells, &config.exec)
+        table_m::derive_rows(question, &totals, &cells)
     });
     sink.add("engine.candidates_evaluated", rows.len() as u64);
     Ok(ExplanationTable {
@@ -237,39 +236,34 @@ impl Joined {
 
     /// Lines 4–5: one degree row per cell, in coordinate order (the rank
     /// order of the code keys), the trivial all-"don't care" explanation
-    /// dropped. Blocks of rows fan out over `exec`; each row's arithmetic
-    /// reads only its own cell, so the fan-out is exact at any thread
-    /// count, and a `Value` coordinate is built once per row of `M`.
+    /// dropped. A `Value` coordinate is built once per row of `M`.
     fn derive(
         &self,
         question: &UserQuestion,
         totals: &[f64],
         dicts: &[&Dict],
-        exec: &ExecConfig,
     ) -> Vec<ExplanationRow> {
         let interv_sign = question.direction.interv_sign();
         let aggr_sign = question.direction.aggr_sign();
-        let order = self.keys.value_order(dicts);
-        let parts = par::map_blocks(exec, &order, DERIVE_BLOCK, |_, ids| {
-            ids.iter()
-                .filter_map(|&id| {
-                    let key = self.keys.get(id);
-                    if key.iter().all(|&code| code == NO_CODE) {
-                        return None; // trivial explanation, excluded from M
-                    }
-                    let at = id as usize * self.m;
-                    let values = &self.lanes[at..at + self.m];
-                    let residual = |j: usize| totals[j] - values[j];
-                    Some(ExplanationRow {
-                        coord: cube::decode_key(dicts, key),
-                        mu_interv: interv_sign * question.query.combine_by(residual),
-                        mu_aggr: aggr_sign * question.query.combine(values),
-                        values: values.to_vec(),
-                    })
+        self.keys
+            .value_order(dicts)
+            .into_iter()
+            .filter_map(|id| {
+                let key = self.keys.get(id);
+                if key.iter().all(|&code| code == NO_CODE) {
+                    return None; // trivial explanation, excluded from M
+                }
+                let at = id as usize * self.m;
+                let values = &self.lanes[at..at + self.m];
+                let residual = |j: usize| totals[j] - values[j];
+                Some(ExplanationRow {
+                    coord: cube::decode_key(dicts, key),
+                    mu_interv: interv_sign * question.query.combine_by(residual),
+                    mu_aggr: aggr_sign * question.query.combine(values),
+                    values: values.to_vec(),
                 })
-                .collect::<Vec<_>>()
-        });
-        parts.into_iter().flatten().collect()
+            })
+            .collect()
     }
 }
 

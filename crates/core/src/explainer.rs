@@ -94,9 +94,10 @@ impl<'a> Explainer<'a> {
     /// Create a pipeline for one user question. The universal relation is
     /// computed on first use and reused by every subsequent call.
     ///
-    /// The library default executor is sequential; opt in to parallelism
-    /// with [`Explainer::threads`] or [`Explainer::exec`]. Every parallel
-    /// path is bit-identical to the sequential one.
+    /// The library default executor is sequential; [`Explainer::threads`]
+    /// or [`Explainer::exec`] sizes the naive engine's candidate sweep,
+    /// the one parallel path, which is bit-identical to the sequential
+    /// one.
     pub fn new(db: &'a Database, question: UserQuestion) -> Explainer<'a> {
         Explainer {
             db,
@@ -113,7 +114,8 @@ impl<'a> Explainer<'a> {
         }
     }
 
-    /// Run the pipeline on `n` OS threads (clamped to at least one).
+    /// Run the naive engine's candidate sweep on `n` OS threads (clamped
+    /// to at least one).
     pub fn threads(self, n: usize) -> Explainer<'a> {
         self.exec(ExecConfig::with_threads(n))
     }

@@ -63,9 +63,8 @@ impl PreparedDb {
         PreparedDb::build_with(db, &ExecConfig::sequential())
     }
 
-    /// Build the intermediates on `exec`'s workers, recording the usual
-    /// `semijoin.*`/`join.*` counters into its metrics sink. Results are
-    /// bit-identical at every thread count.
+    /// Build the intermediates, recording the usual `semijoin.*`/`join.*`
+    /// counters into `exec`'s metrics sink.
     pub fn build_with(db: Arc<Database>, exec: &ExecConfig) -> PreparedDb {
         let _span = exec.metrics().span("prepare");
         // Columnar projections first: the reduction and join below (and

@@ -22,7 +22,7 @@ pub struct ReportConfig {
     pub drill_best: bool,
     /// The executor the pipeline ran on — recorded in the report header so
     /// a saved report states its own provenance. (Thread count never
-    /// changes the numbers; every parallel path is bit-identical.)
+    /// changes the numbers; the naive sweep is bit-identical at any.)
     pub exec: ExecConfig,
 }
 

@@ -8,54 +8,44 @@
 use crate::explanation::Explanation;
 use crate::question::UserQuestion;
 use exq_relstore::cube::Coord;
-use exq_relstore::par::{self, ExecConfig};
 use exq_relstore::{AttrRef, Database, Value};
 use std::fmt;
 
-/// Cells per block when deriving degree rows in parallel.
-pub(crate) const DERIVE_BLOCK: usize = 1024;
-
 /// Lines 4–5 of Algorithm 1 as the reference engine runs them: turn
 /// joined cube cells (dummy-encoded coordinates plus the per-sub-query
-/// `v_j` vector) into degree rows, fanning blocks of cells out over
-/// `exec`. Each row's arithmetic reads only its own cell, so the fan-out
-/// is exact at any thread count; rows come back sorted by coordinate.
-/// The all-null (trivial) explanation is dropped.
+/// `v_j` vector) into degree rows, sorted by coordinate. The all-null
+/// (trivial) explanation is dropped.
 pub fn derive_rows(
     question: &UserQuestion,
     totals: &[f64],
     cells: &[(Coord, Vec<f64>)],
-    exec: &ExecConfig,
 ) -> Vec<ExplanationRow> {
     let interv_sign = question.direction.interv_sign();
     let aggr_sign = question.direction.aggr_sign();
-    let parts = par::map_blocks(exec, cells, DERIVE_BLOCK, |_, chunk| {
-        chunk
-            .iter()
-            .filter_map(|(key, values)| {
-                // Undo the dummy mapping of the outer join.
-                let coord: Coord = key
-                    .iter()
-                    .map(|v| if v.is_dummy() { Value::Null } else { v.clone() })
-                    .collect();
-                if coord.iter().all(Value::is_null) {
-                    return None; // trivial explanation, excluded from M
-                }
-                let residual_vals: Vec<f64> = totals
-                    .iter()
-                    .zip(values)
-                    .map(|(u_j, v_j)| u_j - v_j)
-                    .collect();
-                Some(ExplanationRow {
-                    coord,
-                    mu_interv: interv_sign * question.query.combine(&residual_vals),
-                    mu_aggr: aggr_sign * question.query.combine(values),
-                    values: values.clone(),
-                })
+    let mut rows: Vec<ExplanationRow> = cells
+        .iter()
+        .filter_map(|(key, values)| {
+            // Undo the dummy mapping of the outer join.
+            let coord: Coord = key
+                .iter()
+                .map(|v| if v.is_dummy() { Value::Null } else { v.clone() })
+                .collect();
+            if coord.iter().all(Value::is_null) {
+                return None; // trivial explanation, excluded from M
+            }
+            let residual_vals: Vec<f64> = totals
+                .iter()
+                .zip(values)
+                .map(|(u_j, v_j)| u_j - v_j)
+                .collect();
+            Some(ExplanationRow {
+                coord,
+                mu_interv: interv_sign * question.query.combine(&residual_vals),
+                mu_aggr: aggr_sign * question.query.combine(values),
+                values: values.clone(),
             })
-            .collect::<Vec<_>>()
-    });
-    let mut rows: Vec<ExplanationRow> = parts.into_iter().flatten().collect();
+        })
+        .collect();
     rows.sort_by(|a, b| a.coord.cmp(&b.coord));
     rows
 }

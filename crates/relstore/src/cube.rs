@@ -51,10 +51,10 @@ use crate::database::Database;
 use crate::dict::{CodeTuples, Dict, NO_CODE};
 use crate::error::{Error, Result};
 use crate::join::Universal;
-use crate::par::{self, ExecConfig};
 use crate::predicate::Predicate;
 use crate::schema::AttrRef;
 use crate::value::Value;
+use crate::ExecConfig;
 use exq_obs::MetricsSink;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -62,14 +62,6 @@ use std::sync::Arc;
 /// Maximum cube dimensionality. `2^16` masks per tuple is already far past
 /// anything interactive; the paper's experiments stop at 8.
 pub const MAX_CUBE_DIMS: usize = 16;
-
-/// Tuple-accumulation block size. Blocks are ranges of universal
-/// positions — block `b` is `[ACCUM_BLOCK·b, ACCUM_BLOCK·(b+1))` — whose
-/// tuples fold into per-block cells that are then merged in block order,
-/// so the float-addition grouping is a function of the input alone —
-/// never of the thread count. This is what makes cube output
-/// bit-identical at any `--threads`.
-const ACCUM_BLOCK: usize = 4096;
 
 /// Which cube algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -176,10 +168,10 @@ pub fn compute(
     )
 }
 
-/// [`compute`] with an explicit executor. Output is bit-identical at any
-/// thread count: accumulation is blocked by `ACCUM_BLOCK` and merged in
-/// block order, and roll-up folds each parent's cells in coordinate
-/// order.
+/// [`compute`], recording into `exec`'s metrics sink. Each cell is a
+/// left fold of its tuples in `U` order, and roll-up folds each parent's
+/// cells in coordinate order, so the output is a function of the input
+/// alone.
 ///
 /// Runs entirely in `u32` code space and decodes the cells at the end.
 pub fn compute_with(
@@ -199,7 +191,7 @@ pub fn compute_with(
 /// `Value` coordinates in hash maps. Production never dispatches to it;
 /// the differential test suite asserts its cells are bit-identical to the
 /// kernel's, which holds because both fold the same selected tuples in
-/// the same block structure and tuple order, and both roll a parent up in
+/// the same order, and both roll a parent up in
 /// coordinate order: the kernel's rank keys order code tuples exactly
 /// like the `Value` order orders their decoded coordinates. So every
 /// float addition happens between the same numbers in the same order.
@@ -216,10 +208,8 @@ pub fn compute_rows_with(
     let sink = exec.metrics();
     let _span = sink.span("cube");
     let (states, selected) = match begin_run(sink, db, u, dims, strategy) {
-        CubeStrategy::SubsetEnumeration => {
-            rows_accumulate(db, u, selection, dims, agg, exec, true)?
-        }
-        CubeStrategy::LatticeRollup => rows_rollup(db, u, selection, dims, agg, exec)?,
+        CubeStrategy::SubsetEnumeration => rows_accumulate(db, u, selection, dims, agg, true)?,
+        CubeStrategy::LatticeRollup => rows_rollup(db, u, selection, dims, agg)?,
         CubeStrategy::Auto => unreachable!("begin_run never returns Auto"),
     };
     let cells: HashMap<Coord, f64> = states.into_iter().map(|(k, s)| (k, s.finalize())).collect();
@@ -285,9 +275,9 @@ pub fn compute_coded_at(
         let coded = CodedDims::new(&store, dims);
         match begin_run(sink, db, u, dims, strategy) {
             CubeStrategy::SubsetEnumeration => {
-                vec![accumulate(db, u, positions, &coded, agg, exec, true)?]
+                vec![accumulate(db, u, positions, &coded, agg, true)?]
             }
-            CubeStrategy::LatticeRollup => lattice_rollup(db, u, positions, &coded, agg, exec)?,
+            CubeStrategy::LatticeRollup => lattice_rollup(db, u, positions, &coded, agg)?,
             CubeStrategy::Auto => unreachable!("begin_run never returns Auto"),
         }
     };
@@ -407,8 +397,8 @@ pub fn group_by(
     group_by_with(db, u, selection, dims, agg, &ExecConfig::sequential())
 }
 
-/// [`group_by`] with an explicit executor. Like [`compute_with`], runs in
-/// code space and decodes the cells at the end.
+/// [`group_by`], timed under `exec`'s `cube` span. Like
+/// [`compute_with`], runs in code space and decodes the cells at the end.
 pub fn group_by_with(
     db: &Database,
     u: &Universal,
@@ -418,17 +408,10 @@ pub fn group_by_with(
     exec: &ExecConfig,
 ) -> Result<Cube> {
     check_input(db, dims, agg)?;
+    let _span = exec.metrics().span("cube");
     let positions = select(db, u, selection);
     let store = Arc::clone(db.columns());
-    let cells = accumulate(
-        db,
-        u,
-        &positions,
-        &CodedDims::new(&store, dims),
-        agg,
-        exec,
-        false,
-    )?;
+    let cells = accumulate(db, u, &positions, &CodedDims::new(&store, dims), agg, false)?;
     Ok(CodedCube::new(dims, store, vec![cells]).decode())
 }
 
@@ -573,86 +556,59 @@ impl Cells {
             self.states[id as usize].merge(state);
         }
     }
-
-    /// Merge a later block's cells into these, moving its states.
-    fn absorb(&mut self, block: Cells) {
-        for (id, state) in block.states.into_iter().enumerate() {
-            let (at, new) = self.keys.insert(block.keys.get(id as u32));
-            if new {
-                self.states.push(state);
-            } else {
-                self.states[at as usize].merge(&state);
-            }
-        }
-    }
 }
 
 /// Fold the tuples at `positions` into cells, one key per tuple
 /// (`enumerate_masks = false`) or all `2^d` ancestor keys
-/// (`enumerate_masks = true`).
-///
-/// Tuples fold per [`ACCUM_BLOCK`] of universal positions and the blocks'
-/// cells merge in block order, so both the error reported (the first
-/// failing tuple's, in input order) and the float-addition grouping are
-/// independent of the thread count.
+/// (`enumerate_masks = true`), in one pass in position order: each cell
+/// is the left fold of its tuples in `U` order, and the error reported is
+/// the first failing tuple's.
 fn accumulate(
     db: &Database,
     u: &Universal,
     positions: &[u32],
     dims: &CodedDims<'_>,
     agg: &AggFunc,
-    exec: &ExecConfig,
     enumerate_masks: bool,
 ) -> Result<Cells> {
     let d = dims.len();
     let store = Arc::clone(db.columns());
     let agg_eval = agg.compile(&store);
-    let blocks = par::try_map_index_blocks(exec, u.len(), ACCUM_BLOCK, |_, range| {
-        let from = positions.partition_point(|&p| (p as usize) < range.start);
-        let to = positions.partition_point(|&p| (p as usize) < range.end);
-        let mut cells = Cells::new(d);
-        let mut base = [0u32; MAX_CUBE_DIMS];
-        let mut key = [0u32; MAX_CUBE_DIMS];
-        for &p in &positions[from..to] {
-            let t = u.tuple(p as usize);
-            dims.extract(db, t, &mut base[..d])?;
-            if enumerate_masks {
-                for mask in 0..1u32 << d {
-                    for (j, slot) in key[..d].iter_mut().enumerate() {
-                        *slot = if mask & 1 << j != 0 { base[j] } else { NO_CODE };
-                    }
-                    agg_eval.update(cells.state(&key[..d], agg), db, t)?;
+    let mut cells = Cells::new(d);
+    let mut base = [0u32; MAX_CUBE_DIMS];
+    let mut key = [0u32; MAX_CUBE_DIMS];
+    for &p in positions {
+        let t = u.tuple(p as usize);
+        dims.extract(db, t, &mut base[..d])?;
+        if enumerate_masks {
+            for mask in 0..1u32 << d {
+                for (j, slot) in key[..d].iter_mut().enumerate() {
+                    *slot = if mask & 1 << j != 0 { base[j] } else { NO_CODE };
                 }
-            } else {
-                agg_eval.update(cells.state(&base[..d], agg), db, t)?;
+                agg_eval.update(cells.state(&key[..d], agg), db, t)?;
             }
+        } else {
+            agg_eval.update(cells.state(&base[..d], agg), db, t)?;
         }
-        Ok(cells)
-    })?;
-    let mut blocks = blocks.into_iter();
-    let mut cells = blocks.next().unwrap_or_else(|| Cells::new(d));
-    for block in blocks {
-        cells.absorb(block);
     }
     Ok(cells)
 }
 
-/// Group into finest-level cells, then roll up level by level (decreasing
-/// popcount). Returns the cells of every mask.
+/// Group into finest-level cells, then roll up the lattice. Returns the
+/// cells of every mask.
 ///
 /// Each mask M (≠ full) aggregates from its parent P = M | lowest unset
-/// bit, which has exactly one more bit — so every mask of one level only
-/// reads cells of the level above, and the masks within a level are
-/// independent: the whole level can fan out. A parent's cells are folded
-/// in coordinate order (its rank order, computed once per parent), which
-/// fixes the float-addition order however the cells were inserted.
+/// bit, which is larger than M, so visiting the masks in decreasing order
+/// finishes every parent before its children. A parent's cells are
+/// folded in coordinate order (its rank order, computed once per
+/// parent), which fixes the float-addition order however the cells were
+/// inserted.
 fn lattice_rollup(
     db: &Database,
     u: &Universal,
     positions: &[u32],
     dims: &CodedDims<'_>,
     agg: &AggFunc,
-    exec: &ExecConfig,
 ) -> Result<Vec<Cells>> {
     let d = dims.len();
     let dicts = dims.dicts();
@@ -669,25 +625,14 @@ fn lattice_rollup(
     let full = (1usize << d) - 1;
     let mut per_mask: Vec<(Cells, Vec<u32>)> =
         (0..=full).map(|_| (Cells::new(d), Vec::new())).collect();
-    per_mask[full] = finish(full, accumulate(db, u, positions, dims, agg, exec, false)?);
-    for level in (0..d as u32).rev() {
-        let level_masks: Vec<usize> = (0..full).filter(|m| m.count_ones() == level).collect();
-        let computed = par::map_blocks(exec, &level_masks, 1, |_, masks| {
-            masks
-                .iter()
-                .map(|&mask| (mask, finish(mask, rollup_one_mask(&per_mask, mask, d))))
-                .collect::<Vec<_>>()
-        });
-        for group in computed {
-            for (mask, finished) in group {
-                per_mask[mask] = finished;
-            }
-        }
+    per_mask[full] = finish(full, accumulate(db, u, positions, dims, agg, false)?);
+    for mask in (0..full).rev() {
+        per_mask[mask] = finish(mask, rollup_one_mask(&per_mask, mask, d));
     }
     Ok(per_mask.into_iter().map(|(cells, _)| cells).collect())
 }
 
-/// One roll-up mask's cells, from its (read-only, finished) parent.
+/// One roll-up mask's cells, from its finished parent.
 fn rollup_one_mask(per_mask: &[(Cells, Vec<u32>)], mask: usize, d: usize) -> Cells {
     let cleared = (!mask).trailing_zeros() as usize;
     let (parent, order) = &per_mask[mask | 1 << cleared];
@@ -704,73 +649,55 @@ fn rollup_one_mask(per_mask: &[(Cells, Vec<u32>)], mask: usize, d: usize) -> Cel
 /// A `Value`-keyed cell map of the reference path.
 type RowCells = HashMap<Coord, AggState>;
 
-/// The reference's [`accumulate`]: the same blocks, tuple order and merge
-/// order over `Value` coordinates, with the selection evaluated per tuple.
-/// Also returns the number of tuples passing `selection`.
+/// The reference's [`accumulate`]: the same tuple order over `Value`
+/// coordinates, with the selection evaluated per tuple. Also returns the
+/// number of tuples passing `selection`.
 fn rows_accumulate(
     db: &Database,
     u: &Universal,
     selection: &Predicate,
     dims: &[AttrRef],
     agg: &AggFunc,
-    exec: &ExecConfig,
     enumerate_masks: bool,
 ) -> Result<(RowCells, u64)> {
     let d = dims.len();
-    let blocks = par::try_map_index_blocks(exec, u.len(), ACCUM_BLOCK, |_, range| {
-        let mut cells = RowCells::new();
-        let mut selected: u64 = 0;
-        for i in range {
-            let t = u.tuple(i);
-            if !selection.eval(db, t) {
-                continue;
-            }
-            selected += 1;
-            let mut base = Vec::with_capacity(d);
-            for &a in dims {
-                let v = db.value(a, t[a.rel] as usize);
-                if v.is_null() {
-                    return Err(null_dimension_error(db, a));
-                }
-                base.push(v.clone());
-            }
-            let masks = if enumerate_masks { 0..1u32 << d } else { 0..1 };
-            for mask in masks {
-                let key: Coord = if enumerate_masks {
-                    base.iter()
-                        .enumerate()
-                        .map(|(j, v)| {
-                            if mask & 1 << j != 0 {
-                                v.clone()
-                            } else {
-                                Value::Null
-                            }
-                        })
-                        .collect()
-                } else {
-                    base.clone().into_boxed_slice()
-                };
-                let state = cells.entry(key).or_insert_with(|| agg.new_state());
-                state.update(agg, db, t)?;
-            }
+    let mut cells = RowCells::new();
+    let mut selected: u64 = 0;
+    for i in 0..u.len() {
+        let t = u.tuple(i);
+        if !selection.eval(db, t) {
+            continue;
         }
-        Ok((cells, selected))
-    })?;
-    let mut blocks = blocks.into_iter();
-    let (mut acc, mut selected) = blocks.next().unwrap_or_default();
-    for (block, count) in blocks {
-        selected += count;
-        // exq-lint: allow(L001): each key occurs once per block, so the merge order within a block is unobservable
-        for (coord, state) in block {
-            match acc.get_mut(&coord) {
-                Some(existing) => existing.merge(&state),
-                None => {
-                    acc.insert(coord, state);
-                }
+        selected += 1;
+        let mut base = Vec::with_capacity(d);
+        for &a in dims {
+            let v = db.value(a, t[a.rel] as usize);
+            if v.is_null() {
+                return Err(null_dimension_error(db, a));
             }
+            base.push(v.clone());
+        }
+        let masks = if enumerate_masks { 0..1u32 << d } else { 0..1 };
+        for mask in masks {
+            let key: Coord = if enumerate_masks {
+                base.iter()
+                    .enumerate()
+                    .map(|(j, v)| {
+                        if mask & 1 << j != 0 {
+                            v.clone()
+                        } else {
+                            Value::Null
+                        }
+                    })
+                    .collect()
+            } else {
+                base.clone().into_boxed_slice()
+            };
+            let state = cells.entry(key).or_insert_with(|| agg.new_state());
+            state.update(agg, db, t)?;
         }
     }
-    Ok((acc, selected))
+    Ok((cells, selected))
 }
 
 /// The reference's [`lattice_rollup`], over `Value` coordinates, with
@@ -781,32 +708,28 @@ fn rows_rollup(
     selection: &Predicate,
     dims: &[AttrRef],
     agg: &AggFunc,
-    exec: &ExecConfig,
 ) -> Result<(RowCells, u64)> {
     let d = dims.len();
-    let (base, selected) = rows_accumulate(db, u, selection, dims, agg, exec, false)?;
+    let (base, selected) = rows_accumulate(db, u, selection, dims, agg, false)?;
     let full = (1usize << d) - 1;
     let mut per_mask: Vec<RowCells> = (0..=full).map(|_| RowCells::new()).collect();
     per_mask[full] = base;
-    for level in (0..d as u32).rev() {
-        for mask in (0..full).filter(|m| m.count_ones() == level) {
-            let cleared = (!mask).trailing_zeros() as usize;
-            let mut parent: Vec<(&Coord, &AggState)> =
-                per_mask[mask | 1 << cleared].iter().collect();
-            parent.sort_unstable_by(|a, b| a.0.cmp(b.0));
-            let mut child = RowCells::new();
-            for (coord, state) in parent {
-                let mut key = coord.clone();
-                key[cleared] = Value::Null;
-                match child.get_mut(&key) {
-                    Some(existing) => existing.merge(state),
-                    None => {
-                        child.insert(key, state.clone());
-                    }
+    for mask in (0..full).rev() {
+        let cleared = (!mask).trailing_zeros() as usize;
+        let mut parent: Vec<(&Coord, &AggState)> = per_mask[mask | 1 << cleared].iter().collect();
+        parent.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut child = RowCells::new();
+        for (coord, state) in parent {
+            let mut key = coord.clone();
+            key[cleared] = Value::Null;
+            match child.get_mut(&key) {
+                Some(existing) => existing.merge(state),
+                None => {
+                    child.insert(key, state.clone());
                 }
             }
-            per_mask[mask] = child;
         }
+        per_mask[mask] = child;
     }
     // Keys are disjoint across masks because no dimension value is null.
     Ok((per_mask.into_iter().flatten().collect(), selected))
@@ -994,10 +917,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_cube_is_bit_identical_across_thread_counts() {
-        // Multi-block input (> ACCUM_BLOCK tuples) with a float measure, so
-        // any thread-count-dependent accumulation order would change bits.
+    /// `R(id, g, h, x)` with 10 000 rows: 7 values of `g`, 3 of `h`, and
+    /// a float measure `x` whose sums round.
+    fn float_r() -> Database {
         let schema = SchemaBuilder::new()
             .relation(
                 "R",
@@ -1021,6 +943,14 @@ mod tests {
             )
             .unwrap();
         }
+        db
+    }
+
+    #[test]
+    fn parallel_cube_is_bit_identical_across_thread_counts() {
+        // Many tuples with a float measure, so any thread-count-dependent
+        // accumulation order would change bits.
+        let db = float_r();
         let u = Universal::compute(&db, &db.full_view());
         let dims = vec![
             db.schema().attr("R", "g").unwrap(),
@@ -1061,6 +991,51 @@ mod tests {
                 assert_eq!(v.to_bits(), par.get(coord).unwrap().to_bits());
             }
             assert_eq!(seq.cells.len(), par.cells.len());
+        }
+    }
+
+    /// Every cell is the aggregate of its own tuples, bit for bit: a
+    /// left fold in `U` order, as `aggregate::evaluate` computes it. So
+    /// the grand total equals the query's total in every float lane.
+    #[test]
+    fn cube_cell_is_the_aggregate_of_its_tuples() {
+        let db = float_r();
+        let u = Universal::compute(&db, &db.full_view());
+        let dims = vec![
+            db.schema().attr("R", "g").unwrap(),
+            db.schema().attr("R", "h").unwrap(),
+        ];
+        let agg = AggFunc::Sum(db.schema().attr("R", "x").unwrap());
+        // 6 667 selected tuples, so a block-grouped fold would differ.
+        let selection = Predicate::not(Predicate::eq(dims[1], 2i64));
+        let cell_selection = |coord: &[Value]| {
+            let equalities = dims
+                .iter()
+                .zip(coord)
+                .filter(|(_, v)| !v.is_null())
+                .map(|(&a, v)| Predicate::eq(a, v.clone()));
+            Predicate::and(std::iter::once(selection.clone()).chain(equalities))
+        };
+        for (strategy, finest_only) in [
+            (CubeStrategy::SubsetEnumeration, false),
+            (CubeStrategy::LatticeRollup, true),
+        ] {
+            let cube = compute(&db, &u, &selection, &dims, &agg, strategy).unwrap();
+            let mut checked = 0;
+            for (coord, v) in &cube.cells {
+                if finest_only && coord.iter().any(Value::is_null) {
+                    continue;
+                }
+                let want = aggregate::evaluate(&db, &u, &cell_selection(coord), &agg).unwrap();
+                assert_eq!(
+                    v.to_bits(),
+                    want.to_bits(),
+                    "{strategy:?} cell {coord:?}: {v} vs {want}"
+                );
+                checked += 1;
+            }
+            let expected = if finest_only { 7 * 2 } else { 8 * 3 };
+            assert_eq!(checked, expected, "{strategy:?}");
         }
     }
 

@@ -12,15 +12,11 @@
 use crate::column::ColumnStore;
 use crate::database::{Database, View};
 use crate::dict::NO_CODE;
-use crate::par::{self, ExecConfig};
 use crate::schema::DatabaseSchema;
 use crate::tupleset::TupleSet;
+use crate::ExecConfig;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Root-row partitions smaller than this run inline — the per-thread
-/// bookkeeping would cost more than the probe itself.
-const MIN_PARALLEL_ROOTS: usize = 1024;
 
 /// One edge of a component's BFS join tree.
 #[derive(Debug, Clone)]
@@ -108,12 +104,8 @@ impl Universal {
         Universal::compute_with(db, view, &ExecConfig::sequential())
     }
 
-    /// Compute `U` with the hash-join probe fanned out over `exec`'s
-    /// workers: base-table root rows are partitioned into blocks, each
-    /// worker expands its blocks through the whole edge list against
-    /// shared per-edge hash indexes, and the per-block outputs are
-    /// stitched back in row-id order — so the tuple order (lexicographic
-    /// in root row, then child rows) is identical at every thread count.
+    /// [`Universal::compute`], recording into `exec`'s metrics sink. The
+    /// tuple order is lexicographic in root row, then child rows.
     pub fn compute_with(db: &Database, view: &View, exec: &ExecConfig) -> Universal {
         let _span = exec.metrics().span("join");
         let schema = db.schema_arc();
@@ -127,9 +119,7 @@ impl Universal {
         let mut per_component: Vec<Vec<u32>> = Vec::with_capacity(components.len());
         for comp in &components {
             let tuples = join_component(db, view, comp, stride, exec);
-            // Per-component output size distribution. Recorded on the
-            // orchestrating thread in component order, so the histogram
-            // is bit-identical at every thread count.
+            // Per-component output size distribution, in component order.
             exec.metrics()
                 .observe("join.component_rows", (tuples.len() / stride) as u64);
             per_component.push(tuples);
@@ -490,10 +480,7 @@ impl EdgeProbe<'_> {
 /// row indices where slots outside the component hold `u32::MAX`.
 ///
 /// The output order is lexicographic in (root row, first-edge child row,
-/// second-edge child row, …), which is a property of the *input* alone:
-/// partitioning the root rows and concatenating the per-block outputs in
-/// block order reproduces it exactly, so the parallel path is
-/// bit-identical to the sequential one.
+/// second-edge child row, …), a property of the *input* alone.
 fn join_component(
     db: &Database,
     view: &View,
@@ -503,10 +490,7 @@ fn join_component(
 ) -> Vec<u32> {
     let roots: Vec<u32> = view.live(comp.root).iter().map(|row| row as u32).collect();
 
-    // Counter discipline: counts are derived from the inputs and the
-    // stitched outputs on this (orchestrating) thread, never from
-    // per-worker progress, so they are bit-identical at any thread
-    // count. `build_rows` counts the rows *entering* each edge's probe
+    // `build_rows` counts the rows *entering* each edge's probe
     // structure as a function of the view alone, regardless of which
     // probe variant the edge's columns allow.
     let sink = exec.metrics();
@@ -518,39 +502,21 @@ fn join_component(
             .map(|e| view.live(e.child).count() as u64)
             .sum(),
     );
-    let record_matches = |data: &Vec<u32>| {
-        sink.add("join.probe_matches", (data.len() / stride.max(1)) as u64);
-    };
 
-    // Build each edge's probe once, up front, and share it read-only
-    // across the sequential loop or the parallel workers alike.
+    // Build each edge's probe once, up front.
     let store = Arc::clone(db.columns());
     let probes: Vec<EdgeProbe<'_>> = comp
         .edges
         .iter()
         .map(|e| EdgeProbe::build(&store, view, e))
         .collect();
-
-    if !exec.is_parallel() || roots.len() < MIN_PARALLEL_ROOTS {
-        let data = expand_roots(comp, stride, &roots, &probes);
-        record_matches(&data);
-        return data;
-    }
-
-    let block = par::even_block_size(exec, roots.len());
-    let parts = par::map_blocks(exec, &roots, block, |_, chunk| {
-        expand_roots(comp, stride, chunk, &probes)
-    });
-    let mut data = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    for part in parts {
-        data.extend(part);
-    }
-    record_matches(&data);
+    let data = expand_roots(comp, stride, &roots, &probes);
+    sink.add("join.probe_matches", (data.len() / stride.max(1)) as u64);
     data
 }
 
-/// Expand a slice of root rows through every edge of the component,
-/// against the shared prebuilt per-edge probes.
+/// Expand the root rows through every edge of the component, against
+/// the prebuilt per-edge probes.
 fn expand_roots(
     comp: &Component,
     stride: usize,
@@ -747,8 +713,7 @@ mod tests {
 
     #[test]
     fn parallel_universal_matches_sequential() {
-        // Enough root rows to clear MIN_PARALLEL_ROOTS, with uneven
-        // fan-out so block boundaries land mid-expansion.
+        // Many root rows with uneven fan-out.
         let schema = SchemaBuilder::new()
             .relation("P", &[("id", T::Int)], &["id"])
             .relation("C", &[("id", T::Int), ("p", T::Int)], &["id"])
@@ -770,7 +735,7 @@ mod tests {
         let sequential = Universal::compute(&db, &view);
         assert!(!sequential.is_empty());
         for threads in [2, 3, 7, 16] {
-            let exec = crate::par::ExecConfig::with_threads(threads);
+            let exec = ExecConfig::with_threads(threads);
             let parallel = Universal::compute_with(&db, &view, &exec);
             assert_eq!(sequential.len(), parallel.len(), "threads = {threads}");
             assert!(

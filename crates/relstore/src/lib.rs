@@ -16,10 +16,10 @@
 //! The crate is deliberately self-contained (no external DBMS, no async,
 //! no unsafe): the paper's algorithms are relational-algebra plans, and
 //! keeping them in-process is exactly the "push the computation inside
-//! the engine" premise of Section 4. The hot paths (join probe, cube,
-//! semijoin sweeps) optionally fan out over OS threads through the
-//! deterministic executor in [`par`] — output is bit-identical at any
-//! thread count.
+//! the engine" premise of Section 4. Every operator here is a plain
+//! sequential loop; [`par`] holds the [`ExecConfig`] that carries the
+//! metrics sink to them, and the one parallel executor, which the naive
+//! engine's candidate sweep uses.
 //!
 //! ## Quick tour
 //!

@@ -1,41 +1,38 @@
-//! A small deterministic scoped-thread executor.
+//! The engine's execution configuration, and the one parallel executor.
 //!
-//! Every parallel hot path in the engine — the universal-relation join
-//! probe, both cube strategies, the semijoin sweeps, and Algorithm 1's
-//! per-cell degree pass — runs through this module, so the determinism
-//! contract lives in exactly one place:
+//! [`ExecConfig`] carries the worker count and the metrics sink to every
+//! operator. Every operator is a plain sequential loop except the naive
+//! engine's per-candidate sweep (`exq_core::naive`), which fans its
+//! candidates out through [`try_map_blocks`]. The others stay
+//! sequential because, on the path the engine takes, two threads did
+//! not beat one good thread (EXPERIMENTS.md, "Parallelism per site").
 //!
-//! * Work is split into **fixed-size blocks whose boundaries depend only
-//!   on the input length and the requested block size — never on the
-//!   thread count**. Threads race to *claim* blocks from a shared atomic
-//!   counter, but a block's computation sees exactly the same items in
-//!   exactly the same order no matter which worker runs it.
-//! * Results are collected as `(block index, result)` pairs and stitched
-//!   back **in block order**. A caller that folds the per-block results
-//!   left-to-right therefore performs float accumulation in a grouping
-//!   that is a function of the input alone, making parallel output
-//!   bit-identical across any thread count (including 1).
-//! * For fallible work, the error surfaced is the one from the
-//!   **earliest block** that failed — not whichever worker's failure was
-//!   observed first — so error selection is deterministic too.
+//! [`try_map_blocks`]'s contract:
+//!
+//! * Work is split into fixed-size blocks. Threads race to *claim*
+//!   blocks from a shared atomic counter, and the per-block results are
+//!   stitched back **in block order**, so the output is the sequential
+//!   one at every thread count.
+//! * The error surfaced is the one from the **earliest block** that
+//!   failed — not whichever worker's failure was observed first — so
+//!   error selection is deterministic too.
 //!
 //! The executor uses `std::thread::scope` only; no extra dependencies, no
 //! unsafe. When a single worker (or a single block) suffices, the work
-//! runs inline on the calling thread with the same block structure.
+//! runs inline on the calling thread.
 
 use exq_obs::MetricsSink;
 use std::num::NonZeroUsize;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Parallel-execution configuration, plumbed from the CLI `--threads`
-/// flag through `Explainer`/`ReportConfig` down to every hot path.
+/// Execution configuration: the worker count of the naive engine's
+/// candidate sweep (the CLI's `--threads`), and the [`MetricsSink`]
+/// every operator records into.
 ///
-/// Also carries the [`MetricsSink`] the hot paths record into, so one
-/// handle reaches every operator without widening any signature. The
-/// sink defaults to [`MetricsSink::disabled`]; cloning an `ExecConfig`
-/// shares the sink.
+/// One handle reaches every operator without widening any signature.
+/// The sink defaults to [`MetricsSink::disabled`]; cloning an
+/// `ExecConfig` shares the sink.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     threads: usize,
@@ -99,55 +96,33 @@ impl Default for ExecConfig {
     }
 }
 
-/// Number of blocks `len` items split into at `block_size`.
-pub fn block_count(len: usize, block_size: usize) -> usize {
-    len.div_ceil(block_size.max(1))
-}
-
-/// Map `f` over the index blocks of `0..len` and return the per-block
-/// results in block order. `f` receives `(block_index, index_range)`.
-///
-/// The block structure depends only on `len` and `block_size`, so the
-/// returned vector is identical for every thread count.
-pub fn map_index_blocks<R, F>(exec: &ExecConfig, len: usize, block_size: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, Range<usize>) -> R + Sync,
-{
-    let infallible = try_map_index_blocks(exec, len, block_size, |i, range| {
-        Ok::<R, std::convert::Infallible>(f(i, range))
-    });
-    match infallible {
-        Ok(results) => results,
-        Err(never) => match never {},
-    }
-}
-
-/// Fallible variant of [`map_index_blocks`]. On failure, returns the
-/// error of the earliest failing block regardless of thread scheduling;
-/// blocks after the earliest known failure may be skipped.
-pub fn try_map_index_blocks<R, E, F>(
+/// Map `f` over fixed-size chunks of `items` on `exec`'s workers and
+/// return the per-chunk results in chunk order; `f` receives
+/// `(block_index, chunk)`. On failure, returns the error of the earliest
+/// failing block regardless of thread scheduling; blocks after the
+/// earliest known failure may be skipped.
+pub fn try_map_blocks<'items, T, R, E, F>(
     exec: &ExecConfig,
-    len: usize,
+    items: &'items [T],
     block_size: usize,
     f: F,
 ) -> Result<Vec<R>, E>
 where
+    T: Sync,
     R: Send,
     E: Send,
-    F: Fn(usize, Range<usize>) -> Result<R, E> + Sync,
+    F: Fn(usize, &'items [T]) -> Result<R, E> + Sync,
 {
     let block_size = block_size.max(1);
-    let blocks = block_count(len, block_size);
-    let range_of = |i: usize| i * block_size..((i + 1) * block_size).min(len);
+    let blocks: Vec<&'items [T]> = items.chunks(block_size).collect();
 
-    let workers = exec.threads().min(blocks);
+    let workers = exec.threads().min(blocks.len());
     if workers <= 1 {
-        let mut out = Vec::with_capacity(blocks);
-        for i in 0..blocks {
-            out.push(f(i, range_of(i))?);
-        }
-        return Ok(out);
+        return blocks
+            .into_iter()
+            .enumerate()
+            .map(|(i, b)| f(i, b))
+            .collect();
     }
 
     // Workers pull block indices from a shared counter; each keeps its
@@ -155,7 +130,7 @@ where
     // end, to keep the lock cold.
     let next = AtomicUsize::new(0);
     let first_err = AtomicUsize::new(usize::MAX);
-    let collected: Mutex<Vec<(usize, Result<R, E>)>> = Mutex::new(Vec::with_capacity(blocks));
+    let collected: Mutex<Vec<(usize, Result<R, E>)>> = Mutex::new(Vec::with_capacity(blocks.len()));
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
@@ -164,10 +139,10 @@ where
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     // Blocks are claimed in increasing order, so once `i`
                     // passes the earliest known failure this worker is done.
-                    if i >= blocks || i > first_err.load(Ordering::Relaxed) {
+                    if i >= blocks.len() || i > first_err.load(Ordering::Relaxed) {
                         break;
                     }
-                    let r = f(i, range_of(i));
+                    let r = f(i, blocks[i]);
                     if r.is_err() {
                         first_err.fetch_min(i, Ordering::Relaxed);
                     }
@@ -183,49 +158,9 @@ where
 
     let mut collected = collected.into_inner().expect("no poisoned worker");
     collected.sort_unstable_by_key(|&(i, _)| i);
-    let mut out = Vec::with_capacity(collected.len());
-    for (_, r) in collected {
-        // Every block before the earliest failure was executed, so this
-        // surfaces the error of the first failing block in block order.
-        out.push(r?);
-    }
-    Ok(out)
-}
-
-/// Map `f` over fixed-size chunks of a slice; results in chunk order.
-/// `f` receives `(block_index, chunk)`.
-pub fn map_blocks<'items, T, R, F>(
-    exec: &ExecConfig,
-    items: &'items [T],
-    block_size: usize,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &'items [T]) -> R + Sync,
-{
-    map_index_blocks(exec, items.len(), block_size, |i, range| {
-        f(i, &items[range])
-    })
-}
-
-/// Fallible variant of [`map_blocks`] with earliest-block error selection.
-pub fn try_map_blocks<'items, T, R, E, F>(
-    exec: &ExecConfig,
-    items: &'items [T],
-    block_size: usize,
-    f: F,
-) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &'items [T]) -> Result<R, E> + Sync,
-{
-    try_map_index_blocks(exec, items.len(), block_size, |i, range| {
-        f(i, &items[range])
-    })
+    // Every block before the earliest failure was executed, so this
+    // surfaces the error of the first failing block in block order.
+    collected.into_iter().map(|(_, r)| r).collect()
 }
 
 /// A block size that spreads `len` items evenly over the configured
@@ -240,6 +175,20 @@ pub fn even_block_size(exec: &ExecConfig, len: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::convert::Infallible;
+
+    /// [`try_map_blocks`] over infallible work.
+    fn map_blocks<'items, T: Sync, R: Send>(
+        exec: &ExecConfig,
+        items: &'items [T],
+        block_size: usize,
+        f: impl Fn(usize, &'items [T]) -> R + Sync,
+    ) -> Vec<R> {
+        match try_map_blocks(exec, items, block_size, |i, c| Ok::<R, Infallible>(f(i, c))) {
+            Ok(out) => out,
+            Err(never) => match never {},
+        }
+    }
 
     #[test]
     fn sequential_and_parallel_results_identical() {
@@ -260,10 +209,18 @@ mod tests {
 
     #[test]
     fn block_structure_is_thread_count_independent() {
+        let items: Vec<usize> = (0..10).collect();
         for threads in [1, 2, 5, 9] {
             let exec = ExecConfig::with_threads(threads);
-            let ranges = map_index_blocks(&exec, 10, 4, |i, r| (i, r));
-            assert_eq!(ranges, vec![(0, 0..4), (1, 4..8), (2, 8..10)]);
+            let blocks = map_blocks(&exec, &items, 4, |i, c| (i, c.to_vec()));
+            assert_eq!(
+                blocks,
+                vec![
+                    (0, vec![0, 1, 2, 3]),
+                    (1, vec![4, 5, 6, 7]),
+                    (2, vec![8, 9])
+                ]
+            );
         }
     }
 
@@ -271,9 +228,9 @@ mod tests {
     fn empty_input_yields_no_blocks() {
         for threads in [1, 4] {
             let exec = ExecConfig::with_threads(threads);
-            let out: Vec<usize> = map_index_blocks(&exec, 0, 16, |i, _| i);
+            let out: Vec<usize> = map_blocks(&exec, &[] as &[u8], 16, |i, _| i);
             assert!(out.is_empty());
-            let r: Result<Vec<usize>, ()> = try_map_index_blocks(&exec, 0, 16, |i, _| Ok(i));
+            let r: Result<Vec<usize>, ()> = try_map_blocks(&exec, &[] as &[u8], 16, |i, _| Ok(i));
             assert_eq!(r, Ok(vec![]));
         }
     }
@@ -281,8 +238,8 @@ mod tests {
     #[test]
     fn more_threads_than_blocks() {
         let exec = ExecConfig::with_threads(32);
-        let out = map_index_blocks(&exec, 3, 1, |i, r| (i, r.start));
-        assert_eq!(out, vec![(0, 0), (1, 1), (2, 2)]);
+        let out = map_blocks(&exec, &[10, 11, 12], 1, |i, c| (i, c[0]));
+        assert_eq!(out, vec![(0, 10), (1, 11), (2, 12)]);
     }
 
     /// The error surfaced must be the earliest failing *block*, not the
@@ -290,9 +247,10 @@ mod tests {
     /// slowed down so a completion-order implementation would pick them.
     #[test]
     fn error_selection_is_earliest_block() {
+        let items = [(); 16];
         for threads in [2, 4, 8] {
             let exec = ExecConfig::with_threads(threads);
-            let r: Result<Vec<()>, usize> = try_map_index_blocks(&exec, 16, 1, |i, _| {
+            let r: Result<Vec<()>, usize> = try_map_blocks(&exec, &items, 1, |i, _| {
                 if i == 3 {
                     // The earliest failure is also the slowest to fail.
                     std::thread::sleep(std::time::Duration::from_millis(30));
@@ -310,13 +268,13 @@ mod tests {
     #[test]
     fn single_error_in_last_block_is_reported() {
         let exec = ExecConfig::with_threads(4);
-        let r: Result<Vec<usize>, &str> =
-            try_map_index_blocks(
-                &exec,
-                10,
-                3,
-                |i, _| if i == 3 { Err("boom") } else { Ok(i) },
-            );
+        let r: Result<Vec<usize>, &str> = try_map_blocks(&exec, &[(); 10], 3, |i, _| {
+            if i == 3 {
+                Err("boom")
+            } else {
+                Ok(i)
+            }
+        });
         assert_eq!(r, Err("boom"));
     }
 
@@ -326,8 +284,6 @@ mod tests {
         assert_eq!(ExecConfig::sequential().threads(), 1);
         assert!(!ExecConfig::sequential().is_parallel());
         assert!(ExecConfig::default().threads() >= 1);
-        assert_eq!(block_count(0, 8), 0);
-        assert_eq!(block_count(9, 8), 2);
         assert_eq!(even_block_size(&ExecConfig::with_threads(4), 10), 3);
         assert_eq!(even_block_size(&ExecConfig::with_threads(4), 0), 1);
     }

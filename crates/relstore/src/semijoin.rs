@@ -33,8 +33,8 @@
 use crate::database::{Database, View};
 use crate::dict::NO_CODE;
 use crate::join::{join_forest, Component};
-use crate::par::{self, ExecConfig};
 use crate::tupleset::TupleSet;
+use crate::ExecConfig;
 use std::collections::HashSet;
 
 /// Fully reduce `view`: the returned view keeps exactly the rows that
@@ -43,10 +43,7 @@ pub fn reduce(db: &Database, view: &View) -> View {
     reduce_with(db, view, &ExecConfig::sequential())
 }
 
-/// [`reduce`] with an explicit executor. Sibling edges of the join tree
-/// (same child depth) have independent semijoin targets, so their drop
-/// sets are computed in parallel and applied in edge order; the surviving
-/// row sets are identical to the sequential sweep at any thread count.
+/// [`reduce`], recording into `exec`'s metrics sink.
 pub fn reduce_with(db: &Database, view: &View, exec: &ExecConfig) -> View {
     let mut out = view.clone();
     reduce_in_place_with(db, &mut out, exec);
@@ -106,9 +103,7 @@ fn reduce_component(db: &Database, view: &mut View, comp: &Component, exec: &Exe
     }
     let max_depth = comp.edges.iter().map(|e| depth[e.child]).max().unwrap_or(0);
 
-    // Bottom-up: parent ⋉= child, deepest children first. Edges within one
-    // depth level only *read* child live sets (untouched at this level) and
-    // *shrink* parent live sets, so their drop sets are independent.
+    // Bottom-up: parent ⋉= child, deepest children first.
     for d in (1..=max_depth).rev() {
         let steps: Vec<Step<'_>> = comp
             .edges
@@ -124,9 +119,7 @@ fn reduce_component(db: &Database, view: &mut View, comp: &Component, exec: &Exe
             .collect();
         apply_steps(db, view, &steps, exec, "bottom_up");
     }
-    // Top-down: child ⋉= parent, shallowest first. Each child is the target
-    // of exactly one tree edge, so a depth level's steps touch disjoint
-    // relations.
+    // Top-down: child ⋉= parent, shallowest first.
     for d in 1..=max_depth {
         let steps: Vec<Step<'_>> = comp
             .edges
@@ -143,44 +136,18 @@ fn reduce_component(db: &Database, view: &mut View, comp: &Component, exec: &Exe
     }
 }
 
-/// Run one depth level's semijoin steps: compute every step's drop set
-/// against the unchanged view (in parallel when allowed), then apply the
-/// removals in step order. Removals only shrink live sets and each step's
-/// keys come from source relations no step of the level mutates, so the
-/// union of drops equals the sequential step-after-step result.
+/// Run one depth level's semijoin steps in step order, counting one
+/// `semijoin.passes` per level and the rows each level removes.
 fn apply_steps(db: &Database, view: &mut View, steps: &[Step<'_>], exec: &ExecConfig, pass: &str) {
     if steps.is_empty() {
         return;
     }
-    // Count *effective* removals (`TupleSet::remove` returning true), not
-    // drop-list lengths: two sibling steps sharing a target can both list
-    // a row when computed against the frozen view, while the sequential
-    // sweep lists it once. The set of rows actually removed is identical
-    // on both paths, so this count is deterministic across thread counts.
     let sink = exec.metrics();
     sink.incr("semijoin.passes");
     let mut dropped: u64 = 0;
-    if steps.len() < 2 || !exec.is_parallel() {
-        for s in steps {
-            let drops = compute_drops(db, view, s);
-            for row in drops {
-                dropped += u64::from(view.live[s.target].remove(row));
-            }
-        }
-    } else {
-        let frozen: &View = view;
-        let drops = par::map_blocks(exec, steps, 1, |_, chunk| {
-            chunk
-                .iter()
-                .map(|s| (s.target, compute_drops(db, frozen, s)))
-                .collect::<Vec<_>>()
-        });
-        for group in drops {
-            for (target, rows) in group {
-                for row in rows {
-                    dropped += u64::from(view.live[target].remove(row));
-                }
-            }
+    for s in steps {
+        for row in compute_drops(db, view, s) {
+            dropped += u64::from(view.live[s.target].remove(row));
         }
     }
     sink.add("semijoin.rows_dropped", dropped);
@@ -386,7 +353,7 @@ mod tests {
             assert_eq!(sequential.live(rel), &u.projected_rows(&db, rel));
         }
         for threads in [2, 3, 7] {
-            let exec = crate::par::ExecConfig::with_threads(threads);
+            let exec = ExecConfig::with_threads(threads);
             assert_eq!(
                 reduce_with(&db, &view, &exec),
                 sequential,

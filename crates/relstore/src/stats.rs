@@ -9,9 +9,9 @@
 use crate::database::Database;
 use crate::dict::CodeTuples;
 use crate::join::Universal;
-use crate::par::{self, ExecConfig};
 use crate::schema::AttrRef;
 use crate::value::Value;
+use crate::ExecConfig;
 use std::collections::HashSet;
 
 /// Per-attribute profile.
@@ -66,9 +66,7 @@ pub fn profile(db: &Database) -> String {
     profile_with(db, &ExecConfig::sequential())
 }
 
-/// [`profile`] with the per-attribute scans fanned out over `exec`. The
-/// text is assembled in schema order afterwards, so the output is
-/// identical at any thread count.
+/// [`profile`], recording into `exec`'s metrics sink.
 pub fn profile_with(db: &Database, exec: &ExecConfig) -> String {
     use std::fmt::Write;
     let _span = exec.metrics().span("profile");
@@ -80,26 +78,11 @@ pub fn profile_with(db: &Database, exec: &ExecConfig) -> String {
             .map(|rel| db.relation_len(rel) as u64)
             .sum(),
     );
-    let attrs: Vec<AttrRef> = db
-        .schema()
-        .relations()
-        .iter()
-        .enumerate()
-        .flat_map(|(rel, r)| (0..r.attributes.len()).map(move |col| AttrRef { rel, col }))
-        .collect();
-    let stats: Vec<AttrStats> = par::map_blocks(exec, &attrs, 1, |_, chunk| {
-        chunk.iter().map(|&a| attr_stats(db, a)).collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    let mut stats = stats.into_iter();
     let mut out = String::new();
     for (rel, r) in db.schema().relations().iter().enumerate() {
         let _ = writeln!(out, "{} ({} rows)", r.name, db.relation_len(rel));
-        for (col, _) in r.attributes.iter().enumerate() {
-            let s = stats.next().expect("one AttrStats per schema attribute");
-            let attr = &r.attributes[col];
+        for (col, attr) in r.attributes.iter().enumerate() {
+            let s = attr_stats(db, AttrRef { rel, col });
             let key = if r.primary_key.contains(&col) {
                 " [key]"
             } else {

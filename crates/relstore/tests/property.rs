@@ -226,9 +226,8 @@ proptest! {
         let avg = exq_relstore::aggregate::evaluate(&db, &u, &Predicate::True, &AggFunc::Avg(x)).unwrap();
         prop_assert_eq!(avg.to_bits(), (exact as f64 / xs.len() as f64).to_bits());
 
-        // The cube's grand-total cell carries the same exact sum (its
-        // accumulator merges per-block states; all lanes are integers, so
-        // merging stays exact too).
+        // The cube's grand-total cell carries the same exact sum (all
+        // lanes are integers, so its fold stays exact too).
         let g = db.schema().attr("R", "id").unwrap();
         let c = cube::compute(&db, &u, &Predicate::True, &[g], &AggFunc::Sum(x), CubeStrategy::Auto).unwrap();
         let total = c.cells.get(&vec![Value::Null].into_boxed_slice()).copied().unwrap();

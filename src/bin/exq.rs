@@ -331,7 +331,7 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
 
 fn cmd_profile(args: &Args) -> Result<(), String> {
     let obs = Obs::from_args(args)?;
-    let exec = args.exec()?.with_metrics(obs.sink.clone());
+    let exec = ExecConfig::sequential().with_metrics(obs.sink.clone());
     let db = load_database(args, &obs)?;
     print!("{}", exq::relstore::stats::profile_with(&db, &exec));
     obs.finish()
@@ -504,8 +504,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     }
     let config = exq::serve::ServerConfig {
         threads: match args.optional("threads") {
-            // `--threads` controls the worker pool here; dataset
-            // preparation above already used it via `exec`.
+            // `--threads` sizes the worker pool here.
             Some(_) => exec.threads(),
             None => 4,
         },
@@ -1099,8 +1098,8 @@ const USAGE: &str =
   exq lint     [PATHS...] [--format pretty|json] [--deny-warnings] [--assume-crate NAME]
   exq schema   --schema FILE
   exq validate --schema FILE --table Rel=FILE...
-  exq profile  --schema FILE --table Rel=FILE... [--threads N] [--metrics PATH|-] \\
-               [--trace] [--trace-out PATH]
+  exq profile  --schema FILE --table Rel=FILE... [--metrics PATH|-] [--trace] \\
+               [--trace-out PATH]
   exq report   --schema FILE --table Rel=FILE... --question FILE --attrs ... \\
                [--top K] [--threads N] [--format pretty|json] [--metrics PATH|-] \\
                [--trace] [--trace-out PATH]
@@ -1120,8 +1119,10 @@ const USAGE: &str =
   exq append   --addr HOST:PORT --dataset NAME --schema FILE --table Rel=FILE... \\
                [--batch N] [--max-retries N]
 
---threads N pins the executor to N OS threads (default: all available
-cores). Results are bit-identical at every thread count.
+--threads N sizes the naive engine's candidate sweep, the one parallel
+operator, for explain, report and drill (default: all available cores),
+and the worker pool for serve. Results are bit-identical at every
+thread count.
 --metrics PATH writes a JSON counter/span/histogram snapshot after the
 run (`-` for stdout); counters and value-histogram buckets are
 bit-identical at every thread count.

@@ -3,7 +3,7 @@
 //! the retained row-oriented `Value` reference path, bit for bit, for
 //! every cube strategy at 1, 2 and 7 threads — on the three experiment
 //! workloads (DBLP Figure 2, natality Figure 10, Geo-DBLP Figure 15) and
-//! on a float measure whose sums depend on the accumulation blocks —
+//! on a float measure whose sums depend on the addition order —
 //! plus the thread-count stability of dictionary code assignment.
 
 use exq::datagen::{dblp, geodblp, natality};
@@ -186,9 +186,9 @@ fn geodblp_columnar_table_matches_row_reference() {
     assert_coded_matches_reference(&db, &question, &dims, CubeAlgoConfig::checked());
 }
 
-/// A float measure, so every sum depends on how tuples group into
-/// accumulation blocks, under selections that leave whole 4096-position
-/// blocks without a single selected tuple. SUM is not intervention-
+/// A float measure, so every sum depends on the order its tuples fold
+/// in, under selections that leave long runs of U (positions 1 501 to
+/// 16 383) without a single selected tuple. SUM is not intervention-
 /// additive, so the tables are computed unchecked — identically by both
 /// engines.
 #[test]
@@ -221,7 +221,7 @@ fn float_measures_over_sparse_blocks_match_row_reference() {
         schema.attr("R", "id").unwrap(),
         schema.attr("R", "x").unwrap(),
     );
-    // Blocks 0 and 4 partly, nothing in blocks 1–3.
+    // Two separate runs of ids, nothing in between.
     let sparse = |hi: i64| {
         Predicate::or([
             Predicate::between(id, 100, 1_500),
