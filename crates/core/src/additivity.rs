@@ -71,7 +71,7 @@ pub fn check_aggregate(db: &Database, u: &Universal, func: &AggFunc) -> Additivi
             for (fk_idx, fk) in db.schema().foreign_keys().iter().enumerate() {
                 if fk.kind == FkKind::BackAndForth
                     && fk.to_rel == attr.rel
-                    && referencing_rows_unique(db, u, fk.from_rel)
+                    && rows_unique(db, u, fk.from_rel)
                 {
                     return Additivity::CountDistinctViaBackAndForth { fk: fk_idx };
                 }
@@ -101,16 +101,11 @@ pub fn query_is_additive(db: &Database, u: &Universal, query: &NumericalQuery) -
 
 /// Every row of `rel` occurs in exactly one universal tuple. (Rows
 /// occurring zero times would mean the database is not semijoin-reduced.)
-fn referencing_rows_unique(db: &Database, u: &Universal, rel: usize) -> bool {
-    let mut counts = vec![0u32; db.relation_len(rel)];
-    for t in u.iter() {
-        let row = t[rel] as usize;
-        counts[row] += 1;
-        if counts[row] > 1 {
-            return false;
-        }
-    }
-    counts.iter().all(|&c| c == 1)
+/// No row occurring twice, with as many tuples as rows, is exactly that;
+/// the first half is remembered on `u`, so each epoch walks `U` at most
+/// once per relation.
+pub fn rows_unique(db: &Database, u: &Universal, rel: usize) -> bool {
+    u.len() == db.relation_len(rel) && u.rows_distinct(rel)
 }
 
 #[cfg(test)]
@@ -254,7 +249,7 @@ mod tests {
         let u = Universal::compute(&db, &db.full_view());
         let author = db.schema().relation_index("Author").unwrap();
         let authored = db.schema().relation_index("Authored").unwrap();
-        assert!(!referencing_rows_unique(&db, &u, author), "A2 has two pubs");
-        assert!(referencing_rows_unique(&db, &u, authored));
+        assert!(!rows_unique(&db, &u, author), "A2 has two pubs");
+        assert!(rows_unique(&db, &u, authored));
     }
 }

@@ -149,7 +149,14 @@ impl Database {
         let mut appended = 0usize;
         for (rel, rows) in batch {
             let schema = self.schema.relation(rel);
-            let relation = Arc::make_mut(&mut self.relations[rel]);
+            let relation = &mut self.relations[rel];
+            // A relation shared with an earlier epoch is copied once, at
+            // exactly its new length, instead of cloned and then doubled.
+            match Arc::get_mut(relation) {
+                Some(relation) => relation.reserve_exact(rows.len()),
+                None => *relation = Arc::new(relation.clone_reserving(rows.len())),
+            }
+            let relation = Arc::get_mut(relation).expect("unshared just above");
             for row in rows {
                 relation.push_checked(schema, row)?;
                 appended += 1;
@@ -615,6 +622,25 @@ mod tests {
         }
         assert!(Arc::ptr_eq(db.columns(), &old_store));
         db.validate().unwrap();
+    }
+
+    #[test]
+    fn append_batch_copies_a_shared_relation_at_exactly_its_new_length() {
+        let mut db = two_table_db();
+        let earlier_epoch = db.clone();
+        db.append_batch(vec![(
+            "A".into(),
+            vec![
+                vec![3.into(), "three".into()],
+                vec![4.into(), "four".into()],
+                vec![5.into(), "five".into()],
+            ],
+        )])
+        .unwrap();
+        assert_eq!(db.relation_len(0), 5);
+        assert_eq!(db.relations[0].capacity(), 5, "grown relation");
+        assert!(Arc::ptr_eq(&db.relations[1], &earlier_epoch.relations[1]));
+        assert_eq!(earlier_epoch.relation_len(0), 2);
     }
 
     #[test]

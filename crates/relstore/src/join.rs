@@ -16,7 +16,7 @@ use crate::schema::DatabaseSchema;
 use crate::tupleset::TupleSet;
 use crate::ExecConfig;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One edge of a component's BFS join tree.
 #[derive(Debug, Clone)]
@@ -96,6 +96,8 @@ pub struct Universal {
     schema: Arc<DatabaseSchema>,
     stride: usize,
     data: Vec<u32>,
+    /// Per relation, [`Universal::rows_distinct`], filled on first ask.
+    rows_distinct: Box<[OnceLock<bool>]>,
 }
 
 impl Universal {
@@ -143,11 +145,7 @@ impl Universal {
             data = combined;
         }
 
-        let u = Universal {
-            schema,
-            stride,
-            data,
-        };
+        let u = Universal::new(schema, stride, data);
         exec.metrics().add("join.tuples", u.len() as u64);
         u
     }
@@ -274,12 +272,39 @@ impl Universal {
                 (None, None) => break,
             }
         }
-        let u = Universal {
+        let u = Universal::new(schema, stride, data);
+        (u, touched)
+    }
+
+    fn new(schema: Arc<DatabaseSchema>, stride: usize, data: Vec<u32>) -> Universal {
+        Universal {
             schema,
             stride,
             data,
-        };
-        (u, touched)
+            rows_distinct: (0..stride).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Whether no row of relation `rel` occurs in two tuples. Walks `U`
+    /// on the first ask per relation and remembers the answer: it is a
+    /// fact about this `U` alone, and an epoch that changes `U` builds a
+    /// new one.
+    pub fn rows_distinct(&self, rel: usize) -> bool {
+        *self.rows_distinct[rel].get_or_init(|| {
+            let mut seen: Vec<u64> = Vec::new();
+            for t in self.iter() {
+                let row = t[rel] as usize;
+                let (word, bit) = (row / 64, 1u64 << (row % 64));
+                if word >= seen.len() {
+                    seen.resize(word + 1, 0);
+                }
+                if seen[word] & bit != 0 {
+                    return false;
+                }
+                seen[word] |= bit;
+            }
+            true
+        })
     }
 
     /// Number of universal tuples.

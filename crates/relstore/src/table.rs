@@ -38,6 +38,25 @@ impl Relation {
         }
     }
 
+    /// A copy with room for `additional` more rows and no more. Rows are
+    /// shared, so this copies one pointer per row.
+    pub(crate) fn clone_reserving(&self, additional: usize) -> Relation {
+        let mut rows = Vec::with_capacity(self.rows.len() + additional);
+        rows.extend_from_slice(&self.rows);
+        Relation { rows }
+    }
+
+    /// Make room for exactly `additional` more rows.
+    pub(crate) fn reserve_exact(&mut self, additional: usize) {
+        self.rows.reserve_exact(additional);
+    }
+
+    /// How many rows fit before the row vector reallocates.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.rows.capacity()
+    }
+
     /// Number of rows ever inserted.
     pub fn len(&self) -> usize {
         self.rows.len()

@@ -54,20 +54,10 @@ pub fn request(
     path: &str,
     body: Option<&[u8]>,
 ) -> std::io::Result<ClientResponse> {
-    let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
-    stream.set_read_timeout(Some(Duration::from_secs(30)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(5)))?;
-    let body = body.unwrap_or(&[]);
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nhost: exq\r\ncontent-length: {}\r\n\r\n",
-        body.len()
-    );
+    let mut stream = dial(addr, Duration::from_secs(30))?;
     // A server shedding load may answer (e.g. 503) and close before it
     // reads the request; don't let that write failure mask the response.
-    let sent = stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body))
-        .and_then(|()| stream.flush());
+    let sent = stream.write_all(&encode(method, path, body.unwrap_or(&[]), &[]));
     let mut raw = Vec::new();
     let received = stream.read_to_end(&mut raw);
     if raw.is_empty() {
@@ -75,8 +65,39 @@ pub fn request(
         sent?;
         received?;
     }
-    parse_response(&raw)
+    parse_response(raw)
         .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad response"))
+}
+
+/// Open a stream to `addr` with the client's timeouts and `TCP_NODELAY`.
+/// Every request leaves in one write ([`encode`]), so Nagle's algorithm
+/// has nothing to coalesce; left on, it would hold a request's tail
+/// until the server's delayed ACK (≈ 40 ms on Linux).
+fn dial(addr: SocketAddr, read_timeout: Duration) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
+    stream.set_read_timeout(Some(read_timeout))?;
+    stream.set_write_timeout(Some(Duration::from_secs(5)))?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+/// One request as the bytes of one write: head, `headers` (name, value),
+/// then `body`.
+fn encode(method: &str, path: &str, body: &[u8], headers: &[(&str, &str)]) -> Vec<u8> {
+    let mut out = format!(
+        "{method} {path} HTTP/1.1\r\nhost: exq\r\ncontent-length: {}\r\n",
+        body.len()
+    );
+    for (name, value) in headers {
+        out.push_str(name);
+        out.push_str(": ");
+        out.push_str(value);
+        out.push_str("\r\n");
+    }
+    out.push_str("\r\n");
+    let mut out = out.into_bytes();
+    out.extend_from_slice(body);
+    out
 }
 
 /// `GET` helper.
@@ -154,26 +175,18 @@ impl Connection {
         body: Option<&[u8]>,
         headers: &[(&str, &str)],
     ) -> std::io::Result<ClientResponse> {
-        let body = body.unwrap_or(&[]);
-        let mut head = format!(
-            "{method} {path} HTTP/1.1\r\nhost: exq\r\nconnection: keep-alive\r\ncontent-length: {}\r\n",
-            body.len()
-        );
-        for (name, value) in headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
-        }
-        head.push_str("\r\n");
+        let mut all = Vec::with_capacity(headers.len() + 1);
+        all.push(("connection", "keep-alive"));
+        all.extend_from_slice(headers);
+        let request = encode(method, path, body.unwrap_or(&[]), &all);
         let reused = self.stream.is_some();
-        match self.try_once(head.as_bytes(), body) {
+        match self.try_once(&request) {
             Ok(response) => Ok(response),
             Err((error, received)) => {
                 self.stream = None;
                 if reused && received == 0 {
                     // Stale keep-alive stream: reconnect and resend.
-                    self.try_once(head.as_bytes(), body).map_err(|(e, _)| e)
+                    self.try_once(&request).map_err(|(e, _)| e)
                 } else {
                     Err(error)
                 }
@@ -226,20 +239,9 @@ impl Connection {
     /// Errors carry how many response bytes had arrived, so the caller
     /// can tell a stale idle-closed stream (zero) from a mid-response
     /// failure.
-    fn try_once(
-        &mut self,
-        head: &[u8],
-        body: &[u8],
-    ) -> Result<ClientResponse, (std::io::Error, usize)> {
+    fn try_once(&mut self, request: &[u8]) -> Result<ClientResponse, (std::io::Error, usize)> {
         if self.stream.is_none() {
-            let stream = TcpStream::connect_timeout(&self.addr, Duration::from_secs(5))
-                .map_err(|e| (e, 0))?;
-            stream
-                .set_read_timeout(Some(self.read_timeout))
-                .map_err(|e| (e, 0))?;
-            stream
-                .set_write_timeout(Some(Duration::from_secs(5)))
-                .map_err(|e| (e, 0))?;
+            let stream = dial(self.addr, self.read_timeout).map_err(|e| (e, 0))?;
             self.connects += 1;
             self.stream = Some(stream);
         }
@@ -247,10 +249,7 @@ impl Connection {
         // As in `request`: a shedding server may answer and close before
         // reading everything we wrote, so don't let the write error mask
         // a response that did arrive.
-        let sent = stream
-            .write_all(head)
-            .and_then(|()| stream.write_all(body))
-            .and_then(|()| stream.flush());
+        let sent = stream.write_all(request);
         let mut raw = Vec::new();
         let received = read_framed(stream, &mut raw);
         if let Err(error) = received {
@@ -266,10 +265,11 @@ impl Connection {
             ));
         }
         sent.map_err(|e| (e, raw.len()))?;
-        let response = parse_response(&raw).ok_or_else(|| {
+        let received = raw.len();
+        let response = parse_response(raw).ok_or_else(|| {
             (
                 std::io::Error::new(std::io::ErrorKind::InvalidData, "bad response"),
-                raw.len(),
+                received,
             )
         })?;
         let keep = response
@@ -284,20 +284,26 @@ impl Connection {
 
 /// Read one `content-length`-framed response into `raw`. Responses
 /// without a `content-length` header are read to EOF (close-mode
-/// framing).
+/// framing). Once the head is in, `raw` grows once to the announced
+/// length (up to [`PRESIZE_MAX`]), not in 4 KiB steps.
 fn read_framed(stream: &mut TcpStream, raw: &mut Vec<u8>) -> std::io::Result<()> {
     let mut chunk = [0u8; 4096];
+    let mut framed = None;
     loop {
-        if let Some(head_end) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
-            let head_end = head_end + 4;
-            match content_length(&raw[..head_end]) {
-                Some(len) if raw.len() >= head_end + len => {
-                    raw.truncate(head_end + len);
-                    return Ok(());
-                }
-                Some(_) => {}
-                None => {} // close-framed: run to EOF below
+        if framed.is_none() {
+            if let Some(head_end) = head_end(raw) {
+                framed = content_length(&raw[..head_end]).map(|len| {
+                    let total = head_end.saturating_add(len);
+                    // The length comes off the wire: presize up to a bound
+                    // and let a larger body grow as it arrives.
+                    raw.reserve_exact(total.min(PRESIZE_MAX).saturating_sub(raw.len()));
+                    total
+                });
             }
+        }
+        if let Some(total) = framed.filter(|&total| raw.len() >= total) {
+            raw.truncate(total);
+            return Ok(());
         }
         match stream.read(&mut chunk) {
             Ok(0) => return Ok(()),
@@ -305,6 +311,14 @@ fn read_framed(stream: &mut TcpStream, raw: &mut Vec<u8>) -> std::io::Result<()>
             Err(e) => return Err(e),
         }
     }
+}
+
+/// The most [`read_framed`] reserves ahead of the bytes it has read.
+const PRESIZE_MAX: usize = 16 << 20;
+
+/// The length of the head, blank line included, once it has arrived.
+fn head_end(raw: &[u8]) -> Option<usize> {
+    raw.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
 }
 
 fn content_length(head: &[u8]) -> Option<usize> {
@@ -317,8 +331,10 @@ fn content_length(head: &[u8]) -> Option<usize> {
     })
 }
 
-fn parse_response(raw: &[u8]) -> Option<ClientResponse> {
-    let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n")? + 4;
+/// Split `raw` into status, headers and body. The body is `raw` itself
+/// with the head drained off the front.
+fn parse_response(mut raw: Vec<u8>) -> Option<ClientResponse> {
+    let head_end = head_end(&raw)?;
     let head = std::str::from_utf8(&raw[..head_end]).ok()?;
     let mut lines = head.split("\r\n");
     let status_line = lines.next()?;
@@ -329,10 +345,11 @@ fn parse_response(raw: &[u8]) -> Option<ClientResponse> {
             headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
         }
     }
+    raw.drain(..head_end);
     Some(ClientResponse {
         status,
         headers,
-        body: raw[head_end..].to_vec(),
+        body: raw,
     })
 }
 
@@ -342,7 +359,17 @@ mod tests {
     use crate::http::{parse_request, Limits, Response};
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
+    use std::time::Instant;
+
+    /// What a [`stub`] saw: connections accepted, requests answered, and
+    /// per request the time from its first byte arriving to its last.
+    struct Stub {
+        addr: SocketAddr,
+        conns: Arc<AtomicUsize>,
+        served: Arc<AtomicUsize>,
+        arrivals: Arc<Mutex<Vec<Duration>>>,
+    }
 
     /// A minimal keep-alive-capable stub server. Accepts connections
     /// sequentially, answers each request with `handler(request_index)`,
@@ -351,26 +378,32 @@ mod tests {
     /// `keep-alive` but closes the stream after every response —
     /// simulating the server idle-closing a connection between
     /// requests, the race [`Connection`] must absorb.
-    fn stub(
-        lie_and_close: bool,
-        handler: impl Fn(usize) -> Response + Send + 'static,
-    ) -> (SocketAddr, Arc<AtomicUsize>, Arc<AtomicUsize>) {
+    fn stub(lie_and_close: bool, handler: impl Fn(usize) -> Response + Send + 'static) -> Stub {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let conns = Arc::new(AtomicUsize::new(0));
-        let served = Arc::new(AtomicUsize::new(0));
-        let (conns_in, served_in) = (Arc::clone(&conns), Arc::clone(&served));
+        let stub = Stub {
+            addr: listener.local_addr().unwrap(),
+            conns: Arc::new(AtomicUsize::new(0)),
+            served: Arc::new(AtomicUsize::new(0)),
+            arrivals: Arc::new(Mutex::new(Vec::new())),
+        };
+        let conns = Arc::clone(&stub.conns);
+        let served = Arc::clone(&stub.served);
+        let arrivals = Arc::clone(&stub.arrivals);
         std::thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(mut stream) = stream else { continue };
-                conns_in.fetch_add(1, Ordering::SeqCst);
+                conns.fetch_add(1, Ordering::SeqCst);
                 let mut buf = Vec::new();
                 let mut chunk = [0u8; 4096];
                 loop {
+                    let mut first_byte = None;
                     let request = loop {
                         match parse_request(&buf, &Limits::default()) {
                             Ok(Some((request, consumed))) => {
                                 buf.drain(..consumed);
+                                let whole =
+                                    first_byte.map_or(Duration::ZERO, |t: Instant| t.elapsed());
+                                arrivals.lock().unwrap().push(whole);
                                 break Some(request);
                             }
                             Ok(None) => {}
@@ -378,14 +411,17 @@ mod tests {
                         }
                         match stream.read(&mut chunk) {
                             Ok(0) | Err(_) => break None,
-                            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                            Ok(n) => {
+                                first_byte.get_or_insert_with(Instant::now);
+                                buf.extend_from_slice(&chunk[..n]);
+                            }
                         }
                     };
                     let Some(request) = request else { break };
                     let asked = request
                         .header("connection")
                         .is_some_and(|v| v.eq_ignore_ascii_case("keep-alive"));
-                    let response = handler(served_in.fetch_add(1, Ordering::SeqCst));
+                    let response = handler(served.fetch_add(1, Ordering::SeqCst));
                     let keep = asked && response.status != 503 && !lie_and_close;
                     let claim = asked && response.status != 503;
                     if stream.write_all(&response.to_bytes_with(claim)).is_err() {
@@ -397,52 +433,88 @@ mod tests {
                 }
             }
         });
-        (addr, conns, served)
+        stub
+    }
+
+    #[test]
+    fn requests_arrive_whole_without_a_nagle_stall() {
+        // Head and body in two writes on a Nagle socket make the server
+        // wait for the body until its delayed ACK fires (≥ 40 ms) on every
+        // request after a connection's first.
+        let stub = stub(false, |_| Response::json(200, "{}\n"));
+        let body = format!("{{\"question\": \"{}\"}}", "x".repeat(200));
+        let mut conn = Connection::new(stub.addr);
+        for _ in 0..10 {
+            assert_eq!(conn.post_json("/v1/explain", &body).unwrap().status, 200);
+        }
+        drop(conn); // the stub serves one connection at a time
+        for _ in 0..3 {
+            assert_eq!(
+                post_json(stub.addr, "/v1/explain", &body).unwrap().status,
+                200
+            );
+        }
+        let arrivals = stub.arrivals.lock().unwrap().clone();
+        assert_eq!(arrivals.len(), 13);
+        for (i, whole) in arrivals.iter().enumerate() {
+            assert!(
+                *whole < Duration::from_millis(20),
+                "request {i} took {whole:?} from first to last byte: {arrivals:?}"
+            );
+        }
     }
 
     #[test]
     fn keep_alive_reuses_one_connection_across_requests() {
-        let (addr, conns, served) = stub(false, |_| Response::json(200, "{\"ok\": true}\n"));
-        let mut conn = Connection::new(addr);
+        let stub = stub(false, |_| Response::json(200, "{\"ok\": true}\n"));
+        let mut conn = Connection::new(stub.addr);
         for _ in 0..3 {
             let response = conn.post_json("/v1/explain", "{}").unwrap();
             assert_eq!(response.status, 200);
             assert_eq!(response.text(), "{\"ok\": true}\n");
         }
         assert_eq!(conn.connects(), 1, "client must reuse its stream");
-        assert_eq!(conns.load(Ordering::SeqCst), 1, "server saw one connection");
-        assert_eq!(served.load(Ordering::SeqCst), 3);
+        assert_eq!(
+            stub.conns.load(Ordering::SeqCst),
+            1,
+            "server saw one connection"
+        );
+        assert_eq!(stub.served.load(Ordering::SeqCst), 3);
     }
 
     #[test]
     fn retry_honors_retry_after_and_recovers() {
-        let (addr, _conns, served) = stub(false, |i| {
+        let stub = stub(false, |i| {
             if i == 0 {
                 Response::error(503, "busy").with_header("retry-after", "0")
             } else {
                 Response::json(200, "{\"epoch\": 1}\n")
             }
         });
-        let mut conn = Connection::new(addr);
+        let mut conn = Connection::new(stub.addr);
         let response = conn
             .post_json_retry("/v1/datasets/d/rows", "{}", 3)
             .unwrap();
         assert_eq!(response.status, 200);
-        assert_eq!(served.load(Ordering::SeqCst), 2, "one 503, one success");
+        assert_eq!(
+            stub.served.load(Ordering::SeqCst),
+            2,
+            "one 503, one success"
+        );
     }
 
     #[test]
     fn retry_is_bounded_and_surfaces_the_final_503() {
-        let (addr, _conns, served) = stub(false, |_| {
+        let stub = stub(false, |_| {
             Response::error(503, "busy").with_header("retry-after", "0")
         });
-        let mut conn = Connection::new(addr);
+        let mut conn = Connection::new(stub.addr);
         let response = conn
             .post_json_retry("/v1/datasets/d/rows", "{}", 2)
             .unwrap();
         assert_eq!(response.status, 503);
         assert_eq!(
-            served.load(Ordering::SeqCst),
+            stub.served.load(Ordering::SeqCst),
             3,
             "initial attempt plus exactly max_retries retries"
         );
@@ -450,15 +522,15 @@ mod tests {
 
     #[test]
     fn stale_keep_alive_stream_is_transparently_redialed() {
-        let (addr, conns, served) = stub(true, |_| Response::json(200, "{}"));
-        let mut conn = Connection::new(addr);
+        let stub = stub(true, |_| Response::json(200, "{}"));
+        let mut conn = Connection::new(stub.addr);
         assert_eq!(conn.get("/healthz").unwrap().status, 200);
         // The stub closed the stream after responding; the next request
         // hits EOF with zero response bytes and must resend on a fresh
         // connection rather than erroring.
         assert_eq!(conn.get("/healthz").unwrap().status, 200);
         assert_eq!(conn.connects(), 2);
-        assert_eq!(conns.load(Ordering::SeqCst), 2);
-        assert_eq!(served.load(Ordering::SeqCst), 2);
+        assert_eq!(stub.conns.load(Ordering::SeqCst), 2);
+        assert_eq!(stub.served.load(Ordering::SeqCst), 2);
     }
 }

@@ -55,6 +55,7 @@ pub mod flight;
 pub mod http;
 pub mod json;
 pub mod key;
+mod malloc;
 pub mod persist;
 pub mod pump;
 pub mod retain;

@@ -101,6 +101,9 @@ fn accept_loop(listener: &TcpListener, shared: &Shared, on_reject: &impl Fn(TcpS
         match listener.accept() {
             Ok((stream, _peer)) => {
                 idle_polls = 0;
+                // Responses leave in one write each, so Nagle's algorithm
+                // could only delay them (behind the peer's delayed ACK).
+                let _ = stream.set_nodelay(true);
                 let mut queue = shared.queue.lock().expect("conn queue poisoned");
                 if queue.len() >= shared.depth {
                     drop(queue);

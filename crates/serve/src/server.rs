@@ -25,6 +25,7 @@ use crate::flight::FlightRecorder;
 use crate::http::{Limits, Request, Response};
 use crate::json::Json;
 use crate::key::{cache_key, CanonicalRequest};
+use crate::malloc;
 use crate::pump;
 use crate::retain::TraceRetention;
 use exq_core::jsonout;
@@ -173,8 +174,9 @@ impl Handle {
     }
 
     /// Stop accepting, drain queued and in-flight requests, join all
-    /// threads, dump the warm-start snapshot (if configured), and
-    /// return the final metrics snapshot.
+    /// threads, dump the warm-start snapshot (if configured), give the
+    /// freed memory back to the OS, and return the final metrics
+    /// snapshot.
     pub fn shutdown(self) -> Snapshot {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         self.pump.join();
@@ -186,7 +188,11 @@ impl Handle {
             // cache, nothing more.
             let _ = crate::persist::write_entries(path, &entries);
         }
-        self.inner.sink.snapshot()
+        let snapshot = self.inner.sink.snapshot();
+        // Cache and epochs go before the trim, so their pages go back too.
+        drop(self.inner);
+        malloc::release_freed_pages();
+        snapshot
     }
 }
 
@@ -237,6 +243,7 @@ pub fn start_on(
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
+    malloc::pin_thresholds();
     for counter in SERVER_COUNTERS.iter().chain(INGEST_COUNTERS) {
         sink.add(counter, 0);
     }

@@ -4,7 +4,7 @@
 use exq_relstore::{Database, ExecConfig, SchemaBuilder, ValueType as T};
 use exq_serve::{client, Catalog, ServerConfig, SERVER_COUNTERS};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Two joined relations, enough signal for a real ranking.
 fn test_db() -> Database {
@@ -186,6 +186,28 @@ fn explain_cold_then_cached_is_byte_identical() {
     assert_eq!(snapshot.counter("server.cache.hits"), 1);
     assert_eq!(snapshot.counter("server.cache.misses"), 2);
     assert_eq!(snapshot.counter("server.explain.runs"), 2);
+}
+
+#[test]
+fn keep_alive_hits_have_no_nagle_stall() {
+    // A request written as head then body on a Nagle socket waits for
+    // the server's delayed ACK (≥ 40 ms) on every keep-alive request
+    // after the first: 20 requests took ≈ 880 ms that way.
+    let handle = start(ServerConfig::default());
+    let mut conn = client::Connection::new(handle.addr());
+    let started = Instant::now();
+    for _ in 0..20 {
+        let response = conn.post_json("/v1/explain", EXPLAIN_BODY).unwrap();
+        assert_eq!(response.status, 200);
+    }
+    let took = started.elapsed();
+    assert_eq!(conn.connects(), 1);
+    assert!(
+        took < Duration::from_millis(400),
+        "20 explains took {took:?}"
+    );
+    let snapshot = handle.shutdown();
+    assert_eq!(snapshot.counter("server.cache.hits"), 19);
 }
 
 #[test]
