@@ -31,6 +31,8 @@
 //! println!("{}", analysis.render_pretty(&[&schema, &q]));
 //! ```
 
+#![warn(clippy::print_stdout, clippy::print_stderr)]
+
 pub mod diag;
 pub mod passes;
 pub mod render;
@@ -47,9 +49,6 @@ pub enum SourceKind {
     Schema,
     /// Question DSL (`agg …` / `expr …` / `dir …` / `smoothing …`).
     Question,
-    /// Rust source, analyzed by `exq-lint` (this crate only renders
-    /// its diagnostics).
-    Rust,
 }
 
 /// A named input file.
@@ -79,15 +78,6 @@ impl SourceFile {
             name: name.into(),
             text: text.into(),
             kind: SourceKind::Question,
-        }
-    }
-
-    /// A Rust source (used by `exq-lint` for rendering).
-    pub fn rust(name: impl Into<String>, text: impl Into<String>) -> SourceFile {
-        SourceFile {
-            name: name.into(),
-            text: text.into(),
-            kind: SourceKind::Rust,
         }
     }
 }

@@ -25,6 +25,7 @@ use exq_relstore::cube::CubeStrategy;
 use exq_relstore::{Atom, Database, ExecConfig, Predicate, Universal, Value};
 use std::time::{Duration, Instant};
 
+#[expect(clippy::disallowed_methods, reason = "times the printed tables")]
 fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();
     let out = f();
@@ -583,8 +584,8 @@ fn ex41() {
     )
     .unwrap();
     println!("{:<8} {:<8} {:>8}", "name", "year", "count");
-    let mut cells: Vec<(&exq_relstore::cube::Coord, &f64)> = cube.cells.iter().collect();
-    cells.sort_by(|a, b| a.0.cmp(b.0).reverse());
+    let mut cells = cube.cells.sorted();
+    cells.reverse();
     for (coord, v) in cells {
         let s: Vec<String> = coord
             .iter()

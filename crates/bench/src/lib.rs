@@ -3,6 +3,7 @@
 //! dataset scale.
 
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 #![forbid(unsafe_code)]
 
 use exq_core::prelude::*;

@@ -13,8 +13,8 @@
 //! so use it on test- and example-sized instances (as the paper does in its
 //! figures), not inside the hot explanation pipeline.
 
+use exq_relstore::lookup::LookupMap;
 use exq_relstore::{Database, FkKind, TupleSet, Universal};
-use std::collections::HashMap;
 
 /// Static convergence guarantee for program **P** on a schema, per
 /// Section 3's propositions.
@@ -81,7 +81,7 @@ pub struct DataCausalGraph {
     /// edge exist between two nodes only the dotted one is kept, matching
     /// the paper's figures.
     pub edges: Vec<Vec<(usize, EdgeKind)>>,
-    index_of: HashMap<TupleId, usize>,
+    index_of: LookupMap<TupleId, usize>,
 }
 
 impl DataCausalGraph {
@@ -103,7 +103,7 @@ impl DataCausalGraph {
                 });
             }
         }
-        let index_of: HashMap<TupleId, usize> =
+        let index_of: LookupMap<TupleId, usize> =
             nodes.iter().enumerate().map(|(i, &t)| (t, i)).collect();
         let mut edges: Vec<Vec<(usize, EdgeKind)>> = vec![Vec::new(); nodes.len()];
 
@@ -114,8 +114,8 @@ impl DataCausalGraph {
         // implication. (Co-occurrence per universal tuple is unique by
         // construction, so "one distinct partner" suffices.)
         // companions[(t_j, R_i)] = Some(row) while unique, None once mixed.
-        let mut companions: HashMap<(TupleId, usize), Option<u32>> = HashMap::new();
-        let mut appears: HashMap<TupleId, bool> = HashMap::new();
+        let mut companions: LookupMap<(TupleId, usize), Option<u32>> = LookupMap::new();
+        let mut appears: LookupMap<TupleId, bool> = LookupMap::new();
         for t in u.iter() {
             for rel_j in 0..k {
                 let tj = TupleId {
@@ -141,9 +141,7 @@ impl DataCausalGraph {
         // Drain in sorted key order: the per-node edge lists must not
         // inherit the companion map's hash order, or sibling solid
         // edges would come out in a different order run to run.
-        let mut ordered: Vec<_> = companions.into_iter().collect();
-        ordered.sort_unstable();
-        for ((tj, rel_i), companion) in ordered {
+        for ((tj, rel_i), companion) in companions.into_sorted() {
             if let Some(row_i) = companion {
                 let ti = TupleId {
                     rel: rel_i,

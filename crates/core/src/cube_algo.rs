@@ -26,10 +26,10 @@ use crate::question::UserQuestion;
 use crate::table_m::{self, ExplanationRow, ExplanationTable};
 use exq_relstore::cube::{self, CodedCube, Coord, CubeStrategy};
 use exq_relstore::dict::NO_CODE;
+use exq_relstore::lookup::LookupMap;
 use exq_relstore::{
     AttrRef, CodeTuples, Database, Dict, ExecConfig, MetricsSink, Universal, Value,
 };
-use std::collections::HashMap;
 
 /// Configuration for Algorithm 1.
 #[derive(Debug, Clone)]
@@ -278,7 +278,7 @@ fn joined_value_cells(
     sink: &MetricsSink,
 ) -> Result<Vec<(Coord, Vec<f64>)>> {
     let m = question.query.arity();
-    let mut joined: HashMap<Coord, Vec<f64>> = HashMap::new();
+    let mut joined: LookupMap<Coord, Vec<f64>> = LookupMap::new();
     for (j, q) in question.query.aggregates.iter().enumerate() {
         let c = sink.time("cube_algo.cubes", || {
             cube::compute_rows_with(
@@ -295,7 +295,7 @@ fn joined_value_cells(
         // coordinates are replaced by the reserved dummy so the hash join
         // key is a plain value vector (Section 4.2's optimization).
         let _join_span = sink.span("cube_algo.join");
-        for (coord, value) in c.cells {
+        for (coord, value) in c.cells.into_sorted() {
             let key: Coord = coord
                 .iter()
                 .map(|v| {
@@ -309,8 +309,7 @@ fn joined_value_cells(
             joined.entry(key).or_insert_with(|| vec![0.0; m])[j] = value;
         }
     }
-    // exq-lint: allow(L001): derive_rows re-sorts by coordinate, so the drain order is unobservable
-    Ok(joined.into_iter().collect())
+    Ok(joined.into_sorted())
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@
 //! exactly a cube *coordinate*: one optional value per attribute of `A'`.
 
 use exq_relstore::cube::Coord;
+use exq_relstore::lookup::LookupSet;
 use exq_relstore::{Atom, AttrRef, CmpOp, Conjunction, Database, Universal, Value};
-use std::collections::HashSet;
 use std::fmt;
 
 /// A candidate explanation.
@@ -170,7 +170,7 @@ pub fn enumerate_candidates(
     filter: &exq_relstore::Predicate,
 ) -> Vec<Explanation> {
     let d = dims.len();
-    let mut uniq: HashSet<Coord> = HashSet::new();
+    let mut uniq: LookupSet<Coord> = LookupSet::new();
     let mut base: Vec<Value> = Vec::with_capacity(d);
     for t in u.iter() {
         if !filter.eval(db, t) {
@@ -194,9 +194,7 @@ pub fn enumerate_candidates(
             uniq.insert(coord);
         }
     }
-    let mut coords: Vec<Coord> = uniq.into_iter().collect();
-    coords.sort(); // deterministic order
-    coords
+    uniq.into_sorted()
         .iter()
         .map(|c| Explanation::from_coord(dims, c))
         .collect()

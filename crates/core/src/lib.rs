@@ -69,6 +69,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::disallowed_types, clippy::print_stdout, clippy::print_stderr)]
 #![forbid(unsafe_code)]
 
 pub mod additivity;

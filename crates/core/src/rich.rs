@@ -22,7 +22,7 @@ use crate::degree::{mu_aggr_predicate, mu_interv_of};
 use crate::error::Result;
 use crate::intervention::InterventionEngine;
 use crate::question::UserQuestion;
-use exq_relstore::{AttrRef, CmpOp, Database, Predicate, Universal, Value};
+use exq_relstore::{AttrRef, CmpOp, Database, Predicate, Universal, Value, ValueType};
 use std::fmt;
 
 /// One constraint of a rich explanation.
@@ -121,20 +121,32 @@ impl fmt::Display for RichDisplay<'_> {
     }
 }
 
-/// All contiguous value ranges of an ordered attribute, over its distinct
-/// values observed in the universal relation, with span at most
-/// `max_span` values. `[v_i, v_j]` for every `i ≤ j < i + max_span` —
-/// the "papers with 1977 < year < 1982" shape.
+/// All contiguous value ranges of a numeric (`int` or `float`)
+/// attribute, over its distinct values observed in the universal
+/// relation, with span at most `max_span` values. `[v_i, v_j]` for every
+/// `i ≤ j < i + max_span` — the "papers with 1977 < year < 1982" shape.
+///
+/// The range over every value is left out: it selects every tuple with
+/// a value, so it is φ ≡ true on them, and its intervention deletes the
+/// whole database. Other attributes get no ranges, since the order of a
+/// `str` attribute's values is byte order, not the order of its bins.
 pub fn range_candidates(
     db: &Database,
     u: &Universal,
     attr: AttrRef,
     max_span: usize,
 ) -> Vec<RichExplanation> {
+    let ty = db.schema().relation(attr.rel).attributes[attr.col].ty;
+    if !matches!(ty, ValueType::Int | ValueType::Float) {
+        return Vec::new();
+    }
     let values = distinct_values(db, u, attr);
     let mut out = Vec::new();
     for i in 0..values.len() {
         for j in i..values.len().min(i + max_span) {
+            if i == 0 && j + 1 == values.len() {
+                continue;
+            }
             out.push(RichExplanation::new(vec![RichPart::Range {
                 attr,
                 lo: values[i].clone(),
@@ -147,9 +159,14 @@ pub fn range_candidates(
 
 /// All unordered value *pairs* of an attribute — the "Levy ∨ Halevy"
 /// shape. Quadratic in the number of distinct values; intended for
-/// low-cardinality attributes or pre-filtered value lists.
+/// low-cardinality attributes or pre-filtered value lists. An attribute
+/// with exactly two values gets none: its one pair names every value, so
+/// it is φ ≡ true on the tuples with a value.
 pub fn one_of_candidates(db: &Database, u: &Universal, attr: AttrRef) -> Vec<RichExplanation> {
     let values = distinct_values(db, u, attr);
+    if values.len() <= 2 {
+        return Vec::new();
+    }
     let mut out = Vec::new();
     for i in 0..values.len() {
         for j in (i + 1)..values.len() {
@@ -293,8 +310,9 @@ mod tests {
         // 6 distinct years, max span 3: 6 + 5 + 4 = 15 candidates.
         let cands = range_candidates(&db, &u, year, 3);
         assert_eq!(cands.len(), 15);
-        // Full-span enumeration: 6+5+4+3+2+1 = 21.
-        assert_eq!(range_candidates(&db, &u, year, 100).len(), 21);
+        // Full-span enumeration: 6+5+4+3+2+1 = 21, less the range over
+        // every year.
+        assert_eq!(range_candidates(&db, &u, year, 100).len(), 20);
     }
 
     #[test]
@@ -304,11 +322,39 @@ mod tests {
         let u = Universal::compute(&db, &db.full_view());
         assert_eq!(
             one_of_candidates(&db, &u, ok).len(),
-            1,
-            "one pair from {{y,n}}"
+            0,
+            "the one pair from {{y,n}} names every value"
         );
         let year = db.schema().attr("R", "year").unwrap();
         assert_eq!(one_of_candidates(&db, &u, year).len(), 15, "C(6,2)");
+    }
+
+    /// A candidate that selects every tuple with a value is φ ≡ true on
+    /// them: its intervention deletes the whole database, and it would
+    /// rank first for any question whose empty-database answer is
+    /// extreme.
+    #[test]
+    fn no_candidate_selects_every_value_of_its_attribute() {
+        let db = db();
+        let u = Universal::compute(&db, &db.full_view());
+        for name in ["year", "ok"] {
+            let attr = db.schema().attr("R", name).unwrap();
+            let candidates = range_candidates(&db, &u, attr, 100)
+                .into_iter()
+                .chain(one_of_candidates(&db, &u, attr));
+            for c in candidates {
+                let p = c.to_predicate();
+                let hits = u.iter().filter(|t| p.eval(&db, t)).count();
+                assert!(
+                    hits < u.len(),
+                    "{} selects every R.{name}",
+                    RichDisplay(&c, &db)
+                );
+            }
+        }
+        // `ok` is a `str`: byte order is not an order of its values.
+        let ok = db.schema().attr("R", "ok").unwrap();
+        assert!(range_candidates(&db, &u, ok, 100).is_empty());
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! as disjunctions over the copies ([`BfElimination::rewrite_eq`]).
 
 use crate::error::{Error, Result};
+use exq_relstore::lookup::LookupMap;
 use exq_relstore::{Atom, Database, FkKind, Predicate, SchemaBuilder, Value, ValueType};
-use std::collections::HashMap;
 
 /// The dummy key filling unused fan-out slots.
 fn dummy_key() -> Value {
@@ -118,15 +118,16 @@ pub fn eliminate_back_and_forth(db: &Database, fk_idx: usize) -> Result<BfElimin
     }
 
     // Fan-out c: max referencing rows per target key.
-    let mut fanout: HashMap<Vec<Value>, usize> = HashMap::new();
+    let mut fanout: LookupMap<Vec<Value>, usize> = LookupMap::new();
     let ref_table = db.relation(ref_rel);
     for row in 0..ref_table.len() {
         *fanout
             .entry(ref_table.project(row, &fk.from_cols))
             .or_insert(0) += 1;
     }
-    // exq-lint: allow(L001): max() is order-independent
-    let copies = fanout.values().copied().max().unwrap_or(1).max(1);
+    #[expect(clippy::disallowed_methods, reason = "max() is order-independent")]
+    let max_fanout = fanout.iter_unordered().map(|(_, &n)| n).max();
+    let copies = max_fanout.unwrap_or(1).max(1);
 
     // New schema.
     let side_schema = schema.relation(side_rel);
@@ -212,8 +213,8 @@ pub fn eliminate_back_and_forth(db: &Database, fk_idx: usize) -> Result<BfElimin
     // Referencing copies: assign each target key's rows to slots in order.
     // kad = "<target key>#<slot>"; dummy row per copy references the dummy
     // side row.
-    let mut slot_of: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut kad_values: HashMap<Vec<Value>, Vec<Value>> = HashMap::new(); // target key → kad per slot
+    let mut slot_of: LookupMap<Vec<Value>, usize> = LookupMap::new();
+    let mut kad_values: LookupMap<Vec<Value>, Vec<Value>> = LookupMap::new(); // target key → kad per slot
     for row in 0..ref_table.len() {
         let key = ref_table.project(row, &fk.from_cols);
         let slot = {

@@ -16,6 +16,7 @@
 //! All generators are deterministic given their config's `seed`.
 
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 #![forbid(unsafe_code)]
 
 pub mod chain;

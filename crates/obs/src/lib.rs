@@ -58,6 +58,7 @@
 //! trace-event JSON (loadable in Perfetto or `chrome://tracing`).
 
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 #![forbid(unsafe_code)]
 
 mod hist;
@@ -94,6 +95,7 @@ struct Registry {
 }
 
 impl Default for Registry {
+    #[expect(clippy::disallowed_methods, reason = "span clock origin, not a result")]
     fn default() -> Registry {
         Registry {
             state: Mutex::default(),
@@ -216,6 +218,7 @@ impl MetricsSink {
 
     /// Open a span closed (and recorded) when the guard drops. When
     /// tracing is armed the guard also emits begin/end trace events.
+    #[expect(clippy::disallowed_methods, reason = "span timing, not a result")]
     pub fn span(&self, span: &str) -> SpanGuard<'_> {
         let trace_span = self.trace_record(span, TracePhase::Begin, None);
         SpanGuard {

@@ -121,8 +121,8 @@ pub(crate) fn render(snapshot: &Snapshot) -> String {
 /// Is `name` a legal Prometheus metric name (`[a-zA-Z_:][a-zA-Z0-9_:]*`)?
 ///
 /// Used by [`check_prometheus`] on every exposition line, and by
-/// `exq lint`'s catalogue audit to prove each `counters.txt` entry will
-/// render to a scrapeable name.
+/// the catalogue audit (`tests/artifact_audit.rs`) to prove each
+/// `counters.txt` entry will render to a scrapeable name.
 pub fn is_valid_metric_name(name: &str) -> bool {
     let mut chars = name.chars();
     match chars.next() {

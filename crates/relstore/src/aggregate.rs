@@ -10,10 +10,10 @@ use crate::database::Database;
 use crate::dict::Dict;
 use crate::error::{Error, Result};
 use crate::join::Universal;
+use crate::lookup::LookupSet;
 use crate::predicate::Predicate;
 use crate::schema::{AttrRef, DatabaseSchema};
 use crate::value::{Value, ValueType};
-use std::collections::HashSet;
 
 /// An aggregate function.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -64,7 +64,7 @@ impl AggFunc {
     pub fn new_state(&self) -> AggState {
         match self {
             AggFunc::CountStar => AggState::Count(0),
-            AggFunc::CountDistinct(_) => AggState::DistinctCodes(HashSet::new()),
+            AggFunc::CountDistinct(_) => AggState::DistinctCodes(LookupSet::new()),
             AggFunc::Sum(_) => AggState::Sum { int: 0, float: 0.0 },
             AggFunc::Avg(_) => AggState::Avg {
                 int: 0,
@@ -165,7 +165,7 @@ pub enum AggState {
     /// skipped. Exact — the dictionary assigns one code per `Value`
     /// equivalence class — and it keeps the key set so roll-up merges stay
     /// correct.
-    DistinctCodes(HashSet<u32>),
+    DistinctCodes(LookupSet<u32>),
 }
 
 impl AggState {
@@ -256,7 +256,8 @@ impl AggState {
                 }
             }
             (AggState::DistinctCodes(a), AggState::DistinctCodes(b)) => {
-                a.extend(b.iter().copied());
+                #[expect(clippy::disallowed_methods, reason = "a set union is order-free")]
+                a.extend(b.iter_unordered().copied());
             }
             (a, b) => unreachable!("cannot merge {a:?} with {b:?}"),
         }

@@ -51,12 +51,12 @@ use crate::database::Database;
 use crate::dict::{CodeTuples, Dict, NO_CODE};
 use crate::error::{Error, Result};
 use crate::join::Universal;
+use crate::lookup::LookupMap;
 use crate::predicate::Predicate;
 use crate::schema::AttrRef;
 use crate::value::Value;
 use crate::ExecConfig;
 use exq_obs::MetricsSink;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Maximum cube dimensionality. `2^16` masks per tuple is already far past
@@ -116,7 +116,7 @@ pub struct Cube {
     /// The dimension attributes, in coordinate order.
     pub dims: Vec<AttrRef>,
     /// Aggregate value per cell. Only non-empty cells are present.
-    pub cells: HashMap<Coord, f64>,
+    pub cells: LookupMap<Coord, f64>,
 }
 
 impl Cube {
@@ -212,19 +212,17 @@ pub fn compute_rows_with(
         CubeStrategy::LatticeRollup => rows_rollup(db, u, selection, dims, agg)?,
         CubeStrategy::Auto => unreachable!("begin_run never returns Auto"),
     };
-    let cells: HashMap<Coord, f64> = states.into_iter().map(|(k, s)| (k, s.finalize())).collect();
     record_cells(
         sink,
         selected,
         dims.len(),
-        // exq-lint: allow(L001): per-level integer counting is order-independent
-        cells
-            .keys()
-            .map(|k| k.iter().filter(|v| !v.is_null()).count()),
+        states
+            .iter()
+            .map(|(k, _)| k.iter().filter(|v| !v.is_null()).count()),
     );
     Ok(Cube {
         dims: dims.to_vec(),
-        cells,
+        cells: states.into_iter().map(|(k, s)| (k, s.finalize())).collect(),
     })
 }
 
@@ -646,8 +644,8 @@ fn rollup_one_mask(per_mask: &[(Cells, Vec<u32>)], mask: usize, d: usize) -> Cel
     child
 }
 
-/// A `Value`-keyed cell map of the reference path.
-type RowCells = HashMap<Coord, AggState>;
+/// The reference path's `Value`-keyed cells, sorted by coordinate.
+type RowCells = Vec<(Coord, AggState)>;
 
 /// The reference's [`accumulate`]: the same tuple order over `Value`
 /// coordinates, with the selection evaluated per tuple. Also returns the
@@ -661,7 +659,7 @@ fn rows_accumulate(
     enumerate_masks: bool,
 ) -> Result<(RowCells, u64)> {
     let d = dims.len();
-    let mut cells = RowCells::new();
+    let mut cells = LookupMap::new();
     let mut selected: u64 = 0;
     for i in 0..u.len() {
         let t = u.tuple(i);
@@ -697,7 +695,7 @@ fn rows_accumulate(
             state.update(agg, db, t)?;
         }
     }
-    Ok((cells, selected))
+    Ok((cells.into_sorted(), selected))
 }
 
 /// The reference's [`lattice_rollup`], over `Value` coordinates, with
@@ -716,10 +714,8 @@ fn rows_rollup(
     per_mask[full] = base;
     for mask in (0..full).rev() {
         let cleared = (!mask).trailing_zeros() as usize;
-        let mut parent: Vec<(&Coord, &AggState)> = per_mask[mask | 1 << cleared].iter().collect();
-        parent.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let mut child = RowCells::new();
-        for (coord, state) in parent {
+        let mut child: LookupMap<Coord, AggState> = LookupMap::new();
+        for (coord, state) in &per_mask[mask | 1 << cleared] {
             let mut key = coord.clone();
             key[cleared] = Value::Null;
             match child.get_mut(&key) {
@@ -729,7 +725,7 @@ fn rows_rollup(
                 }
             }
         }
-        per_mask[mask] = child;
+        per_mask[mask] = child.into_sorted();
     }
     // Keys are disjoint across masks because no dimension value is null.
     Ok((per_mask.into_iter().flatten().collect(), selected))
@@ -969,7 +965,7 @@ mod tests {
                         .unwrap();
                 for other in [&par, &rows] {
                     assert_eq!(seq.cells.len(), other.cells.len());
-                    for (coord, v) in &seq.cells {
+                    for (coord, v) in seq.cells.sorted() {
                         let pv = other
                             .get(coord)
                             .unwrap_or_else(|| panic!("missing {coord:?}"));
@@ -987,7 +983,7 @@ mod tests {
         for threads in [2, 7] {
             let exec = ExecConfig::with_threads(threads);
             let par = group_by_with(&db, &u, &Predicate::True, &dims, &agg, &exec).unwrap();
-            for (coord, v) in &seq.cells {
+            for (coord, v) in seq.cells.sorted() {
                 assert_eq!(v.to_bits(), par.get(coord).unwrap().to_bits());
             }
             assert_eq!(seq.cells.len(), par.cells.len());
@@ -1022,7 +1018,7 @@ mod tests {
         ] {
             let cube = compute(&db, &u, &selection, &dims, &agg, strategy).unwrap();
             let mut checked = 0;
-            for (coord, v) in &cube.cells {
+            for (coord, v) in cube.cells.sorted() {
                 if finest_only && coord.iter().any(Value::is_null) {
                     continue;
                 }
@@ -1158,7 +1154,7 @@ mod tests {
             CubeStrategy::LatticeRollup,
         )
         .unwrap();
-        for (coord, v) in &g.cells {
+        for (coord, v) in g.cells.sorted() {
             assert_eq!(full.get(coord), Some(*v));
         }
     }

@@ -3,11 +3,11 @@
 
 use crate::column::ColumnStore;
 use crate::error::{Error, Result};
+use crate::lookup::{LookupMap, LookupSet};
 use crate::schema::{AttrRef, DatabaseSchema};
 use crate::table::Relation;
 use crate::tupleset::TupleSet;
 use crate::value::Value;
-use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 /// A batch of rows to append, pairing relation names with their new
@@ -178,7 +178,8 @@ impl Database {
             }
             let schema = self.schema.relation(rel_idx);
             let pk = &schema.primary_key;
-            let mut new_keys: HashSet<Vec<&Value>> = HashSet::with_capacity(rel.len() - old_len);
+            let mut new_keys: LookupSet<Vec<&Value>> =
+                LookupSet::with_capacity(rel.len() - old_len);
             for i in old_len..rel.len() {
                 let row = rel.row(i);
                 if !new_keys.insert(pk.iter().map(|&c| &row[c]).collect()) {
@@ -191,7 +192,7 @@ impl Database {
             let dict_cols = old_cols.map(|store| store.dict_columns(rel_idx, pk));
             match dict_cols {
                 Some(cols) if cols.iter().all(|&(codes, _)| codes.len() == old_len) => {
-                    let mut coded: HashSet<Vec<u32>> = HashSet::new();
+                    let mut coded: LookupSet<Vec<u32>> = LookupSet::new();
                     'key: for i in old_len..rel.len() {
                         let row = rel.row(i);
                         let mut key = Vec::with_capacity(pk.len());
@@ -260,7 +261,7 @@ impl Database {
                 })
                 .filter(|&(codes, _)| codes.len() == to_old_len);
             if let Some((_, dict)) = target_dict {
-                let new_targets: HashSet<&Value> = (to_old_len..to.len())
+                let new_targets: LookupSet<&Value> = (to_old_len..to.len())
                     .map(|i| &to.row(i)[fk.to_cols[0]])
                     .collect();
                 let c = fk.from_cols[0];
@@ -276,7 +277,7 @@ impl Database {
                 }
                 continue;
             }
-            let mut missing: HashSet<Vec<&Value>> = HashSet::new();
+            let mut missing: LookupSet<Vec<&Value>> = LookupSet::new();
             for i in old_len..from.len() {
                 let row = from.row(i);
                 missing.insert(fk.from_cols.iter().map(|&c| &row[c]).collect());
@@ -333,7 +334,7 @@ impl Database {
         // Primary keys unique.
         for (rel_idx, rel) in self.relations.iter().enumerate() {
             let schema = self.schema.relation(rel_idx);
-            let mut seen: HashMap<Vec<Value>, ()> = HashMap::with_capacity(rel.len());
+            let mut seen: LookupMap<Vec<Value>, ()> = LookupMap::with_capacity(rel.len());
             for i in 0..rel.len() {
                 let key = rel.project(i, &schema.primary_key);
                 if seen.insert(key.clone(), ()).is_some() {
@@ -346,8 +347,7 @@ impl Database {
         }
         // Foreign keys resolve.
         for fk in self.schema.foreign_keys() {
-            let targets: std::collections::HashSet<Vec<Value>> = (0..self.relations[fk.to_rel]
-                .len())
+            let targets: LookupSet<Vec<Value>> = (0..self.relations[fk.to_rel].len())
                 .map(|i| self.relations[fk.to_rel].project(i, &fk.to_cols))
                 .collect();
             let from = &self.relations[fk.from_rel];

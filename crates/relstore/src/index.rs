@@ -4,16 +4,16 @@
 //! index maps a projected key to the (live) row indices carrying it.
 
 use crate::database::Database;
+use crate::lookup::LookupMap;
 use crate::tupleset::TupleSet;
 use crate::value::Value;
-use std::collections::HashMap;
 
 /// A hash index over the live rows of one relation, keyed by a column
 /// subset.
 #[derive(Debug, Clone)]
 pub struct HashIndex {
     cols: Vec<usize>,
-    map: HashMap<Vec<Value>, Vec<u32>>,
+    map: LookupMap<Vec<Value>, Vec<u32>>,
 }
 
 impl HashIndex {
@@ -21,7 +21,7 @@ impl HashIndex {
     /// `live`.
     pub fn build(db: &Database, rel: usize, cols: &[usize], live: &TupleSet) -> HashIndex {
         let relation = db.relation(rel);
-        let mut map: HashMap<Vec<Value>, Vec<u32>> = HashMap::with_capacity(live.count());
+        let mut map: LookupMap<Vec<Value>, Vec<u32>> = LookupMap::with_capacity(live.count());
         let mut key = Vec::with_capacity(cols.len());
         for row in live.iter() {
             relation.project_into(row, cols, &mut key);

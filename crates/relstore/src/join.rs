@@ -12,10 +12,10 @@
 use crate::column::ColumnStore;
 use crate::database::{Database, View};
 use crate::dict::NO_CODE;
+use crate::lookup::{LookupMap, LookupSet};
 use crate::schema::DatabaseSchema;
 use crate::tupleset::TupleSet;
 use crate::ExecConfig;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// One edge of a component's BFS join tree.
@@ -375,7 +375,7 @@ enum EdgeProbe<'a> {
         parent_codes: &'a [u32],
         /// Parent code → live child rows, ascending; codes no live
         /// parent row holds are simply absent.
-        buckets: HashMap<u32, Vec<u32>>,
+        buckets: LookupMap<u32, Vec<u32>>,
     },
     /// Composite coded join columns: child rows keyed by code tuples.
     Multi {
@@ -384,7 +384,7 @@ enum EdgeProbe<'a> {
         /// Per join column: parent code → child code, or [`NO_CODE`].
         translations: Vec<Vec<u32>>,
         /// Child code tuple → live child rows, ascending.
-        map: HashMap<Box<[u32]>, Vec<u32>>,
+        map: LookupMap<Box<[u32]>, Vec<u32>>,
     },
 }
 
@@ -403,9 +403,9 @@ impl EdgeProbe<'_> {
             // alone) never changes the output.
             let parent_live = view.live(edge.parent).count();
             if parent_live * 16 <= pdict.len() {
-                let mut translated: std::collections::HashSet<u32> =
-                    std::collections::HashSet::with_capacity(parent_live);
-                let mut child_to_parent: HashMap<u32, u32> = HashMap::with_capacity(parent_live);
+                let mut translated: LookupSet<u32> = LookupSet::with_capacity(parent_live);
+                let mut child_to_parent: LookupMap<u32, u32> =
+                    LookupMap::with_capacity(parent_live);
                 for row in view.live(edge.parent).iter() {
                     let pc = parent_codes[row];
                     if translated.insert(pc) {
@@ -414,8 +414,8 @@ impl EdgeProbe<'_> {
                         }
                     }
                 }
-                let mut buckets: HashMap<u32, Vec<u32>> =
-                    HashMap::with_capacity(child_to_parent.len());
+                let mut buckets: LookupMap<u32, Vec<u32>> =
+                    LookupMap::with_capacity(child_to_parent.len());
                 for row in view.live(edge.child).iter() {
                     if let Some(&pc) = child_to_parent.get(&child_codes[row]) {
                         buckets.entry(pc).or_default().push(row as u32);
@@ -443,7 +443,7 @@ impl EdgeProbe<'_> {
             .map(|(&(_, pd), &(_, cd))| pd.translate_to(cd))
             .collect();
         let parent_codes = parent.iter().map(|&(codes, _)| codes).collect();
-        let mut map: HashMap<Box<[u32]>, Vec<u32>> = HashMap::new();
+        let mut map: LookupMap<Box<[u32]>, Vec<u32>> = LookupMap::new();
         let mut key: Vec<u32> = Vec::with_capacity(child.len());
         for row in view.live(edge.child).iter() {
             key.clear();

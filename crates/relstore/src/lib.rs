@@ -51,6 +51,7 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![warn(clippy::disallowed_types, clippy::print_stdout, clippy::print_stderr)]
 
 pub mod aggregate;
 pub mod column;
@@ -61,6 +62,7 @@ pub mod dict;
 pub mod error;
 pub mod index;
 pub mod join;
+pub mod lookup;
 pub mod par;
 pub mod parse;
 pub mod predicate;

@@ -13,8 +13,8 @@
 //! graph* of Definition 3.8, exposed by [`DatabaseSchema::causal_graph`].
 
 use crate::error::{Error, Result};
+use crate::lookup::LookupMap;
 use crate::value::ValueType;
-use std::collections::HashMap;
 use std::fmt;
 
 /// One column of a relation.
@@ -359,12 +359,12 @@ impl SchemaBuilder {
     /// Validate and produce the schema.
     pub fn build(self) -> Result<DatabaseSchema> {
         // Relation-level checks.
-        let mut names = HashMap::new();
+        let mut names = LookupMap::new();
         for (i, r) in self.relations.iter().enumerate() {
             if names.insert(r.name.clone(), i).is_some() {
                 return Err(Error::DuplicateRelation(r.name.clone()));
             }
-            let mut attr_names = HashMap::new();
+            let mut attr_names = LookupMap::new();
             for a in &r.attributes {
                 if attr_names.insert(a.name.as_str(), ()).is_some() {
                     return Err(Error::DuplicateAttribute {

@@ -33,9 +33,9 @@
 use crate::database::{Database, View};
 use crate::dict::NO_CODE;
 use crate::join::{join_forest, Component};
+use crate::lookup::LookupSet;
 use crate::tupleset::TupleSet;
 use crate::ExecConfig;
-use std::collections::HashSet;
 
 /// Fully reduce `view`: the returned view keeps exactly the rows that
 /// appear in `U` computed over `view`.
@@ -191,7 +191,7 @@ fn compute_drops(db: &Database, view: &View, step: &Step<'_>) -> Vec<usize> {
         // Composite key: membership set of translated code tuples. A
         // source key with any untranslatable column can't match a target
         // row, so it is skipped.
-        let mut keys: HashSet<Box<[u32]>> = HashSet::new();
+        let mut keys: LookupSet<Box<[u32]>> = LookupSet::new();
         let mut key: Vec<u32> = Vec::with_capacity(source.len());
         'source: for row in view.live(step.source).iter() {
             key.clear();

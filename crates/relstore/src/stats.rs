@@ -9,10 +9,10 @@
 use crate::database::Database;
 use crate::dict::CodeTuples;
 use crate::join::Universal;
+use crate::lookup::LookupSet;
 use crate::schema::AttrRef;
 use crate::value::Value;
 use crate::ExecConfig;
-use std::collections::HashSet;
 
 /// Per-attribute profile.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,7 +32,7 @@ pub struct AttrStats {
 /// Profile one attribute over all rows of its relation.
 pub fn attr_stats(db: &Database, attr: AttrRef) -> AttrStats {
     let relation = db.relation(attr.rel);
-    let mut distinct: HashSet<&Value> = HashSet::new();
+    let mut distinct: LookupSet<&Value> = LookupSet::new();
     let mut nulls = 0usize;
     let mut min: Option<&Value> = None;
     let mut max: Option<&Value> = None;

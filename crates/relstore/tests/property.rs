@@ -598,7 +598,7 @@ proptest! {
             AggFunc::CountDistinct(w),
         ] {
             let cube = cube::compute(&db, &u, &Predicate::True, &dims, &agg, CubeStrategy::Auto).unwrap();
-            for (coord, &cell_value) in &cube.cells {
+            for (coord, &cell_value) in cube.cells.sorted() {
                 // Rebuild the coordinate as a selection predicate.
                 let parts = dims
                     .iter()
@@ -624,9 +624,10 @@ proptest! {
         let dims = vec![schema.attr("R", "g").unwrap(), schema.attr("R", "h").unwrap()];
         let grouped = cube::group_by(&db, &u, &Predicate::True, &dims, &AggFunc::CountStar).unwrap();
         let cube = cube::compute(&db, &u, &Predicate::True, &dims, &AggFunc::CountStar, CubeStrategy::LatticeRollup).unwrap();
-        let finest: std::collections::HashMap<_, _> = cube
+        let finest: exq_relstore::lookup::LookupMap<_, _> = cube
             .cells
-            .iter()
+            .sorted()
+            .into_iter()
             .filter(|(c, _)| c.iter().all(|v| !v.is_null()))
             .map(|(c, v)| (c.clone(), *v))
             .collect();

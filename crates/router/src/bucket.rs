@@ -57,7 +57,7 @@ impl TokenBuckets {
     /// Take one token from `tenant`'s bucket, refilling for elapsed
     /// time first. `true` admits the request.
     pub fn try_take(&self, tenant: &str) -> bool {
-        // exq-lint: allow(L002): token refill is wall-clock by definition; decides admission only, never reaches explanation results
+        #[expect(clippy::disallowed_methods, reason = "token refill, not a result")]
         let now = Instant::now();
         let mut state = self.state.lock().expect("bucket state poisoned");
         let key = if state.len() >= MAX_TENANTS && !state.contains_key(tenant) {

@@ -205,7 +205,7 @@ impl Front {
 /// [`pump::serve_connection`], exactly like the worker tier: keep-alive
 /// on request, silent idle close.
 fn serve_one(inner: &FrontInner, stream: &mut TcpStream, carry: &mut Vec<u8>) -> bool {
-    // exq-lint: allow(L002): HTTP timeout/latency bookkeeping, never reaches explanation results
+    #[expect(clippy::disallowed_methods, reason = "timeouts and latency only")]
     let started = Instant::now();
     let deadline = started + inner.config.request_timeout;
     let read = pump::read_request(

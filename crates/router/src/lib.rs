@@ -27,6 +27,7 @@
 //! crates, every counter pre-registered and catalogued.
 
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod bucket;
 pub mod front;

@@ -127,7 +127,7 @@ impl Upstreams {
     pub fn checkout(&self, shard: usize) -> Result<Lease, CheckoutError> {
         let slot = &self.slots[shard];
         let mut state = slot.state.lock().expect("slot poisoned");
-        // exq-lint: allow(L002): pool-wait deadline, never reaches explanation results
+        #[expect(clippy::disallowed_methods, reason = "a pool-wait deadline only")]
         let deadline = std::time::Instant::now() + self.wait;
         loop {
             let Some(addr) = state.addr else {
@@ -149,7 +149,7 @@ impl Upstreams {
                     pooled: false,
                 });
             }
-            // exq-lint: allow(L002): pool-wait deadline, never reaches explanation results
+            #[expect(clippy::disallowed_methods, reason = "a pool-wait deadline only")]
             let now = std::time::Instant::now();
             if now >= deadline {
                 return Err(CheckoutError::Busy);

@@ -135,7 +135,7 @@ impl std::fmt::Debug for AccessLog {
 
 /// Minutes since the Unix epoch — the log's coarse timestamp bucket.
 fn minute_bucket() -> u64 {
-    // exq-lint: allow(L002): access-log timestamp bucket, never reaches explanation results
+    #[expect(clippy::disallowed_methods, reason = "log timestamp, not a result")]
     let since_epoch = std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH);
     since_epoch.map(|d| d.as_secs() / 60).unwrap_or(0)
 }

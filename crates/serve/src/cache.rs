@@ -161,6 +161,7 @@ impl ResultCache {
 
     /// Every live entry as `(key, document)` pairs in sorted-key order —
     /// the deterministic order the warm-start snapshot is written in.
+    #[expect(clippy::disallowed_methods, reason = "sorted before it is returned")]
     pub fn entries_sorted(&self) -> Vec<(String, std::sync::Arc<String>)> {
         let mut all: Vec<(String, std::sync::Arc<String>)> = self
             .shards

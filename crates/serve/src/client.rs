@@ -378,6 +378,7 @@ mod tests {
     /// `keep-alive` but closes the stream after every response —
     /// simulating the server idle-closing a connection between
     /// requests, the race [`Connection`] must absorb.
+    #[expect(clippy::disallowed_methods, reason = "times the Nagle test")]
     fn stub(lie_and_close: bool, handler: impl Fn(usize) -> Response + Send + 'static) -> Stub {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let stub = Stub {

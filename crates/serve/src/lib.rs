@@ -46,6 +46,7 @@
 //! PR 1): no async runtime, no HTTP crate, no JSON crate, no libc.
 
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod accesslog;
 pub mod cache;

@@ -217,7 +217,7 @@ pub fn read_request(
         if carry.is_empty() && shutdown.load(Ordering::SeqCst) {
             return Ok(None);
         }
-        // exq-lint: allow(L002): read-deadline check, never reaches explanation results
+        #[expect(clippy::disallowed_methods, reason = "a read deadline, not a result")]
         if Instant::now() >= deadline {
             return if carry.is_empty() {
                 Ok(None) // idle connection, not a slow request

@@ -297,9 +297,8 @@ pub fn start_on(
 /// response (stamped with its `X-Exq-Trace-Id`), record latency into
 /// the per-endpoint histogram and the flight recorder. Returns whether
 /// the connection should be kept open for another request.
-// exq-lint: allow(L006): shares only the read-one/write-one shape with the front's serve_one; the common machinery lives in pump, the rest is worker-only routing
 fn serve_one(inner: &Inner, stream: &mut TcpStream, carry: &mut Vec<u8>) -> bool {
-    // exq-lint: allow(L002): HTTP timeout/latency bookkeeping, never reaches explanation results
+    #[expect(clippy::disallowed_methods, reason = "timeouts and latency only")]
     let started = Instant::now();
     let deadline = started + inner.config.request_timeout;
     let read = pump::read_request(

@@ -195,6 +195,7 @@ fn keep_alive_hits_have_no_nagle_stall() {
     // after the first: 20 requests took ≈ 880 ms that way.
     let handle = start(ServerConfig::default());
     let mut conn = client::Connection::new(handle.addr());
+    #[expect(clippy::disallowed_methods, reason = "measures the wire stall")]
     let started = Instant::now();
     for _ in 0..20 {
         let response = conn.post_json("/v1/explain", EXPLAIN_BODY).unwrap();

@@ -12,7 +12,7 @@
 use exq_obs::{escape_json, MetricsSink};
 use exq_serve::json::{self, Json};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 const NAMES: [&str; 4] = ["join", "cube", "semijoin", "cube_algo"];
 
@@ -40,7 +40,7 @@ fn assert_balanced(doc: &Json) {
         .get("traceEvents")
         .and_then(|v| v.as_array())
         .expect("traceEvents array");
-    let mut stacks: HashMap<usize, Vec<(String, usize)>> = HashMap::new();
+    let mut stacks: BTreeMap<usize, Vec<(String, usize)>> = BTreeMap::new();
     for event in events {
         let name = event
             .get("name")

@@ -492,6 +492,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     }
     let mut catalog = exq::serve::Catalog::new();
     for spec in preloads {
+        #[expect(clippy::disallowed_methods, reason = "preload time is only printed")]
         let t0 = std::time::Instant::now();
         preload_dataset(&mut catalog, spec, &exec)?;
         eprintln!("preloaded {spec} in {:.2?}", t0.elapsed());
@@ -964,138 +965,9 @@ fn cmd_check(argv: &[String]) -> ExitCode {
     }
 }
 
-/// `exq lint [PATHS…] [--format pretty|json] [--deny-warnings]
-/// [--assume-crate NAME]`.
-///
-/// With no paths: finds the workspace root (walking up from the current
-/// directory), lints every `crates/*/src` and root `src` Rust file, and
-/// runs the cross-artifact audits (counter catalogue, Prometheus
-/// naming, diagnostic-code table). With explicit paths: lints only
-/// those files (audits skipped — they need the whole workspace);
-/// `--assume-crate` pretends the files live in the named crate, which
-/// is how CI's negative test injects a determinism violation. Exits 0
-/// when clean, 1 on errors (or warnings under `--deny-warnings`), 2 on
-/// usage errors.
-fn cmd_lint(argv: &[String]) -> ExitCode {
-    use exq::lint::{self, LintSource};
-    let mut format = "pretty".to_string();
-    let mut deny_warnings = false;
-    let mut assume_crate: Option<String> = None;
-    let mut paths: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--deny-warnings" => {
-                deny_warnings = true;
-                i += 1;
-            }
-            "--format" => match argv.get(i + 1) {
-                Some(v) if v == "pretty" || v == "json" => {
-                    format = v.clone();
-                    i += 2;
-                }
-                Some(v) => {
-                    eprintln!("error: --format takes pretty|json, got `{v}`\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-                None => {
-                    eprintln!("error: missing value for --format\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--assume-crate" => match argv.get(i + 1) {
-                Some(v) => {
-                    assume_crate = Some(v.clone());
-                    i += 2;
-                }
-                None => {
-                    eprintln!("error: missing value for --assume-crate\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            flag if flag.starts_with("--") => {
-                eprintln!("error: unknown flag `{flag}` for lint\n{USAGE}");
-                return ExitCode::from(2);
-            }
-            path => {
-                paths.push(path.to_string());
-                i += 1;
-            }
-        }
-    }
-
-    let mut sources: Vec<LintSource> = Vec::new();
-    let mut extra_render_files = Vec::new();
-    let mut diags;
-    if paths.is_empty() {
-        let cwd = std::env::current_dir().unwrap_or_else(|_| ".".into());
-        let Some(root) = lint::find_workspace_root(&cwd) else {
-            eprintln!("error: no workspace Cargo.toml above {}", cwd.display());
-            return ExitCode::from(2);
-        };
-        sources = match lint::collect_sources(&root) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: collecting workspace sources: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        diags = lint::lint_sources(&sources);
-        match lint::audit::audit_workspace(&root, &sources) {
-            Ok((audit_diags, extra)) => {
-                diags.extend(audit_diags);
-                extra_render_files = extra;
-            }
-            Err(e) => {
-                eprintln!("error: cross-artifact audit: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        for path in &paths {
-            match fs::read_to_string(path) {
-                Ok(text) => sources.push(LintSource::with_crate(
-                    path.as_str(),
-                    text,
-                    assume_crate.as_deref(),
-                )),
-                Err(e) => {
-                    eprintln!("error: {path}: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-        }
-        diags = lint::lint_sources(&sources);
-    }
-
-    let errors = diags
-        .iter()
-        .filter(|d| d.severity == exq::lint::Severity::Error)
-        .count();
-    let warnings = diags.len() - errors;
-    if format == "json" {
-        println!("{}", lint::render_json(&diags));
-    } else {
-        let mut files = lint::to_source_files(&sources);
-        files.extend(extra_render_files);
-        let refs: Vec<&SourceFile> = files.iter().collect();
-        print!("{}", lint::render_pretty(&diags, &refs));
-        eprintln!(
-            "exq lint: {} file(s), {errors} error(s), {warnings} warning(s)",
-            sources.len()
-        );
-    }
-    if errors > 0 || (deny_warnings && warnings > 0) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
 const USAGE: &str =
-    "usage: exq <check|lint|schema|validate|profile|explain|report|drill|serve|append> [--flags]
+    "usage: exq <check|schema|validate|profile|explain|report|drill|serve|append> [--flags]
   exq check    SCHEMA [QUESTION...] [--format pretty|json]
-  exq lint     [PATHS...] [--format pretty|json] [--deny-warnings] [--assume-crate NAME]
   exq schema   --schema FILE
   exq validate --schema FILE --table Rel=FILE...
   exq profile  --schema FILE --table Rel=FILE... [--metrics PATH|-] [--trace] \\
@@ -1131,11 +1003,6 @@ the run as Chrome trace-event JSON (load in Perfetto/chrome://tracing).
 --format json (explain, report, drill) emits one machine-readable JSON
 document on stdout and keeps stderr empty — the same document shape
 `exq serve` returns.
-lint with no PATHS audits the whole workspace (rules L001-L006 plus the
-counter-catalogue, Prometheus-naming, and diagnostic-code cross-audits);
-with PATHS it lints just those files. --deny-warnings promotes warnings
-to a failing exit; --assume-crate NAME applies crate-scoped rules as if
-the files lived in crates/NAME (used by CI's injected-violation test).
 serve runs until SIGINT/SIGTERM, then drains in-flight requests and
 flushes a final metrics snapshot (--metrics PATH) plus the flight
 recorder's last-requests ring (PATH.requests.json); while running it
@@ -1173,13 +1040,9 @@ relations before referencing ones so foreign keys resolve.";
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    // `check` and `lint` take positional paths, unlike the --flag-only
-    // commands.
+    // `check` takes positional paths, unlike the --flag-only commands.
     if argv.first().map(String::as_str) == Some("check") {
         return cmd_check(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("lint") {
-        return cmd_lint(&argv[1..]);
     }
     let args = match parse_args(&argv) {
         Ok(a) => a,

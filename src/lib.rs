@@ -21,11 +21,15 @@
 //!   LRU result cache, and a std-only HTTP/1.1 front end (`exq serve`);
 //! * [`router`] (`exq-router`) — the sharded multi-process serving tier
 //!   (`exq serve --router N`): consistent-hash routing front, per-tenant
-//!   admission control, worker supervision with warm restarts;
-//! * [`lint`] (`exq-lint`) — the `exq lint` workspace auditor: a
-//!   tolerant Rust lexer, determinism lint rules with stable `L`-codes,
-//!   and cross-artifact audits tying the counter catalogue, Prometheus
-//!   naming, and the diagnostic-code table to actual source.
+//!   admission control, worker supervision with warm restarts.
+//!
+//! The workspace's determinism rules are compiler lints: the root
+//! `clippy.toml` bans std's `HashMap`/`HashSet` in `relstore` and `core`
+//! (they use [`relstore::lookup`]'s lookup-only map and set), and bans
+//! hash-order iteration, wall-clock reads and thread identity
+//! everywhere; library crates may not print. `cargo clippy --workspace
+//! --all-targets -- -D warnings` enforces it, and each exemption is an
+//! `#[expect(…, reason = "…")]` at its site.
 //!
 //! See the `examples/` directory for end-to-end walkthroughs
 //! (`quickstart`, `dblp_bump`, `natality`, `sigmod_pods`, `convergence`)
@@ -33,12 +37,12 @@
 //! table and figure of the paper's evaluation.
 
 #![warn(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 #![forbid(unsafe_code)]
 
 pub use exq_analyze as analyze;
 pub use exq_core as core;
 pub use exq_datagen as datagen;
-pub use exq_lint as lint;
 pub use exq_obs as obs;
 pub use exq_relstore as relstore;
 pub use exq_router as router;

@@ -275,7 +275,7 @@ fn coded_cube_is_bit_identical_to_row_cube_per_strategy() {
                 cube::compute_rows_with(&db, &u, &Predicate::True, &dims, &agg, strategy, &exec)
                     .unwrap();
             assert_eq!(coded.len(), rows.len(), "{strategy:?} / {agg:?}");
-            for (coord, value) in &rows.cells {
+            for (coord, value) in rows.cells.sorted() {
                 let c = coded
                     .cells
                     .get(coord)

@@ -1,6 +1,7 @@
-// exq-lint-fixture: crate=core
-// Seeded violation for L003: thread-identity logic outside par.rs /
-// trace.rs — results must not depend on which worker ran.
+// Seeded violation for L003: thread-identity logic — results must not
+// depend on which worker ran.
 pub fn worker_tag() -> String {
-    format!("{:?}", std::thread::current().id())
+    #[expect(clippy::disallowed_methods, reason = "seeded: thread identity")]
+    let id = std::thread::current().id();
+    format!("{id:?}")
 }

@@ -1,82 +1,33 @@
-//! Golden-diagnostic tests over the seeded-violation lint corpus.
+//! The seeded-violation corpus of the determinism rules, which are
+//! clippy configuration (the root `clippy.toml`; DESIGN.md §9).
 //!
-//! Every `tests/fixtures/lint/NAME.rs` is a deliberately-bad source
-//! (its `// exq-lint-fixture: crate=…` directive places it in the crate
-//! whose rules it seeds) with the expected diagnostics in
-//! `NAME.expected` — one `CODE file:line:col` line per diagnostic, in
-//! emission order. All fixtures are linted as one source set so the
-//! cross-file rules (L006) see the pairs. Regenerate after an
-//! intentional rule change with
-//! `EXQ_BLESS=1 cargo test --test lint_fixtures`.
+//! Each `tests/fixtures/lint/l00N_*.rs` seeds reads that one rule must
+//! reject, and each seeded read carries the `#[expect(clippy::…)]` it
+//! must raise. So `cargo clippy --workspace --all-targets -- -D warnings`
+//! fails with `unfulfilled_lint_expectations` the moment a rule stops
+//! firing, and with the rule's own lint if one fires where no fixture
+//! expects it. Under plain `cargo test` the fixtures compile and run.
 
-use exq::lint::{lint_sources, LintSource};
-use std::fs;
-use std::path::{Path, PathBuf};
+#[path = "fixtures/lint/l001_unordered_iteration.rs"]
+mod l001;
+#[path = "fixtures/lint/l002_wall_clock.rs"]
+mod l002;
+#[path = "fixtures/lint/l003_thread_id.rs"]
+mod l003;
+#[path = "fixtures/lint/l004_float_accumulation.rs"]
+mod l004;
+#[path = "fixtures/lint/l005_print_in_lib.rs"]
+mod l005;
 
-fn fixture_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/lint")
-}
+use std::collections::HashMap;
 
 #[test]
-fn seeded_violations_produce_golden_diagnostics() {
-    let dir = fixture_dir();
-    let bless = std::env::var_os("EXQ_BLESS").is_some();
-    let mut names: Vec<String> = fs::read_dir(&dir)
-        .expect("fixture dir")
-        .filter_map(|e| {
-            e.ok()?
-                .file_name()
-                .to_str()?
-                .strip_suffix(".rs")
-                .map(str::to_string)
-        })
-        .collect();
-    names.sort();
-    assert!(
-        names.len() >= 7,
-        "seeded-violation corpus went missing: {names:?}"
-    );
-
-    let sources: Vec<LintSource> = names
-        .iter()
-        .map(|name| {
-            let rel = format!("tests/fixtures/lint/{name}.rs");
-            let text = fs::read_to_string(dir.join(format!("{name}.rs"))).unwrap();
-            LintSource::new(rel, text)
-        })
-        .collect();
-    let diags = lint_sources(&sources);
-
-    // Every rule with a stable code must be exercised by the corpus.
-    for code in ["L001", "L002", "L003", "L004", "L005", "L006"] {
-        assert!(
-            diags.iter().any(|d| d.code == code),
-            "no fixture seeds {code}; emitted: {:?}",
-            diags.iter().map(|d| d.code).collect::<Vec<_>>()
-        );
-    }
-
-    let mut failures = Vec::new();
-    for name in &names {
-        let rel = format!("tests/fixtures/lint/{name}.rs");
-        let actual: String = diags
-            .iter()
-            .filter(|d| d.file == rel)
-            .map(|d| format!("{} {}:{}:{}\n", d.code, d.file, d.span.line, d.span.col))
-            .collect();
-        let expected_path = dir.join(format!("{name}.expected"));
-        if bless {
-            fs::write(&expected_path, &actual).unwrap();
-            continue;
-        }
-        let expected = fs::read_to_string(&expected_path).unwrap_or_else(|_| {
-            panic!("missing {} (run with EXQ_BLESS=1)", expected_path.display())
-        });
-        if actual != expected {
-            failures.push(format!(
-                "{name}: expected\n{expected}\nbut the linter emitted\n{actual}"
-            ));
-        }
-    }
-    assert!(failures.is_empty(), "{}", failures.join("\n---\n"));
+fn seeded_fixtures_compile_and_run() {
+    assert_eq!(l001::keys_of(&HashMap::from([(1, 2)])), [1]);
+    assert_eq!(l001::walk(), 3);
+    assert!(l002::stamp() > 0);
+    assert!(l003::worker_tag().starts_with("ThreadId("));
+    let weights = HashMap::from([("a".to_owned(), 0.5), ("b".to_owned(), 1.5)]);
+    assert_eq!(l004::total(&weights), 2.0);
+    l005::report(1);
 }

@@ -10,13 +10,16 @@ use exq::core::prelude::*;
 use exq::core::prepared::PreparedDb;
 use exq::core::{cube_algo, naive, qparse};
 use exq::datagen::{dblp, natality};
-use exq::lint::audit::{parse_catalogue, EmitKind};
 use exq::obs::MetricsSink;
 use exq::relstore::aggregate::AggFunc;
 use exq::relstore::{Database, ExecConfig, Predicate, Universal};
 use exq::router::{Front, FrontConfig};
 use exq::serve::{client, Catalog, ServerConfig};
 use std::sync::Arc;
+
+#[path = "support/catalogue.rs"]
+mod catalogue;
+use catalogue::{parse_catalogue, EmitKind};
 
 /// The small DBLP instance (the CLI's `dblp-small`).
 fn small_dblp() -> Database {
@@ -83,8 +86,8 @@ fn dblp_explain_trace_is_balanced_and_covers_all_phases() {
         .expect("traceEvents array");
 
     // Balanced: every E closes the innermost open B on its thread.
-    let mut stacks: std::collections::HashMap<usize, Vec<(String, usize)>> =
-        std::collections::HashMap::new();
+    let mut stacks: std::collections::BTreeMap<usize, Vec<(String, usize)>> =
+        std::collections::BTreeMap::new();
     let mut begin_names = std::collections::BTreeSet::new();
     for event in events {
         let name = event
@@ -139,8 +142,9 @@ fn dblp_explain_trace_is_balanced_and_covers_all_phases() {
 /// a DBLP explain, a small natality naive + cube run, and one server
 /// answering explain, report, append and the GET endpoints behind a
 /// one-worker front. `aux` names are data- or strategy-dependent, so
-/// only `exq lint`'s catalogue audit (L007/L008) checks them: each must
-/// have an emit site, as every non-`aux` name must too.
+/// only the catalogue audit (`tests/artifact_audit.rs`, L007/L008)
+/// checks them: each must have an emit site, as every non-`aux` name
+/// must too.
 #[test]
 fn every_pinned_catalogue_name_is_emitted_by_the_reference_workloads() {
     let sink = MetricsSink::recording();
