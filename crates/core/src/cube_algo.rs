@@ -16,9 +16,9 @@
 //! 4. per row, `μ_interv(φ) = sign · E(u_1 − v_1, …, u_m − v_m)` and
 //!    `μ_aggr(φ) = sign · E(v_1, …, v_m)`.
 //!
-//! [`explanation_table_reference`] runs the same lines the paper's way —
-//! a selection scan per sub-query, `Value`-keyed cubes, the dummy-value
-//! join — as the oracle the differential tests hold the engine to.
+//! [`explanation_table_reference`] runs the join and derivation the
+//! paper's way, on the same cube kernel's decoded cells, as their oracle;
+//! the cube's own oracle is `exq-relstore`'s brute-force property test.
 
 use crate::additivity::check_query;
 use crate::error::{Error, Result};
@@ -140,11 +140,11 @@ pub fn explanation_table(
 }
 
 /// [`explanation_table`] the way §4.2 writes it: each `u_j` by its own
-/// scan, one row-oriented cube per sub-query (`cube::compute_rows_with`,
-/// which evaluates the selection again), a hash join on dummy-substituted
-/// `Value` coordinates, and [`table_m::derive_rows`]. The oracle the
-/// differential tests compare the engine against; tables are
-/// bit-identical to [`explanation_table`]'s.
+/// scan, one decoded cube per sub-query ([`cube::compute_with`]), a hash
+/// join on dummy-substituted `Value` coordinates, and
+/// [`table_m::derive_rows`]. The oracle the differential tests compare
+/// the engine against; tables are bit-identical to
+/// [`explanation_table`]'s.
 pub fn explanation_table_reference(
     db: &Database,
     u: &Universal,
@@ -267,7 +267,7 @@ impl Joined {
     }
 }
 
-/// Lines 2–3 in `Value` space: one row-oriented cube per sub-query,
+/// Lines 2–3 in `Value` space: one decoded cube per sub-query,
 /// hash-joined on dummy-substituted coordinates. The reference path.
 fn joined_value_cells(
     db: &Database,
@@ -281,7 +281,7 @@ fn joined_value_cells(
     let mut joined: LookupMap<Coord, Vec<f64>> = LookupMap::new();
     for (j, q) in question.query.aggregates.iter().enumerate() {
         let c = sink.time("cube_algo.cubes", || {
-            cube::compute_rows_with(
+            cube::compute_with(
                 db,
                 u,
                 &q.selection,

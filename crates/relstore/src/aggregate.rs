@@ -85,9 +85,9 @@ impl AggFunc {
 
     /// Compile this aggregate against a column store for a hot loop.
     ///
-    /// The only shape that changes is `COUNT(DISTINCT a)`, whose column
-    /// lookup is hoisted out of the per-tuple update. Every other
-    /// aggregate delegates to the uncompiled update path.
+    /// `COUNT(DISTINCT a)` resolves its column's codes and dictionary here,
+    /// once, instead of per tuple; every other aggregate reads its
+    /// attribute's value per tuple.
     pub fn compile<'a>(&'a self, store: &'a ColumnStore) -> AggEval<'a> {
         let distinct = match self {
             AggFunc::CountDistinct(a) => {
@@ -114,16 +114,48 @@ impl AggEval<'_> {
     /// Fold one universal tuple into `state`.
     #[inline]
     pub fn update(&self, state: &mut AggState, db: &Database, utuple: &[u32]) -> Result<()> {
-        match (state, self.distinct) {
-            (AggState::DistinctCodes(set), Some((rel, codes, dict))) => {
+        let attr_value = |a: AttrRef| db.value(a, utuple[a.rel] as usize);
+        match (state, self.func, self.distinct) {
+            (AggState::Count(c), AggFunc::CountStar, _) => *c += 1,
+            (AggState::DistinctCodes(set), AggFunc::CountDistinct(_), Some((rel, codes, dict))) => {
                 let code = codes[utuple[rel] as usize];
                 if !dict.is_null_code(code) {
                     set.insert(code);
                 }
-                Ok(())
             }
-            (state, _) => state.update(self.func, db, utuple),
+            (AggState::Sum { int, float }, AggFunc::Sum(a), _) => match attr_value(*a) {
+                Value::Null => {}
+                Value::Int(i) => *int += i128::from(*i),
+                Value::Float(f) => *float += f,
+                _ => return Err(Error::NotNumeric(db.schema().attr_name(*a))),
+            },
+            (AggState::Avg { int, float, n }, AggFunc::Avg(a), _) => match attr_value(*a) {
+                Value::Null => {}
+                Value::Int(i) => {
+                    *int += i128::from(*i);
+                    *n += 1;
+                }
+                Value::Float(f) => {
+                    *float += f;
+                    *n += 1;
+                }
+                _ => return Err(Error::NotNumeric(db.schema().attr_name(*a))),
+            },
+            (AggState::Min(m), AggFunc::Min(a), _) => {
+                let v = attr_value(*a);
+                if !v.is_null() && m.as_ref().is_none_or(|cur| v < cur) {
+                    *m = Some(v.clone());
+                }
+            }
+            (AggState::Max(m), AggFunc::Max(a), _) => {
+                let v = attr_value(*a);
+                if !v.is_null() && m.as_ref().is_none_or(|cur| v > cur) {
+                    *m = Some(v.clone());
+                }
+            }
+            (state, func, _) => unreachable!("state {state:?} does not match function {func:?}"),
         }
+        Ok(())
     }
 }
 
@@ -169,54 +201,6 @@ pub enum AggState {
 }
 
 impl AggState {
-    /// Fold one universal tuple into the state.
-    #[inline]
-    pub fn update(&mut self, func: &AggFunc, db: &Database, utuple: &[u32]) -> Result<()> {
-        let attr_value = |a: AttrRef| db.value(a, utuple[a.rel] as usize);
-        match (self, func) {
-            (AggState::Count(c), AggFunc::CountStar) => *c += 1,
-            (AggState::DistinctCodes(set), AggFunc::CountDistinct(a)) => {
-                let (codes, dict) = db.columns().dict_column(*a);
-                let code = codes[utuple[a.rel] as usize];
-                if !dict.is_null_code(code) {
-                    set.insert(code);
-                }
-            }
-            (AggState::Sum { int, float }, AggFunc::Sum(a)) => match attr_value(*a) {
-                Value::Null => {}
-                Value::Int(i) => *int += i128::from(*i),
-                Value::Float(f) => *float += f,
-                _ => return Err(Error::NotNumeric(db.schema().attr_name(*a))),
-            },
-            (AggState::Avg { int, float, n }, AggFunc::Avg(a)) => match attr_value(*a) {
-                Value::Null => {}
-                Value::Int(i) => {
-                    *int += i128::from(*i);
-                    *n += 1;
-                }
-                Value::Float(f) => {
-                    *float += f;
-                    *n += 1;
-                }
-                _ => return Err(Error::NotNumeric(db.schema().attr_name(*a))),
-            },
-            (AggState::Min(m), AggFunc::Min(a)) => {
-                let v = attr_value(*a);
-                if !v.is_null() && m.as_ref().is_none_or(|cur| v < cur) {
-                    *m = Some(v.clone());
-                }
-            }
-            (AggState::Max(m), AggFunc::Max(a)) => {
-                let v = attr_value(*a);
-                if !v.is_null() && m.as_ref().is_none_or(|cur| v > cur) {
-                    *m = Some(v.clone());
-                }
-            }
-            (state, func) => unreachable!("state {state:?} does not match function {func:?}"),
-        }
-        Ok(())
-    }
-
     /// Merge another state of the same shape into this one (roll-up).
     pub fn merge(&mut self, other: &AggState) {
         match (self, other) {
@@ -557,11 +541,13 @@ mod tests {
             AggFunc::Max(x(&db)),
         ] {
             // Split tuples into two halves, accumulate separately, merge.
+            let store = std::sync::Arc::clone(db.columns());
+            let eval = f.compile(&store);
             let mut s1 = f.new_state();
             let mut s2 = f.new_state();
             for (i, t) in u.iter().enumerate() {
                 let s = if i % 2 == 0 { &mut s1 } else { &mut s2 };
-                s.update(&f, &db, t).unwrap();
+                eval.update(s, &db, t).unwrap();
             }
             s1.merge(&s2);
             let whole = evaluate(&db, &u, &Predicate::True, &f).unwrap();

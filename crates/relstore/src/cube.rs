@@ -16,14 +16,15 @@
 //!   once per parent. Cost `O(|U| + Σ_cells)`; wins when `|U| ≫ #cells`
 //!   (low-cardinality dimensions, the natality setting).
 //!
-//! The engine's kernel ([`compute_coded_at`]) groups a given list of
+//! There is one kernel, [`compute_coded_at`]: it groups a given list of
 //! universal positions — the tuples a selection kept, which Algorithm 1's
 //! first pass has already found — so it never evaluates a predicate. A
-//! cell key is a tuple of dictionary codes in one flat
-//! [`CodeTuples`] arena, with the cell's aggregate state beside it: no key
-//! costs an allocation. [`compute_rows_with`] keeps the same algorithm on
-//! cloned `Value` coordinates in hash maps, as the oracle the differential
-//! tests compare the kernel with.
+//! cell key is a tuple of dictionary codes in one flat [`CodeTuples`]
+//! arena, with the cell's aggregate state beside it: no key costs an
+//! allocation. [`compute`] and [`compute_with`] are that kernel behind a
+//! selection scan, decoded to `Value` coordinates. The cube's oracle is
+//! its definition: `tests/property.rs` checks, per strategy, that every
+//! cell is the aggregate of exactly the tuples matching its coordinate.
 //!
 //! ```
 //! use exq_relstore::aggregate::AggFunc;
@@ -168,12 +169,11 @@ pub fn compute(
     )
 }
 
-/// [`compute`], recording into `exec`'s metrics sink. Each cell is a
-/// left fold of its tuples in `U` order, and roll-up folds each parent's
-/// cells in coordinate order, so the output is a function of the input
-/// alone.
-///
-/// Runs entirely in `u32` code space and decodes the cells at the end.
+/// [`compute`], recording into `exec`'s metrics sink: one scan finds the
+/// tuples `selection` keeps, [`compute_coded_at`] groups them, and the
+/// cells are decoded at the end. Each cell is a left fold of its tuples
+/// in `U` order, and roll-up folds each parent's cells in coordinate
+/// order, so the output is a function of the input alone.
 pub fn compute_with(
     db: &Database,
     u: &Universal,
@@ -183,68 +183,19 @@ pub fn compute_with(
     strategy: CubeStrategy,
     exec: &ExecConfig,
 ) -> Result<Cube> {
-    Ok(compute_coded_with(db, u, selection, dims, agg, strategy, exec)?.decode())
-}
-
-/// The retained row-oriented reference for [`compute_with`]: evaluates
-/// `selection` per tuple through [`Predicate::eval`] and groups on cloned
-/// `Value` coordinates in hash maps. Production never dispatches to it;
-/// the differential test suite asserts its cells are bit-identical to the
-/// kernel's, which holds because both fold the same selected tuples in
-/// the same order, and both roll a parent up in
-/// coordinate order: the kernel's rank keys order code tuples exactly
-/// like the `Value` order orders their decoded coordinates. So every
-/// float addition happens between the same numbers in the same order.
-pub fn compute_rows_with(
-    db: &Database,
-    u: &Universal,
-    selection: &Predicate,
-    dims: &[AttrRef],
-    agg: &AggFunc,
-    strategy: CubeStrategy,
-    exec: &ExecConfig,
-) -> Result<Cube> {
-    check_input(db, dims, agg)?;
-    let sink = exec.metrics();
-    let _span = sink.span("cube");
-    let (states, selected) = match begin_run(sink, db, u, dims, strategy) {
-        CubeStrategy::SubsetEnumeration => rows_accumulate(db, u, selection, dims, agg, true)?,
-        CubeStrategy::LatticeRollup => rows_rollup(db, u, selection, dims, agg)?,
-        CubeStrategy::Auto => unreachable!("begin_run never returns Auto"),
-    };
-    record_cells(
-        sink,
-        selected,
-        dims.len(),
-        states
-            .iter()
-            .map(|(k, _)| k.iter().filter(|v| !v.is_null()).count()),
-    );
-    Ok(Cube {
-        dims: dims.to_vec(),
-        cells: states.into_iter().map(|(k, s)| (k, s.finalize())).collect(),
-    })
-}
-
-/// Compute the cube without materializing any `Value`, returning the
-/// cells keyed by dictionary codes (with [`NO_CODE`] as the "don't care"
-/// coordinate).
-pub fn compute_coded_with(
-    db: &Database,
-    u: &Universal,
-    selection: &Predicate,
-    dims: &[AttrRef],
-    agg: &AggFunc,
-    strategy: CubeStrategy,
-    exec: &ExecConfig,
-) -> Result<CodedCube> {
-    compute_coded_at(db, u, &select(db, u, selection), dims, agg, strategy, exec)
+    let mut folded = aggregate::evaluate_many(db, u, &[(selection, &AggFunc::CountStar)], true)
+        .expect("COUNT(*) folds any tuple");
+    let positions = folded
+        .positions
+        .pop()
+        .expect("one selection, one position list");
+    Ok(compute_coded_at(db, u, &positions, dims, agg, strategy, exec)?.decode())
 }
 
 /// The cube over the universal tuples at `positions` — the engine's
 /// kernel. Algorithm 1 passes the positions its first pass recorded per
 /// sub-query ([`aggregate::evaluate_many`]), so no selection is evaluated
-/// here; [`compute_coded_with`] finds them first.
+/// here; [`compute_with`] finds them first.
 ///
 /// Errors as [`compute`] does.
 ///
@@ -260,7 +211,10 @@ pub fn compute_coded_at(
     strategy: CubeStrategy,
     exec: &ExecConfig,
 ) -> Result<CodedCube> {
-    check_input(db, dims, agg)?;
+    if dims.len() > MAX_CUBE_DIMS {
+        return Err(Error::TooManyCubeDimensions(dims.len()));
+    }
+    agg.validate(db.schema())?;
     assert!(
         positions.windows(2).all(|w| w[0] < w[1])
             && positions.last().is_none_or(|&p| (p as usize) < u.len()),
@@ -382,58 +336,8 @@ pub fn decode_key(dicts: &[&Dict], key: &[u32]) -> Coord {
         .collect()
 }
 
-/// Plain `GROUP BY` (no cube): only the finest-level cells. This is the
-/// operator behind series queries (one aggregate value per group), and
-/// the first phase of the lattice roll-up.
-pub fn group_by(
-    db: &Database,
-    u: &Universal,
-    selection: &Predicate,
-    dims: &[AttrRef],
-    agg: &AggFunc,
-) -> Result<Cube> {
-    group_by_with(db, u, selection, dims, agg, &ExecConfig::sequential())
-}
-
-/// [`group_by`], timed under `exec`'s `cube` span. Like
-/// [`compute_with`], runs in code space and decodes the cells at the end.
-pub fn group_by_with(
-    db: &Database,
-    u: &Universal,
-    selection: &Predicate,
-    dims: &[AttrRef],
-    agg: &AggFunc,
-    exec: &ExecConfig,
-) -> Result<Cube> {
-    check_input(db, dims, agg)?;
-    let _span = exec.metrics().span("cube");
-    let positions = select(db, u, selection);
-    let store = Arc::clone(db.columns());
-    let cells = accumulate(db, u, &positions, &CodedDims::new(&store, dims), agg, false)?;
-    Ok(CodedCube::new(dims, store, vec![cells]).decode())
-}
-
-/// The checks every cube entry point makes before touching a tuple.
-fn check_input(db: &Database, dims: &[AttrRef], agg: &AggFunc) -> Result<()> {
-    if dims.len() > MAX_CUBE_DIMS {
-        return Err(Error::TooManyCubeDimensions(dims.len()));
-    }
-    agg.validate(db.schema())
-}
-
-/// The positions in `u` of the tuples satisfying `selection`, ascending.
-fn select(db: &Database, u: &Universal, selection: &Predicate) -> Vec<u32> {
-    let mut folded = aggregate::evaluate_many(db, u, &[(selection, &AggFunc::CountStar)], true)
-        .expect("COUNT(*) folds any tuple");
-    folded
-        .positions
-        .pop()
-        .expect("one selection, one position list")
-}
-
 /// Open a cube run's books: count the run, resolve the strategy, and tag
-/// the run with it. Both cube paths keep the same books, so a request's
-/// counters do not say which one ran.
+/// the run with it.
 fn begin_run(
     sink: &MetricsSink,
     db: &Database,
@@ -642,93 +546,6 @@ fn rollup_one_mask(per_mask: &[(Cells, Vec<u32>)], mask: usize, d: usize) -> Cel
         child.merge(&key[..d], &parent.states[id as usize]);
     }
     child
-}
-
-/// The reference path's `Value`-keyed cells, sorted by coordinate.
-type RowCells = Vec<(Coord, AggState)>;
-
-/// The reference's [`accumulate`]: the same tuple order over `Value`
-/// coordinates, with the selection evaluated per tuple. Also returns the
-/// number of tuples passing `selection`.
-fn rows_accumulate(
-    db: &Database,
-    u: &Universal,
-    selection: &Predicate,
-    dims: &[AttrRef],
-    agg: &AggFunc,
-    enumerate_masks: bool,
-) -> Result<(RowCells, u64)> {
-    let d = dims.len();
-    let mut cells = LookupMap::new();
-    let mut selected: u64 = 0;
-    for i in 0..u.len() {
-        let t = u.tuple(i);
-        if !selection.eval(db, t) {
-            continue;
-        }
-        selected += 1;
-        let mut base = Vec::with_capacity(d);
-        for &a in dims {
-            let v = db.value(a, t[a.rel] as usize);
-            if v.is_null() {
-                return Err(null_dimension_error(db, a));
-            }
-            base.push(v.clone());
-        }
-        let masks = if enumerate_masks { 0..1u32 << d } else { 0..1 };
-        for mask in masks {
-            let key: Coord = if enumerate_masks {
-                base.iter()
-                    .enumerate()
-                    .map(|(j, v)| {
-                        if mask & 1 << j != 0 {
-                            v.clone()
-                        } else {
-                            Value::Null
-                        }
-                    })
-                    .collect()
-            } else {
-                base.clone().into_boxed_slice()
-            };
-            let state = cells.entry(key).or_insert_with(|| agg.new_state());
-            state.update(agg, db, t)?;
-        }
-    }
-    Ok((cells.into_sorted(), selected))
-}
-
-/// The reference's [`lattice_rollup`], over `Value` coordinates, with
-/// every parent's cells sorted by the `Value` order.
-fn rows_rollup(
-    db: &Database,
-    u: &Universal,
-    selection: &Predicate,
-    dims: &[AttrRef],
-    agg: &AggFunc,
-) -> Result<(RowCells, u64)> {
-    let d = dims.len();
-    let (base, selected) = rows_accumulate(db, u, selection, dims, agg, false)?;
-    let full = (1usize << d) - 1;
-    let mut per_mask: Vec<RowCells> = (0..=full).map(|_| RowCells::new()).collect();
-    per_mask[full] = base;
-    for mask in (0..full).rev() {
-        let cleared = (!mask).trailing_zeros() as usize;
-        let mut child: LookupMap<Coord, AggState> = LookupMap::new();
-        for (coord, state) in &per_mask[mask | 1 << cleared] {
-            let mut key = coord.clone();
-            key[cleared] = Value::Null;
-            match child.get_mut(&key) {
-                Some(existing) => existing.merge(state),
-                None => {
-                    child.insert(key, state.clone());
-                }
-            }
-        }
-        per_mask[mask] = child.into_sorted();
-    }
-    // Keys are disjoint across masks because no dimension value is null.
-    Ok((per_mask.into_iter().flatten().collect(), selected))
 }
 
 #[cfg(test)]
@@ -959,40 +776,30 @@ mod tests {
                 let exec = ExecConfig::with_threads(threads);
                 let par =
                     compute_with(&db, &u, &Predicate::True, &dims, &agg, strategy, &exec).unwrap();
-                // The `Value`-keyed reference folds in the same order.
-                let rows =
-                    compute_rows_with(&db, &u, &Predicate::True, &dims, &agg, strategy, &exec)
-                        .unwrap();
-                for other in [&par, &rows] {
-                    assert_eq!(seq.cells.len(), other.cells.len());
-                    for (coord, v) in seq.cells.sorted() {
-                        let pv = other
-                            .get(coord)
-                            .unwrap_or_else(|| panic!("missing {coord:?}"));
-                        assert_eq!(
-                            v.to_bits(),
-                            pv.to_bits(),
-                            "{strategy:?} cell {coord:?} differs at {threads} threads"
-                        );
-                    }
+                assert_eq!(seq.cells.len(), par.cells.len());
+                for (coord, v) in seq.cells.sorted() {
+                    let pv = par
+                        .get(coord)
+                        .unwrap_or_else(|| panic!("missing {coord:?}"));
+                    assert_eq!(
+                        v.to_bits(),
+                        pv.to_bits(),
+                        "{strategy:?} cell {coord:?} differs at {threads} threads"
+                    );
                 }
             }
         }
-        // group_by too.
-        let seq = group_by(&db, &u, &Predicate::True, &dims, &agg).unwrap();
-        for threads in [2, 7] {
-            let exec = ExecConfig::with_threads(threads);
-            let par = group_by_with(&db, &u, &Predicate::True, &dims, &agg, &exec).unwrap();
-            for (coord, v) in seq.cells.sorted() {
-                assert_eq!(v.to_bits(), par.get(coord).unwrap().to_bits());
-            }
-            assert_eq!(seq.cells.len(), par.cells.len());
-        }
     }
 
-    /// Every cell is the aggregate of its own tuples, bit for bit: a
-    /// left fold in `U` order, as `aggregate::evaluate` computes it. So
-    /// the grand total equals the query's total in every float lane.
+    /// Every cell is the aggregate of its own tuples: bit for bit where
+    /// the cell is a left fold in `U` order, as `aggregate::evaluate`
+    /// computes it (every subset-enumeration cell, every finest roll-up
+    /// cell). A rolled-up cell folds its children's sums in coordinate
+    /// order instead, so there the two float sums of the same `n` values
+    /// may differ, each by at most `(n−1)·u·Σ|x|` from the exact sum
+    /// (recursive summation in any order; Higham, *Accuracy and Stability
+    /// of Numerical Algorithms*, §4.2), hence by `2·(n−1)·u·Σ|x|` from
+    /// each other, with `u = 2⁻⁵³`.
     #[test]
     fn cube_cell_is_the_aggregate_of_its_tuples() {
         let db = float_r();
@@ -1001,7 +808,8 @@ mod tests {
             db.schema().attr("R", "g").unwrap(),
             db.schema().attr("R", "h").unwrap(),
         ];
-        let agg = AggFunc::Sum(db.schema().attr("R", "x").unwrap());
+        let x = db.schema().attr("R", "x").unwrap();
+        let agg = AggFunc::Sum(x);
         // 6 667 selected tuples, so a block-grouped fold would differ.
         let selection = Predicate::not(Predicate::eq(dims[1], 2i64));
         let cell_selection = |coord: &[Value]| {
@@ -1012,26 +820,37 @@ mod tests {
                 .map(|(&a, v)| Predicate::eq(a, v.clone()));
             Predicate::and(std::iter::once(selection.clone()).chain(equalities))
         };
-        for (strategy, finest_only) in [
-            (CubeStrategy::SubsetEnumeration, false),
-            (CubeStrategy::LatticeRollup, true),
-        ] {
+        for strategy in [CubeStrategy::SubsetEnumeration, CubeStrategy::LatticeRollup] {
             let cube = compute(&db, &u, &selection, &dims, &agg, strategy).unwrap();
-            let mut checked = 0;
+            let mut rolled_up = 0;
             for (coord, v) in cube.cells.sorted() {
-                if finest_only && coord.iter().any(Value::is_null) {
-                    continue;
+                let sel = cell_selection(coord);
+                let want = aggregate::evaluate(&db, &u, &sel, &agg).unwrap();
+                if strategy == CubeStrategy::LatticeRollup && coord.iter().any(Value::is_null) {
+                    let xs: Vec<f64> = u
+                        .iter()
+                        .filter(|t| sel.eval(&db, t))
+                        .map(|t| db.value(x, t[x.rel] as usize).as_f64().unwrap())
+                        .collect();
+                    let (n, abs_sum) = (xs.len() as f64, xs.iter().map(|x| x.abs()).sum::<f64>());
+                    let bound = 2.0 * (n - 1.0) * 2f64.powi(-53) * abs_sum;
+                    assert!(
+                        (v - want).abs() <= bound,
+                        "{strategy:?} cell {coord:?}: {v} vs {want}, bound {bound}"
+                    );
+                    rolled_up += 1;
+                } else {
+                    assert_eq!(
+                        v.to_bits(),
+                        want.to_bits(),
+                        "{strategy:?} cell {coord:?}: {v} vs {want}"
+                    );
                 }
-                let want = aggregate::evaluate(&db, &u, &cell_selection(coord), &agg).unwrap();
-                assert_eq!(
-                    v.to_bits(),
-                    want.to_bits(),
-                    "{strategy:?} cell {coord:?}: {v} vs {want}"
-                );
-                checked += 1;
             }
-            let expected = if finest_only { 7 * 2 } else { 8 * 3 };
-            assert_eq!(checked, expected, "{strategy:?}");
+            assert_eq!(cube.len(), 8 * 3, "{strategy:?}");
+            if strategy == CubeStrategy::LatticeRollup {
+                assert_eq!(rolled_up, 8 * 3 - 7 * 2);
+            }
         }
     }
 
@@ -1051,8 +870,6 @@ mod tests {
         let exec = ExecConfig::sequential();
         for strategy in [CubeStrategy::SubsetEnumeration, CubeStrategy::LatticeRollup] {
             let at = compute_coded_at(&db, &u, &positions, &dims, &agg, strategy, &exec).unwrap();
-            let with = compute_coded_with(&db, &u, &sel, &dims, &agg, strategy, &exec).unwrap();
-            assert!(at.cells().eq(with.cells()), "{strategy:?}");
             assert_eq!(
                 at.decode().cells,
                 compute(&db, &u, &sel, &dims, &agg, strategy).unwrap().cells
@@ -1075,15 +892,6 @@ mod tests {
             CubeStrategy::Auto,
             &ExecConfig::sequential(),
         );
-    }
-
-    #[test]
-    fn group_by_rejects_too_many_dims() {
-        let db = figure3_db();
-        let u = Universal::compute(&db, &db.full_view());
-        let dims = vec![db.schema().attr("Author", "name").unwrap(); MAX_CUBE_DIMS + 1];
-        let err = group_by(&db, &u, &Predicate::True, &dims, &AggFunc::CountStar).unwrap_err();
-        assert!(matches!(err, Error::TooManyCubeDimensions(n) if n == MAX_CUBE_DIMS + 1));
     }
 
     #[test]
@@ -1124,50 +932,6 @@ mod tests {
             )
             .is_err());
         }
-    }
-
-    #[test]
-    fn group_by_is_the_finest_cube_level() {
-        let db = figure3_db();
-        let u = Universal::compute(&db, &db.full_view());
-        let dims = vec![
-            db.schema().attr("Author", "name").unwrap(),
-            db.schema().attr("Publication", "year").unwrap(),
-        ];
-        let g = group_by(&db, &u, &Predicate::True, &dims, &AggFunc::CountStar).unwrap();
-        // Exactly the 5 fully-specified rows of Example 4.1.
-        assert_eq!(g.len(), 5);
-        assert_eq!(g.get(&[Value::str("RR"), Value::Int(2001)]), Some(2.0));
-        assert_eq!(
-            g.get(&[Value::Null, Value::Int(2001)]),
-            None,
-            "no roll-up rows"
-        );
-
-        // Every finest-level cube cell matches.
-        let full = compute(
-            &db,
-            &u,
-            &Predicate::True,
-            &dims,
-            &AggFunc::CountStar,
-            CubeStrategy::LatticeRollup,
-        )
-        .unwrap();
-        for (coord, v) in g.cells.sorted() {
-            assert_eq!(full.get(coord), Some(*v));
-        }
-    }
-
-    #[test]
-    fn group_by_with_selection() {
-        let db = figure3_db();
-        let u = Universal::compute(&db, &db.full_view());
-        let dims = vec![db.schema().attr("Author", "dom").unwrap()];
-        let sel = Predicate::eq(db.schema().attr("Publication", "venue").unwrap(), "SIGMOD");
-        let g = group_by(&db, &u, &sel, &dims, &AggFunc::CountStar).unwrap();
-        assert_eq!(g.get(&[Value::str("com")]), Some(3.0), "u2, u5, u6");
-        assert_eq!(g.get(&[Value::str("edu")]), Some(1.0), "u1");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::column::ColumnStore;
 use crate::error::{Error, Result};
-use crate::lookup::{LookupMap, LookupSet};
+use crate::lookup::LookupSet;
 use crate::schema::{AttrRef, DatabaseSchema};
 use crate::table::Relation;
 use crate::tupleset::TupleSet;
@@ -162,6 +162,15 @@ impl Database {
                 appended += 1;
             }
         }
+        self.check_constraints(old_lens, old_cols)?;
+        Ok(appended)
+    }
+
+    /// Check the constraints that appending rows past `old_lens` can
+    /// break, given that the prefix below `old_lens` satisfied them and
+    /// `old_cols` (if any) holds columns built over that prefix. With
+    /// all-zero lengths and no columns this checks the whole instance.
+    fn check_constraints(&self, old_lens: &[usize], old_cols: Option<&ColumnStore>) -> Result<()> {
         // Primary keys: a new row can collide with another new row or
         // with an old one. Only the *new* keys are hashed (the delta is
         // small); the old prefix is swept once probing that set. When
@@ -309,7 +318,7 @@ impl Database {
                 }
             }
         }
-        Ok(appended)
+        Ok(())
     }
 
     /// The columnar projections of this instance, built on first use by one
@@ -329,40 +338,9 @@ impl Database {
     }
 
     /// Check primary-key uniqueness and foreign-key referential integrity
-    /// over the whole instance.
+    /// over the whole instance: the append check, run from an empty prefix.
     pub fn validate(&self) -> Result<()> {
-        // Primary keys unique.
-        for (rel_idx, rel) in self.relations.iter().enumerate() {
-            let schema = self.schema.relation(rel_idx);
-            let mut seen: LookupMap<Vec<Value>, ()> = LookupMap::with_capacity(rel.len());
-            for i in 0..rel.len() {
-                let key = rel.project(i, &schema.primary_key);
-                if seen.insert(key.clone(), ()).is_some() {
-                    return Err(Error::DuplicateKey {
-                        relation: schema.name.clone(),
-                        key: format_key(&key),
-                    });
-                }
-            }
-        }
-        // Foreign keys resolve.
-        for fk in self.schema.foreign_keys() {
-            let targets: LookupSet<Vec<Value>> = (0..self.relations[fk.to_rel].len())
-                .map(|i| self.relations[fk.to_rel].project(i, &fk.to_cols))
-                .collect();
-            let from = &self.relations[fk.from_rel];
-            for i in 0..from.len() {
-                let key = from.project(i, &fk.from_cols);
-                if !targets.contains(&key) {
-                    return Err(Error::DanglingForeignKey {
-                        from: self.schema.relation(fk.from_rel).name.clone(),
-                        to: self.schema.relation(fk.to_rel).name.clone(),
-                        key: format_key(&key),
-                    });
-                }
-            }
-        }
-        Ok(())
+        self.check_constraints(&vec![0; self.relations.len()], None)
     }
 
     /// The view containing every row.
@@ -488,6 +466,40 @@ mod tests {
             db.validate(),
             Err(Error::DanglingForeignKey { .. })
         ));
+    }
+
+    #[test]
+    fn validate_catches_dangling_composite_fk() {
+        let schema = SchemaBuilder::new()
+            .relation("P", &[("a", T::Int), ("b", T::Str)], &["a", "b"])
+            .relation(
+                "C",
+                &[("id", T::Int), ("a", T::Int), ("b", T::Str)],
+                &["id"],
+            )
+            .standard_fk("C", &["a", "b"], "P")
+            .build()
+            .unwrap();
+        let mut db = Database::new(schema);
+        db.insert("P", vec![1.into(), "x".into()]).unwrap();
+        db.insert("P", vec![2.into(), "y".into()]).unwrap();
+        db.insert("C", vec![10.into(), 1.into(), "x".into()])
+            .unwrap();
+        db.validate().unwrap();
+        // Each half of (1,y) and (2,x) is some P row's, but neither pair
+        // is; the first dangling row in insertion order is reported.
+        db.insert("C", vec![11.into(), 1.into(), "y".into()])
+            .unwrap();
+        db.insert("C", vec![12.into(), 2.into(), "x".into()])
+            .unwrap();
+        assert_eq!(
+            db.validate(),
+            Err(Error::DanglingForeignKey {
+                from: "C".into(),
+                to: "P".into(),
+                key: "(1,y)".into(),
+            })
+        );
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! set implementation, the total order on values, cube cells against a
 //! brute-force reference, aggregate-state merging, and CSV round-trips.
 
-use exq_relstore::aggregate::AggFunc;
+use exq_relstore::aggregate::{self, AggFunc};
 use exq_relstore::cube::{self, CubeStrategy};
 use exq_relstore::{
-    csv, Database, DictBuilder, Predicate, SchemaBuilder, TupleSet, Universal, Value,
-    ValueType as T,
+    csv, AttrRef, Database, DictBuilder, ExecConfig, MetricsSink, Predicate, SchemaBuilder,
+    TupleSet, Universal, Value, ValueType as T,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -525,7 +525,8 @@ proptest! {
 
 /// `m` and `w` are `Any` columns mixing variants: `m` (a cube dimension)
 /// holds Int/Float/Str with `Int(1)` and `Float(1.0)` sharing one code;
-/// `w` (a COUNT DISTINCT measure) also holds NULLs.
+/// `w` (a COUNT DISTINCT measure) also holds NULLs. `f` is a float
+/// measure whose sums round, with NULLs.
 fn small_db(rows: &[(u8, u8, i32)]) -> Database {
     let schema = SchemaBuilder::new()
         .relation(
@@ -537,6 +538,7 @@ fn small_db(rows: &[(u8, u8, i32)]) -> Database {
                 ("x", T::Int),
                 ("m", T::Any),
                 ("w", T::Any),
+                ("f", T::Float),
             ],
             &["id"],
         )
@@ -556,6 +558,11 @@ fn small_db(rows: &[(u8, u8, i32)]) -> Database {
             2 => Value::Null,
             _ => Value::str("t"),
         };
+        let f = if x.rem_euclid(9) == 0 {
+            Value::Null
+        } else {
+            Value::Float(f64::from(*x) * 0.1 + 0.3)
+        };
         db.insert(
             "R",
             vec![
@@ -565,6 +572,7 @@ fn small_db(rows: &[(u8, u8, i32)]) -> Database {
                 (*x as i64).into(),
                 m,
                 w,
+                f,
             ],
         )
         .unwrap();
@@ -572,66 +580,106 @@ fn small_db(rows: &[(u8, u8, i32)]) -> Database {
     db
 }
 
+/// Whether `got` and `want`, the same float SUM or AVG of the values
+/// `xs` folded in two different orders, are within `2·(n−1)·u·Σ|x|` of
+/// each other, `u = 2⁻⁵³`: recursive summation in any order lands within
+/// `(n−1)·u·Σ|x|` of the exact sum (Higham, *Accuracy and Stability of
+/// Numerical Algorithms*, §4.2). A mean divides both sums by `n`, which
+/// keeps them within the same bound.
+fn within_summation_bound(got: f64, want: f64, xs: &[f64]) -> bool {
+    let n = xs.len() as f64;
+    let abs_sum: f64 = xs.iter().map(|x| x.abs()).sum();
+    (got - want).abs() <= 2.0 * (n - 1.0).max(0.0) * 2f64.powi(-53) * abs_sum
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Every cube cell equals the aggregate computed by filtering the data
-    /// with the cell's coordinate as a predicate (the defining property of
-    /// WITH CUBE).
+    /// The cube's oracle is its definition (WITH CUBE): under every
+    /// strategy, the cube has a cell for exactly the coordinates the
+    /// selected tuples match, and each cell is the aggregate of the
+    /// selected tuples matching its coordinate — filter `U`, then
+    /// aggregate. The cell is bit-identical to that wherever it is a left
+    /// fold in `U` order: every COUNT, COUNT DISTINCT, MIN, MAX and
+    /// integer SUM/AVG cell, and every float SUM/AVG cell of subset
+    /// enumeration and of the roll-up's finest level. A rolled-up float
+    /// cell folds its children in coordinate order, so it is held to the
+    /// summation bound instead. `Auto` is checked by the rule of the
+    /// strategy it resolved to.
     #[test]
-    fn cube_cells_match_bruteforce(rows in proptest::collection::vec((any::<u8>(), any::<u8>(), -100i32..100), 1..30)) {
+    fn cube_cells_match_bruteforce(rows in proptest::collection::vec((any::<u8>(), any::<u8>(), -100i32..100), 1..60)) {
         let db = small_db(&rows);
         let u = Universal::compute(&db, &db.full_view());
         let schema = db.schema();
-        let g = schema.attr("R", "g").unwrap();
-        let h = schema.attr("R", "h").unwrap();
-        let x = schema.attr("R", "x").unwrap();
-        let m = schema.attr("R", "m").unwrap();
-        let w = schema.attr("R", "w").unwrap();
-        let dims = vec![g, h, m];
-
-        for agg in [
-            AggFunc::CountStar,
-            AggFunc::Sum(x),
-            AggFunc::Min(x),
-            AggFunc::Max(x),
-            AggFunc::CountDistinct(w),
-        ] {
-            let cube = cube::compute(&db, &u, &Predicate::True, &dims, &agg, CubeStrategy::Auto).unwrap();
-            for (coord, &cell_value) in cube.cells.sorted() {
-                // Rebuild the coordinate as a selection predicate.
-                let parts = dims
-                    .iter()
-                    .zip(coord.iter())
-                    .filter(|(_, v)| !v.is_null())
-                    .map(|(&a, v)| Predicate::eq(a, v.clone()));
-                let sel = Predicate::and(parts);
-                let direct = exq_relstore::aggregate::evaluate(&db, &u, &sel, &agg).unwrap();
-                prop_assert_eq!(cell_value, direct, "cell {:?} for {:?}", coord, agg);
+        let attr = |name: &str| schema.attr("R", name).unwrap();
+        let (x, w, f) = (attr("x"), attr("w"), attr("f"));
+        let dims = vec![attr("g"), attr("h"), attr("m")];
+        let value_at = |a: AttrRef, t: &[u32]| db.value(a, t[a.rel] as usize).clone();
+        // The second selection keeps about half the tuples, so the
+        // kernel's positions have gaps.
+        for selection in [Predicate::True, Predicate::between(x, -50, 50)] {
+            let kept: Vec<&[u32]> = u.iter().filter(|t| selection.eval(&db, t)).collect();
+            let coords: BTreeSet<Vec<Value>> = kept
+                .iter()
+                .flat_map(|t| {
+                    (0..1u32 << dims.len()).map(|mask| {
+                        dims.iter()
+                            .enumerate()
+                            .map(|(j, &a)| if mask & 1 << j != 0 { value_at(a, t) } else { Value::Null })
+                            .collect()
+                    })
+                })
+                .collect();
+            for strategy in [CubeStrategy::SubsetEnumeration, CubeStrategy::LatticeRollup, CubeStrategy::Auto] {
+                for agg in [
+                    AggFunc::CountStar,
+                    AggFunc::Sum(x),
+                    AggFunc::Avg(x),
+                    AggFunc::Min(x),
+                    AggFunc::Max(x),
+                    AggFunc::CountDistinct(w),
+                    AggFunc::Sum(f),
+                    AggFunc::Avg(f),
+                ] {
+                    let sink = MetricsSink::recording();
+                    let exec = ExecConfig::sequential().with_metrics(sink.clone());
+                    let cube = cube::compute_with(&db, &u, &selection, &dims, &agg, strategy, &exec).unwrap();
+                    let rolled_up = sink.snapshot().counter("cube.strategy.lattice_rollup") == 1;
+                    prop_assert_eq!(cube.len(), coords.len(), "{:?} / {:?}", strategy, agg);
+                    for (coord, &cell) in cube.cells.sorted() {
+                        prop_assert!(coords.contains(&coord[..]), "{:?}: stray cell {:?}", strategy, coord);
+                        // Rebuild the coordinate as a selection predicate.
+                        let matches = Predicate::and(
+                            dims.iter()
+                                .zip(coord.iter())
+                                .filter(|(_, v)| !v.is_null())
+                                .map(|(&a, v)| Predicate::eq(a, v.clone())),
+                        );
+                        let cell_selection = Predicate::and([selection.clone(), matches.clone()]);
+                        let direct = aggregate::evaluate(&db, &u, &cell_selection, &agg).unwrap();
+                        if rolled_up && agg.attr() == Some(f) && coord.iter().any(Value::is_null) {
+                            let xs: Vec<f64> = kept
+                                .iter()
+                                .filter(|t| matches.eval(&db, t))
+                                .filter_map(|t| value_at(f, t).as_f64())
+                                .collect();
+                            prop_assert!(
+                                within_summation_bound(cell, direct, &xs),
+                                "{:?} cell {:?} for {:?}: {} vs {}", strategy, coord, agg, cell, direct
+                            );
+                        } else {
+                            prop_assert_eq!(
+                                cell.to_bits(), direct.to_bits(),
+                                "{:?} cell {:?} for {:?}: {} vs {}", strategy, coord, agg, cell, direct
+                            );
+                        }
+                    }
+                    // At most (|g|+1)(|h|+1)(|m|+1) distinct coords, `m`
+                    // having three value classes.
+                    prop_assert!(cube.len() <= 64);
+                }
             }
-            // Cell count sanity: at most (|g|+1)(|h|+1)(|m|+1) distinct
-            // coords, `m` having three value classes.
-            prop_assert!(cube.len() <= 64);
         }
-    }
-
-    /// group_by returns exactly the fully-specified cube cells.
-    #[test]
-    fn group_by_matches_cube_finest_level(rows in proptest::collection::vec((any::<u8>(), any::<u8>(), -100i32..100), 1..30)) {
-        let db = small_db(&rows);
-        let u = Universal::compute(&db, &db.full_view());
-        let schema = db.schema();
-        let dims = vec![schema.attr("R", "g").unwrap(), schema.attr("R", "h").unwrap()];
-        let grouped = cube::group_by(&db, &u, &Predicate::True, &dims, &AggFunc::CountStar).unwrap();
-        let cube = cube::compute(&db, &u, &Predicate::True, &dims, &AggFunc::CountStar, CubeStrategy::LatticeRollup).unwrap();
-        let finest: exq_relstore::lookup::LookupMap<_, _> = cube
-            .cells
-            .sorted()
-            .into_iter()
-            .filter(|(c, _)| c.iter().all(|v| !v.is_null()))
-            .map(|(c, v)| (c.clone(), *v))
-            .collect();
-        prop_assert_eq!(grouped.cells, finest);
     }
 }
 
@@ -772,7 +820,7 @@ proptest! {
 // Counter invariants (exq-obs)
 // ---------------------------------------------------------------------
 
-use exq_relstore::{semijoin, ExecConfig, MetricsSink};
+use exq_relstore::semijoin;
 
 const THREADS: [usize; 3] = [1, 2, 7];
 

@@ -77,6 +77,10 @@ pub const INGEST_COUNTERS: &[&str] = &[
 /// `--batch` flag does exactly that).
 pub const MAX_APPEND_ROWS: usize = 100_000;
 
+/// Flight-recorder depth: how many recent request summaries
+/// `GET /v1/debug/requests` retains.
+const FLIGHT_CAPACITY: usize = 128;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -91,9 +95,6 @@ pub struct ServerConfig {
     pub request_timeout: Duration,
     /// HTTP parser limits (head/body size, header count).
     pub limits: Limits,
-    /// Flight-recorder depth: how many recent request summaries
-    /// `GET /v1/debug/requests` retains.
-    pub flight_capacity: usize,
     /// Which router shard this process serves, if any. Surfaced by
     /// `GET /v1/health` so the front (and CI) can verify the topology.
     pub shard_id: Option<u64>,
@@ -123,7 +124,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             request_timeout: Duration::from_secs(10),
             limits: Limits::default(),
-            flight_capacity: 128,
             shard_id: None,
             cache_persist: None,
             trace_slow_ms: None,
@@ -252,7 +252,7 @@ pub fn start_on(
         cache: ResultCache::new(config.cache_bytes, config.threads.max(1) * 2, sink.clone()),
         catalog,
         sink,
-        flight: FlightRecorder::new(config.flight_capacity),
+        flight: FlightRecorder::new(FLIGHT_CAPACITY),
         retention: TraceRetention::new(config.trace_slow_ms, config.trace_retain.clone()),
         next_trace: AtomicU64::new(0),
         shutdown: Arc::clone(&shutdown),

@@ -1060,7 +1060,10 @@ fn main() -> ExitCode {
         "drill" => cmd_drill(&args),
         "serve" => cmd_serve(&args),
         "append" => cmd_append(&args),
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        other => {
+            eprintln!("error: unknown command `{other}`\n{USAGE}");
+            return ExitCode::from(2);
+        }
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

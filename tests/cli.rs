@@ -399,7 +399,7 @@ fn bad_usage_fails_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 
     let out = run(&["frobnicate"]);
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
 
     let out = run(&["explain", "--schema"]);
