@@ -24,6 +24,7 @@ use crate::additivity::check_query;
 use crate::error::{Error, Result};
 use crate::question::UserQuestion;
 use crate::table_m::{self, ExplanationRow, ExplanationTable};
+use exq_relstore::aggregate::Folded;
 use exq_relstore::cube::{self, CodedCube, Coord, CubeStrategy};
 use exq_relstore::dict::NO_CODE;
 use exq_relstore::lookup::LookupMap;
@@ -91,12 +92,49 @@ pub fn explanation_table(
     let sink = config.exec.metrics().clone();
     let _span = sink.span("cube_algo");
     begin(db, u, question, &config, &sink)?;
+    let folded = line_1(db, u, question, &sink)?;
+    lines_2_to_5(db, u, question, dims, &config, &sink, &folded)
+}
 
-    // Line 1: totals u_j, and the tuples each q_j selects.
-    let folded = sink.time("cube_algo.totals", || question.query.fold(db, u, true))?;
+/// Line 1 of Algorithm 1: the totals u_j = q_j(D), and the tuples each
+/// q_j selects, in one pass over `u`. [`crate::explainer::Explainer`]
+/// runs it once and reads both Q(D) and `M` from it.
+pub(crate) fn line_1(
+    db: &Database,
+    u: &Universal,
+    question: &UserQuestion,
+    sink: &MetricsSink,
+) -> Result<Folded> {
+    Ok(sink.time("cube_algo.totals", || question.query.fold(db, u, true))?)
+}
 
-    // Lines 2–3: one cube per sub-query over its selected tuples, folded
-    // into M's lanes as it finishes.
+/// [`explanation_table`] with line 1 already run: `folded` must be
+/// [`line_1`]'s result for the same `db`, `u` and `question`.
+pub(crate) fn explanation_table_folded(
+    db: &Database,
+    u: &Universal,
+    question: &UserQuestion,
+    dims: &[AttrRef],
+    config: CubeAlgoConfig,
+    folded: &Folded,
+) -> Result<ExplanationTable> {
+    let sink = config.exec.metrics().clone();
+    let _span = sink.span("cube_algo");
+    begin(db, u, question, &config, &sink)?;
+    lines_2_to_5(db, u, question, dims, &config, &sink, folded)
+}
+
+/// Lines 2–5: one cube per sub-query over the tuples line 1 selected,
+/// folded into M's lanes as it finishes, then the degree columns.
+fn lines_2_to_5(
+    db: &Database,
+    u: &Universal,
+    question: &UserQuestion,
+    dims: &[AttrRef],
+    config: &CubeAlgoConfig,
+    sink: &MetricsSink,
+    folded: &Folded,
+) -> Result<ExplanationTable> {
     sink.add("cube_algo.sub_queries", question.query.arity() as u64);
     let mut joined = Joined::new(dims.len(), question.query.arity());
     for ((j, q), positions) in question
@@ -104,13 +142,13 @@ pub fn explanation_table(
         .aggregates
         .iter()
         .enumerate()
-        .zip(folded.positions)
+        .zip(&folded.positions)
     {
         let c = sink.time("cube_algo.cubes", || {
             cube::compute_coded_at(
                 db,
                 u,
-                &positions,
+                positions,
                 dims,
                 &q.func,
                 config.strategy,
@@ -134,7 +172,7 @@ pub fn explanation_table(
 
     Ok(ExplanationTable {
         dims: dims.to_vec(),
-        totals: folded.values,
+        totals: folded.values.clone(),
         rows,
     })
 }

@@ -42,6 +42,7 @@ use crate::naive;
 use crate::question::UserQuestion;
 use crate::table_m::ExplanationTable;
 use crate::topk::{self, DegreeKind, MinimalityPolarity, Ranked, TopKStrategy};
+use exq_relstore::aggregate::Folded;
 use exq_relstore::{AttrRef, Database, ExecConfig, Universal};
 use std::cell::OnceCell;
 use std::sync::Arc;
@@ -85,6 +86,13 @@ pub struct Explainer<'a> {
     polarity: MinimalityPolarity,
     force_naive: bool,
     exec: ExecConfig,
+    // Line 1 of Algorithm 1, run once: Q(D) and the cube path both read
+    // it. It depends only on the question, `U` and the engine, and the
+    // engine can only turn from cube to naive, which needs no positions.
+    line_1: OnceCell<Folded>,
+    // Whether the query is intervention-additive over `U`: decided at
+    // most once, and only when the engine is not forced naive.
+    additive: OnceCell<bool>,
     // Materialized once per configuration; the builder methods consume
     // `self`, so a stale cache cannot be observed.
     table_cache: OnceCell<(ExplanationTable, EngineChoice)>,
@@ -110,6 +118,8 @@ impl<'a> Explainer<'a> {
             polarity: MinimalityPolarity::PreferGeneral,
             force_naive: false,
             exec: ExecConfig::sequential(),
+            line_1: OnceCell::new(),
+            additive: OnceCell::new(),
             table_cache: OnceCell::new(),
         }
     }
@@ -213,47 +223,81 @@ impl<'a> Explainer<'a> {
         &self.question
     }
 
-    /// `Q(D)` — the question's value on the unmodified database,
-    /// evaluated over the (cached or seeded) universal relation. Equal to
-    /// `self.question().query.eval(db)` bit-for-bit, without the extra
-    /// join when the universal is already built.
+    /// `Q(D)` — the question's value on the unmodified database, read as
+    /// `E(u_1, …, u_m)` of the explainer's one line-1 fold over the
+    /// (cached or seeded) universal relation, which the cube path reads
+    /// too. Equal to `self.question().query.eval(db)` bit-for-bit,
+    /// without the extra join when the universal is already built.
     pub fn q_d(&self) -> Result<f64> {
-        Ok(self
-            .question
-            .query
-            .eval_universal(self.db, self.universal())?)
+        Ok(self.question.query.combine(&self.line_1()?.values))
+    }
+
+    /// The engine [`Explainer::table`] runs: Algorithm 1 when the query
+    /// is intervention-additive and not forced naive.
+    fn engine(&self) -> EngineChoice {
+        if self.force_naive {
+            return EngineChoice::Naive;
+        }
+        let additive = *self.additive.get_or_init(|| {
+            crate::additivity::query_is_additive(self.db, self.universal(), &self.question.query)
+        });
+        if additive {
+            EngineChoice::Cube
+        } else {
+            EngineChoice::Naive
+        }
+    }
+
+    /// Line 1 of Algorithm 1, run on first use: every `u_j = q_j(D)` and,
+    /// for the cube engine, the tuples each `q_j` selects.
+    fn line_1(&self) -> Result<&Folded> {
+        if let Some(folded) = self.line_1.get() {
+            return Ok(folded);
+        }
+        let u = self.universal();
+        let folded = match self.engine() {
+            EngineChoice::Cube => {
+                cube_algo::line_1(self.db, u, &self.question, self.exec.metrics())?
+            }
+            EngineChoice::Naive => self.question.query.fold(self.db, u, false)?,
+        };
+        Ok(self.line_1.get_or_init(|| folded))
     }
 
     /// Materialize the explanation table `M`, choosing Algorithm 1 when
     /// the query is intervention-additive and the exact naive engine
     /// otherwise. Cached: repeated calls (e.g. `top` for several degrees)
-    /// reuse the first materialization.
+    /// reuse the first materialization. Each call returns a copy; a
+    /// caller that only reads `M` borrows it with
+    /// [`Explainer::table_ref`].
     pub fn table(&self) -> Result<(ExplanationTable, EngineChoice)> {
-        self.cached_table().cloned()
+        let (table, choice) = self.table_ref()?;
+        Ok((table.clone(), choice))
     }
 
-    /// The cached materialization, computed on first use.
-    fn cached_table(&self) -> Result<&(ExplanationTable, EngineChoice)> {
-        if let Some(cached) = self.table_cache.get() {
-            return Ok(cached);
+    /// [`Explainer::table`] without the copy: the cached table, borrowed.
+    pub fn table_ref(&self) -> Result<(&ExplanationTable, EngineChoice)> {
+        if let Some((table, choice)) = self.table_cache.get() {
+            return Ok((table, *choice));
         }
         let computed = self.compute_table()?;
-        Ok(self.table_cache.get_or_init(|| computed))
+        let (table, choice) = self.table_cache.get_or_init(|| computed);
+        Ok((table, *choice))
     }
 
     fn compute_table(&self) -> Result<(ExplanationTable, EngineChoice)> {
         let _span = self.exec.metrics().span("explain.table");
         let u = self.universal();
-        let additive = crate::additivity::query_is_additive(self.db, u, &self.question.query);
-        let (mut table, choice) = if additive && !self.force_naive {
-            let t = cube_algo::explanation_table(
+        let choice = self.engine();
+        let mut table = if choice == EngineChoice::Cube {
+            cube_algo::explanation_table_folded(
                 self.db,
                 u,
                 &self.question,
                 &self.dims,
                 self.cube_config.clone().with_exec(self.exec.clone()),
-            )?;
-            (t, EngineChoice::Cube)
+                self.line_1()?,
+            )?
         } else {
             // The engine stays sequential: the naive table parallelizes
             // across candidates, and each candidate owns its fixpoint run.
@@ -262,14 +306,13 @@ impl<'a> Explainer<'a> {
             // commute — totals stay deterministic).
             let engine = InterventionEngine::with_universal(self.db, u.clone())
                 .with_exec(ExecConfig::sequential().with_metrics(self.exec.metrics().clone()));
-            let t = naive::explanation_table_naive_with(
+            naive::explanation_table_naive_with(
                 self.db,
                 &engine,
                 &self.question,
                 &self.dims,
                 &self.exec,
-            )?;
-            (t, EngineChoice::Naive)
+            )?
         };
         if let Some(threshold) = self.min_support {
             table.retain_min_support(threshold);
@@ -279,7 +322,7 @@ impl<'a> Explainer<'a> {
 
     /// Top-K ranked explanations by the chosen degree.
     pub fn top(&self, kind: DegreeKind, k: usize) -> Result<Vec<Ranked>> {
-        let (table, _) = self.cached_table()?;
+        let (table, _) = self.table_ref()?;
         Ok(topk::top_k(
             table,
             kind,
@@ -434,6 +477,32 @@ mod tests {
             assert_eq!(a.coord, b.coord);
             assert!((a.mu_interv - b.mu_interv).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn line_1_runs_once_and_q_d_keeps_its_bits() {
+        let db = flat_db();
+        let q = ratio_question(&db);
+        let expected = q.query.eval(&db).unwrap();
+        let totals_runs = |force_naive: bool| {
+            let sink = exq_obs::MetricsSink::recording();
+            let e = Explainer::new(&db, q.clone())
+                .metrics(sink.clone())
+                .attr_names(&["R.g"])
+                .unwrap();
+            let e = if force_naive { e.force_naive() } else { e };
+            assert_eq!(e.q_d().unwrap().to_bits(), expected.to_bits());
+            let (table, _) = e.table_ref().unwrap();
+            assert_eq!(q.query.combine(&table.totals).to_bits(), expected.to_bits());
+            assert!(!e.top(DegreeKind::Intervention, 2).unwrap().is_empty());
+            assert_eq!(e.q_d().unwrap().to_bits(), expected.to_bits());
+            sink.snapshot()
+                .spans
+                .get("cube_algo.totals")
+                .map(|s| s.count)
+        };
+        assert_eq!(totals_runs(false), Some(1), "cube path folds U once");
+        assert_eq!(totals_runs(true), None, "the naive path runs no line 1");
     }
 
     #[test]

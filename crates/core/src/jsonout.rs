@@ -163,8 +163,8 @@ pub fn drill_doc(db: &Database, phi: &str, report: &DegreeReport, snapshot: &Sna
 pub fn report_doc(explainer: &Explainer<'_>, config: &ReportConfig) -> Result<String> {
     let db = explainer.db();
     let q_d = explainer.q_d()?;
-    let (table, engine) = explainer.table()?;
-    let tau = rank_correlation(&table, DegreeKind::Intervention, DegreeKind::Aggravation);
+    let (table, engine) = explainer.table_ref()?;
+    let tau = rank_correlation(table, DegreeKind::Intervention, DegreeKind::Aggravation);
 
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"q_d\": {},", json_f64(q_d));
@@ -181,7 +181,7 @@ pub fn report_doc(explainer: &Explainer<'_>, config: &ReportConfig) -> Result<St
     .enumerate()
     {
         let ranked = top_k(
-            &table,
+            table,
             kind,
             config.top_k,
             TopKStrategy::MinimalSelfJoin,
@@ -196,7 +196,7 @@ pub fn report_doc(explainer: &Explainer<'_>, config: &ReportConfig) -> Result<St
 
     if config.drill_best {
         let best = top_k(
-            &table,
+            table,
             DegreeKind::Intervention,
             1,
             TopKStrategy::MinimalSelfJoin,

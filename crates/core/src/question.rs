@@ -259,8 +259,13 @@ impl NumericalQuery {
 
     /// Every `q_j(D)` in one pass over `u` — each bit-identical to
     /// [`AggregateQuery::eval`] — and, with `keep_positions`, the
-    /// positions of the tuples each `q_j`'s selection keeps. Line 1 of
-    /// Algorithm 1 keeps them so its cubes never evaluate a selection.
+    /// positions of the tuples each `q_j`'s selection keeps. The m
+    /// selections are compiled together ([`evaluate_many`]): each distinct
+    /// atom is evaluated once per relation row into a bit word, and each
+    /// selection is decided from the OR of a tuple's row words. Line 1 of
+    /// Algorithm 1 keeps the positions so its cubes never evaluate a
+    /// selection; an [`crate::explainer::Explainer`] runs it once and
+    /// reads both `Q(D)` and `M` from it.
     pub fn fold(&self, db: &Database, u: &Universal, keep_positions: bool) -> Result<Folded> {
         let pairs: Vec<(&Predicate, &AggFunc)> = self
             .aggregates

@@ -62,7 +62,7 @@ pub fn generate(explainer: &Explainer<'_>, config: &ReportConfig) -> Result<Stri
     let _ = writeln!(out);
 
     // -- The table and engine.
-    let (table, engine) = explainer.table()?;
+    let (table, engine) = explainer.table_ref()?;
     let engine_text = match engine {
         EngineChoice::Cube => "Algorithm 1 (data cube; query is intervention-additive)",
         EngineChoice::Naive => "exact naive engine (per-candidate program P)",
@@ -74,7 +74,7 @@ pub fn generate(explainer: &Explainer<'_>, config: &ReportConfig) -> Result<Stri
         config.exec.threads(),
         if config.exec.threads() == 1 { "" } else { "s" }
     );
-    let tau = rank_correlation(&table, DegreeKind::Intervention, DegreeKind::Aggravation);
+    let tau = rank_correlation(table, DegreeKind::Intervention, DegreeKind::Aggravation);
     let _ = writeln!(
         out,
         "intervention/aggravation rank agreement (Kendall tau): {tau:.3}"
@@ -88,7 +88,7 @@ pub fn generate(explainer: &Explainer<'_>, config: &ReportConfig) -> Result<Stri
     ] {
         let _ = writeln!(out, "## {title}");
         let ranked = top_k(
-            &table,
+            table,
             kind,
             config.top_k,
             TopKStrategy::MinimalSelfJoin,
@@ -112,7 +112,7 @@ pub fn generate(explainer: &Explainer<'_>, config: &ReportConfig) -> Result<Stri
     // -- Drill-down.
     if config.drill_best {
         let best = top_k(
-            &table,
+            table,
             DegreeKind::Intervention,
             1,
             TopKStrategy::MinimalSelfJoin,

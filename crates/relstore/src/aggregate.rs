@@ -11,7 +11,7 @@ use crate::dict::Dict;
 use crate::error::{Error, Result};
 use crate::join::Universal;
 use crate::lookup::LookupSet;
-use crate::predicate::Predicate;
+use crate::predicate::{Atom, Predicate};
 use crate::schema::{AttrRef, DatabaseSchema};
 use crate::value::{Value, ValueType};
 
@@ -74,13 +74,6 @@ impl AggFunc {
             AggFunc::Min(_) => AggState::Min(None),
             AggFunc::Max(_) => AggState::Max(None),
         }
-    }
-
-    /// Whether roll-up merging of two states loses nothing (distributive or
-    /// algebraic aggregates). True for every [`AggFunc`] — COUNT DISTINCT
-    /// keeps its key set in the state precisely so it merges exactly.
-    pub fn mergeable(&self) -> bool {
-        true
     }
 
     /// Compile this aggregate against a column store for a hot loop.
@@ -281,13 +274,9 @@ fn sum_finalize(int: i128, float: f64) -> f64 {
 }
 
 /// Evaluate `func` over the universal tuples of `u` that satisfy
-/// `selection`.
-///
-/// The selection is compiled against the column store first
-/// ([`crate::ColumnStore::compile_predicate`]) so each atom costs two
-/// array loads per tuple instead of a `Value` comparison; the compiled
-/// form returns bit-identical decisions, so this is unobservable apart
-/// from speed.
+/// `selection`: [`evaluate_many`] with one pair, so the selection is
+/// decided from per-relation atom words rather than a `Value` comparison
+/// per tuple, with bit-identical results.
 pub fn evaluate(
     db: &Database,
     u: &Universal,
@@ -309,13 +298,33 @@ pub struct Folded {
 }
 
 /// Evaluate every `(selection, func)` pair over `u` in one sequential
-/// pass: each tuple is tested against every compiled selection, and each
-/// aggregate folds the tuples its selection keeps in tuple order — the
-/// order [`evaluate`] folds in, so every value is bit-identical to
-/// evaluating its pair alone. With `keep_positions`, the pass also
-/// records which tuples each selection kept, so a consumer that groups
-/// exactly those tuples (Algorithm 1's cubes) never evaluates the
-/// selection again.
+/// pass, with the selections compiled together into bit tests:
+///
+/// - every distinct atom of the selections gets a bit, the atoms of one
+///   relation on adjacent bits;
+/// - each relation with atoms gets a word per row (more than one past 64
+///   atoms), filled by one sequential pass per attribute over its code
+///   column through a per-code word of atom outcomes;
+/// - a tuple's word is the OR of one row word per such relation, and each
+///   selection is a test on it: a conjunction of atoms is
+///   `w & need == need`, and `Or` and `Not` combine such tests.
+///
+/// The bits are exact, not close: `Value`'s equality and order are the
+/// total order, every [`crate::predicate::CmpOp`] therefore depends only
+/// on a value's total-order class, and a dictionary assigns one code per
+/// class — so each test decides what [`Predicate::eval`] decides.
+///
+/// `U` is scanned in blocks of 64 tuples: the block's words, then per
+/// selection a 64-bit mask of the tuples it keeps (the combinators are
+/// `&`, `|` and `!` on masks), then the aggregate folds those tuples.
+/// So each aggregate still folds the tuples its selection keeps in tuple
+/// order — the order [`evaluate`] folds in, and every value is
+/// bit-identical to evaluating its pair alone. `COUNT(DISTINCT a)` marks
+/// the codes it meets in a dense bitset, since codes run from 0 to the
+/// dictionary's length. With `keep_positions`, the pass also records
+/// which tuples each selection kept, so a consumer that groups exactly
+/// those tuples (Algorithm 1's cubes) never evaluates the selection
+/// again.
 ///
 /// The error is the one evaluating the pairs one by one, in order, would
 /// return: the first failing pair's, at its first failing tuple.
@@ -329,32 +338,45 @@ pub fn evaluate_many(
     queries: &[(&Predicate, &AggFunc)],
     keep_positions: bool,
 ) -> Result<Folded> {
-    let store = std::sync::Arc::clone(db.columns());
-    let compiled: Vec<_> = queries
-        .iter()
-        .map(|&(selection, func)| (store.compile_predicate(selection), func.compile(&store)))
-        .collect();
-    let mut states: Vec<AggState> = queries.iter().map(|(_, f)| f.new_state()).collect();
-    let mut positions = vec![Vec::new(); if keep_positions { queries.len() } else { 0 }];
     if keep_positions {
         assert!(
             u32::try_from(u.len()).is_ok(),
             "universal positions must fit in u32"
         );
     }
+    let store = std::sync::Arc::clone(db.columns());
+    let selections: Vec<&Predicate> = queries.iter().map(|&(p, _)| p).collect();
+    let selections = Selections::compile(&store, &selections);
+    let mut folds: Vec<Fold<'_>> = queries
+        .iter()
+        .map(|&(_, func)| Fold::new(func, &store))
+        .collect();
+    let mut positions = vec![Vec::new(); if keep_positions { queries.len() } else { 0 }];
     let mut failed: Option<(usize, Error)> = None;
-    for (i, t) in u.iter().enumerate() {
-        for (j, ((selection, agg), state)) in compiled.iter().zip(&mut states).enumerate() {
-            if !selection.eval(t) {
-                continue;
-            }
-            if let Err(e) = agg.update(state, db, t) {
-                if failed.as_ref().is_none_or(|&(k, _)| j < k) {
-                    failed = Some((j, e));
+    let width = selections.width;
+    let mut columns: Vec<_> = selections.rels.iter().map(|r| u.column(r.rel)).collect();
+    let mut words = vec![0u64; BLOCK * width];
+    for start in (0..u.len()).step_by(BLOCK) {
+        let n = BLOCK.min(u.len() - start);
+        let words = &mut words[..n * width];
+        words.fill(0);
+        for (r, column) in selections.rels.iter().zip(&mut columns) {
+            r.or_into(words, width, column.by_ref().take(n));
+        }
+        let block = if n == BLOCK { !0 } else { (1 << n) - 1 };
+        for (j, (test, fold)) in selections.tests.iter().zip(&mut folds).enumerate() {
+            let mut kept = test.eval(words, width, block);
+            while kept != 0 {
+                let i = start + kept.trailing_zeros() as usize;
+                kept &= kept - 1;
+                if let Err(e) = fold.update(db, u.tuple(i)) {
+                    if failed.as_ref().is_none_or(|&(k, _)| j < k) {
+                        failed = Some((j, e));
+                    }
                 }
-            }
-            if keep_positions {
-                positions[j].push(i as u32);
+                if keep_positions {
+                    positions[j].push(i as u32);
+                }
             }
         }
     }
@@ -362,9 +384,307 @@ pub fn evaluate_many(
         return Err(e);
     }
     Ok(Folded {
-        values: states.iter().map(AggState::finalize).collect(),
+        values: folds.iter().map(Fold::finalize).collect(),
         positions,
     })
+}
+
+/// Tuples per block of [`evaluate_many`]'s scan: one bit each of a
+/// selection's keep mask.
+const BLOCK: usize = 64;
+
+/// The selections of one [`evaluate_many`] call, compiled together.
+struct Selections {
+    /// Words per universal tuple: one bit per distinct atom, and at least
+    /// one word. One word (up to 64 atoms) is the common case, and the
+    /// loops below give it its own arm: through the general one a fold
+    /// measured 1.8–3x slower.
+    width: usize,
+    /// The row words of each relation with atoms.
+    rels: Vec<RowWords>,
+    /// One test per selection, on a tuple's words.
+    tests: Vec<BitTest>,
+}
+
+impl Selections {
+    fn compile(store: &ColumnStore, selections: &[&Predicate]) -> Selections {
+        let mut atoms: Vec<&Atom> = Vec::new();
+        for p in selections {
+            collect_atoms(p, &mut atoms);
+        }
+        // Stable: one attribute's atoms, and so one relation's, are
+        // adjacent bits.
+        atoms.sort_by_key(|a| a.attr);
+        let width = atoms.len().div_ceil(64).max(1);
+        let mut rels = Vec::new();
+        let mut bit = 0;
+        for group in atoms.chunk_by(|a, b| a.attr.rel == b.attr.rel) {
+            rels.push(RowWords::fill(store, group, bit));
+            bit += group.len();
+        }
+        let tests = selections
+            .iter()
+            .map(|p| BitTest::compile(p, &atoms, width))
+            .collect();
+        Selections { width, rels, tests }
+    }
+}
+
+/// Push each atom of `p` not already in `atoms`.
+fn collect_atoms<'p>(p: &'p Predicate, atoms: &mut Vec<&'p Atom>) {
+    match p {
+        Predicate::True | Predicate::False => {}
+        Predicate::Atom(a) => {
+            if !atoms.contains(&a) {
+                atoms.push(a);
+            }
+        }
+        Predicate::And(ps) | Predicate::Or(ps) => {
+            for p in ps {
+                collect_atoms(p, atoms);
+            }
+        }
+        Predicate::Not(p) => collect_atoms(p, atoms),
+    }
+}
+
+/// One relation's atom outcomes: the bits of row `r` in tuple words
+/// `first..first + width` are `words[r·width..(r + 1)·width]`.
+struct RowWords {
+    rel: usize,
+    first: usize,
+    width: usize,
+    words: Vec<u64>,
+}
+
+impl RowWords {
+    /// Evaluate `atoms` — all on one relation, sorted by attribute,
+    /// numbered from bit `first_bit` on — over every row of the relation:
+    /// per attribute, each code's word once, then one pass over the code
+    /// column.
+    fn fill(store: &ColumnStore, atoms: &[&Atom], first_bit: usize) -> RowWords {
+        let first = first_bit / 64;
+        let width = (first_bit + atoms.len() - 1) / 64 + 1 - first;
+        let rows = store.column(atoms[0].attr).codes.len();
+        let mut words = vec![0u64; rows * width];
+        let mut bit = first_bit - first * 64;
+        for same_attr in atoms.chunk_by(|a, b| a.attr == b.attr) {
+            let (codes, dict) = store.dict_column(same_attr[0].attr);
+            let mut per_code = vec![0u64; dict.len() * width];
+            for atom in same_attr {
+                let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+                for (code, code_words) in per_code.chunks_exact_mut(width).enumerate() {
+                    if atom.op.eval(dict.value(code as u32), &atom.value) {
+                        code_words[word] |= mask;
+                    }
+                }
+                bit += 1;
+            }
+            if width == 1 {
+                for (w, &code) in words.iter_mut().zip(codes) {
+                    *w |= per_code[code as usize];
+                }
+            } else {
+                for (row, &code) in words.chunks_exact_mut(width).zip(codes) {
+                    let at = code as usize * width;
+                    for (w, c) in row.iter_mut().zip(&per_code[at..at + width]) {
+                        *w |= c;
+                    }
+                }
+            }
+        }
+        RowWords {
+            rel: atoms[0].attr.rel,
+            first,
+            width,
+            words,
+        }
+    }
+
+    /// OR the words of `rows` into a block of tuple words, `stride` words
+    /// per tuple.
+    #[inline]
+    fn or_into(&self, block: &mut [u64], stride: usize, rows: impl Iterator<Item = u32>) {
+        if stride == 1 {
+            for (w, row) in block.iter_mut().zip(rows) {
+                *w |= self.words[row as usize];
+            }
+        } else {
+            for (tuple, row) in block.chunks_exact_mut(stride).zip(rows) {
+                let at = row as usize * self.width;
+                for (w, b) in tuple[self.first..self.first + self.width]
+                    .iter_mut()
+                    .zip(&self.words[at..at + self.width])
+                {
+                    *w |= b;
+                }
+            }
+        }
+    }
+}
+
+/// A selection as a test on a tuple's atom words.
+enum BitTest {
+    /// Every bit of `need` is set: a conjunction of atoms (`True` when
+    /// `need` is all zero).
+    Need(Box<[u64]>),
+    /// Every part holds.
+    And(Vec<BitTest>),
+    /// Some part holds (`False` when empty).
+    Or(Vec<BitTest>),
+    /// The part fails.
+    Not(Box<BitTest>),
+}
+
+impl BitTest {
+    /// Compile `p`, whose atoms all occur in `atoms`: atom `k` is bit `k`.
+    fn compile(p: &Predicate, atoms: &[&Atom], width: usize) -> BitTest {
+        match p {
+            Predicate::True => BitTest::Need(vec![0; width].into()),
+            Predicate::False => BitTest::Or(Vec::new()),
+            Predicate::Atom(a) => {
+                let bit = atoms
+                    .iter()
+                    .position(|b| *b == a)
+                    .expect("every atom was collected");
+                let mut need = vec![0; width];
+                need[bit / 64] |= 1 << (bit % 64);
+                BitTest::Need(need.into())
+            }
+            Predicate::And(ps) => {
+                // The atoms among the parts become one `Need`, tested first.
+                let mut need = vec![0; width];
+                let mut rest = Vec::new();
+                for part in ps.iter().map(|p| BitTest::compile(p, atoms, width)) {
+                    match part {
+                        BitTest::Need(n) => {
+                            for (w, b) in need.iter_mut().zip(n.iter()) {
+                                *w |= b;
+                            }
+                        }
+                        other => rest.push(other),
+                    }
+                }
+                if rest.is_empty() {
+                    BitTest::Need(need.into())
+                } else {
+                    rest.insert(0, BitTest::Need(need.into()));
+                    BitTest::And(rest)
+                }
+            }
+            Predicate::Or(ps) => BitTest::Or(
+                ps.iter()
+                    .map(|p| BitTest::compile(p, atoms, width))
+                    .collect(),
+            ),
+            Predicate::Not(p) => BitTest::Not(Box::new(BitTest::compile(p, atoms, width))),
+        }
+    }
+
+    /// The mask of the tuples of a block this test keeps: bit `k` for
+    /// the tuple at `words[k·width..(k + 1)·width]`, within `block`.
+    fn eval(&self, words: &[u64], width: usize, block: u64) -> u64 {
+        match self {
+            BitTest::Need(need) if width == 1 => {
+                let need = need[0];
+                words
+                    .iter()
+                    .enumerate()
+                    .fold(0, |m, (k, &w)| m | u64::from(w & need == need) << k)
+            }
+            BitTest::Need(need) => {
+                words
+                    .chunks_exact(width)
+                    .enumerate()
+                    .fold(0, |m, (k, tuple)| {
+                        let all = tuple.iter().zip(need.iter()).all(|(w, n)| w & n == *n);
+                        m | u64::from(all) << k
+                    })
+            }
+            BitTest::And(parts) => {
+                let mut m = block;
+                for part in parts {
+                    if m == 0 {
+                        break;
+                    }
+                    m &= part.eval(words, width, block);
+                }
+                m
+            }
+            BitTest::Or(parts) => {
+                let mut m = 0;
+                for part in parts {
+                    if m == block {
+                        break;
+                    }
+                    m |= part.eval(words, width, block);
+                }
+                m
+            }
+            BitTest::Not(part) => block & !part.eval(words, width, block),
+        }
+    }
+}
+
+/// One aggregate's accumulator in [`evaluate_many`].
+enum Fold<'a> {
+    /// `COUNT(DISTINCT a)`: a dense bitset over the column's codes. The
+    /// null code's bit starts set, so a NULL is never counted.
+    Distinct {
+        rel: usize,
+        codes: &'a [u32],
+        seen: Vec<u64>,
+        count: u64,
+    },
+    /// Every other aggregate.
+    State(AggEval<'a>, AggState),
+}
+
+impl<'a> Fold<'a> {
+    fn new(func: &'a AggFunc, store: &'a ColumnStore) -> Fold<'a> {
+        match func {
+            AggFunc::CountDistinct(a) => {
+                let (codes, dict) = store.dict_column(*a);
+                let mut seen = vec![0u64; dict.len().div_ceil(64)];
+                if let Some(null) = dict.null_code() {
+                    seen[null as usize / 64] |= 1 << (null % 64);
+                }
+                Fold::Distinct {
+                    rel: a.rel,
+                    codes,
+                    seen,
+                    count: 0,
+                }
+            }
+            _ => Fold::State(func.compile(store), func.new_state()),
+        }
+    }
+
+    #[inline]
+    fn update(&mut self, db: &Database, t: &[u32]) -> Result<()> {
+        match self {
+            Fold::Distinct {
+                rel,
+                codes,
+                seen,
+                count,
+            } => {
+                let code = codes[t[*rel] as usize] as usize;
+                let (word, bit) = (&mut seen[code / 64], 1u64 << (code % 64));
+                *count += u64::from(*word & bit == 0);
+                *word |= bit;
+                Ok(())
+            }
+            Fold::State(eval, state) => eval.update(state, db, t),
+        }
+    }
+
+    fn finalize(&self) -> f64 {
+        match self {
+            Fold::Distinct { count, .. } => *count as f64,
+            Fold::State(_, state) => state.finalize(),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -20,7 +20,6 @@
 
 use crate::database::Database;
 use crate::dict::{Dict, DictBuilder};
-use crate::predicate::Predicate;
 use crate::schema::AttrRef;
 use crate::table::Relation;
 use std::sync::Arc;
@@ -120,150 +119,6 @@ impl ColumnStore {
         cols.iter()
             .map(|&col| self.dict_column(AttrRef { rel, col }))
             .collect()
-    }
-
-    /// Compile a selection predicate against this store for repeated
-    /// evaluation over universal tuples.
-    ///
-    /// Every atom is pre-evaluated once per *distinct* value into a
-    /// per-code boolean mask, so the per-tuple cost drops from a `Value`
-    /// comparison (string compares, Int/Float cross-type arithmetic) to
-    /// two array loads.
-    ///
-    /// The compilation is *exactly* equivalent to [`Predicate::eval`],
-    /// not merely close: `Value`'s `PartialEq`/`PartialOrd` are defined
-    /// by the total order, every [`crate::predicate::CmpOp`] therefore
-    /// depends only on a value's total-order equivalence class, and the
-    /// dictionary assigns one code per class. Constant-folding of
-    /// `True`/`False` through the combinators cannot change results
-    /// because predicates are pure.
-    pub fn compile_predicate<'a>(&'a self, p: &'a Predicate) -> CodedPredicate<'a> {
-        match p {
-            Predicate::True => CodedPredicate::Const(true),
-            Predicate::False => CodedPredicate::Const(false),
-            Predicate::Atom(a) => {
-                let (codes, dict) = self.dict_column(a.attr);
-                let mask = (0..dict.len() as u32)
-                    .map(|code| a.op.eval(dict.value(code), &a.value))
-                    .collect();
-                CodedPredicate::Mask(MaskAtom {
-                    rel: a.attr.rel,
-                    codes,
-                    mask,
-                })
-            }
-            Predicate::And(ps) => {
-                let parts: Vec<CodedPredicate<'a>> =
-                    ps.iter().map(|p| self.compile_predicate(p)).collect();
-                if parts
-                    .iter()
-                    .any(|c| matches!(c, CodedPredicate::Const(false)))
-                {
-                    return CodedPredicate::Const(false);
-                }
-                let mut parts: Vec<CodedPredicate<'a>> = parts
-                    .into_iter()
-                    .filter(|c| !matches!(c, CodedPredicate::Const(true)))
-                    .collect();
-                match parts.len() {
-                    0 => CodedPredicate::Const(true),
-                    1 => parts.pop().expect("len checked"),
-                    // Conjunctions of mask atoms — candidate explanations
-                    // and the experiments' selections — get a flat,
-                    // dispatch-free representation.
-                    _ if parts.iter().all(|c| matches!(c, CodedPredicate::Mask(_))) => {
-                        CodedPredicate::AllMasks(
-                            parts
-                                .into_iter()
-                                .map(|c| match c {
-                                    CodedPredicate::Mask(m) => m,
-                                    _ => unreachable!("all parts checked to be masks"),
-                                })
-                                .collect(),
-                        )
-                    }
-                    _ => CodedPredicate::All(parts),
-                }
-            }
-            Predicate::Or(ps) => {
-                let parts: Vec<CodedPredicate<'a>> =
-                    ps.iter().map(|p| self.compile_predicate(p)).collect();
-                if parts
-                    .iter()
-                    .any(|c| matches!(c, CodedPredicate::Const(true)))
-                {
-                    return CodedPredicate::Const(true);
-                }
-                let mut parts: Vec<CodedPredicate<'a>> = parts
-                    .into_iter()
-                    .filter(|c| !matches!(c, CodedPredicate::Const(false)))
-                    .collect();
-                match parts.len() {
-                    0 => CodedPredicate::Const(false),
-                    1 => parts.pop().expect("len checked"),
-                    _ => CodedPredicate::Any(parts),
-                }
-            }
-            Predicate::Not(p) => match self.compile_predicate(p) {
-                CodedPredicate::Const(b) => CodedPredicate::Const(!b),
-                c => CodedPredicate::Not(Box::new(c)),
-            },
-        }
-    }
-}
-
-/// A selection predicate compiled against a [`ColumnStore`] — see
-/// [`ColumnStore::compile_predicate`]. Borrows the store's code arrays;
-/// owns only the per-code masks.
-#[derive(Debug)]
-pub enum CodedPredicate<'a> {
-    /// Constant result (`True`, `False`, and folded combinators).
-    Const(bool),
-    /// An atom, pre-evaluated per dictionary code.
-    Mask(MaskAtom<'a>),
-    /// Conjunction of mask atoms only — the candidate-explanation shape —
-    /// evaluated without per-child enum dispatch.
-    AllMasks(Vec<MaskAtom<'a>>),
-    /// General conjunction (never empty or singleton after folding).
-    All(Vec<CodedPredicate<'a>>),
-    /// Disjunction (never empty or singleton after folding).
-    Any(Vec<CodedPredicate<'a>>),
-    /// Negation.
-    Not(Box<CodedPredicate<'a>>),
-}
-
-/// One dictionary-coded atom: the tuple passes iff `mask[codes[row]]`.
-#[derive(Debug)]
-pub struct MaskAtom<'a> {
-    /// The atom's relation (indexes the universal tuple).
-    rel: usize,
-    /// The column's per-row dictionary codes.
-    codes: &'a [u32],
-    /// Atom outcome per dictionary code.
-    mask: Box<[bool]>,
-}
-
-impl MaskAtom<'_> {
-    #[inline]
-    fn eval(&self, utuple: &[u32]) -> bool {
-        self.mask[self.codes[utuple[self.rel] as usize] as usize]
-    }
-}
-
-impl CodedPredicate<'_> {
-    /// Evaluate against a universal tuple (one row index per relation);
-    /// returns exactly what [`Predicate::eval`] returns on the source
-    /// predicate.
-    #[inline]
-    pub fn eval(&self, utuple: &[u32]) -> bool {
-        match self {
-            CodedPredicate::Const(b) => *b,
-            CodedPredicate::Mask(m) => m.eval(utuple),
-            CodedPredicate::AllMasks(ms) => ms.iter().all(|m| m.eval(utuple)),
-            CodedPredicate::All(ps) => ps.iter().all(|p| p.eval(utuple)),
-            CodedPredicate::Any(ps) => ps.iter().any(|p| p.eval(utuple)),
-            CodedPredicate::Not(p) => !p.eval(utuple),
-        }
     }
 }
 

@@ -328,6 +328,16 @@ impl Universal {
         self.data.chunks_exact(self.stride.max(1))
     }
 
+    /// Relation `rel`'s row of every tuple, in tuple order.
+    pub(crate) fn column(&self, rel: usize) -> impl Iterator<Item = u32> + '_ {
+        self.data
+            .get(rel..)
+            .unwrap_or_default()
+            .iter()
+            .step_by(self.stride.max(1))
+            .copied()
+    }
+
     /// `Π_{A_rel}(U)` as a row set: the rows of relation `rel` that appear
     /// in at least one universal tuple.
     pub fn projected_rows(&self, db: &Database, rel: usize) -> TupleSet {

@@ -465,55 +465,114 @@ fn arb_cmp_op() -> impl Strategy<Value = exq_relstore::CmpOp> {
     ]
 }
 
+/// One selection shape over `parts`, as `shape` picks.
+fn shaped(shape: u8, parts: &[Predicate]) -> Predicate {
+    let mid = parts.len() / 2;
+    match shape % 4 {
+        0 => Predicate::and(parts.to_vec()),
+        1 => Predicate::or(parts.to_vec()),
+        2 => Predicate::not(Predicate::and(parts.to_vec())),
+        _ => Predicate::and([
+            Predicate::or(parts[..mid].to_vec()),
+            Predicate::not(Predicate::or(parts[mid..].to_vec())),
+        ]),
+    }
+}
+
 proptest! {
-    /// `ColumnStore::compile_predicate` is observationally identical to
-    /// `Predicate::eval` on every tuple — masks over dictionary codes,
-    /// boolean combinators, and the `True`/`False` constant folding all
-    /// included. This is the exactness the coded cube and `evaluate`
-    /// hot paths rely on.
+    /// `aggregate::evaluate_many` decides every selection exactly as
+    /// `Predicate::eval` does, with all selections compiled together into
+    /// per-relation atom words: the positions it keeps are the tuples the
+    /// interpreter keeps, and each value is the interpreter's fold. The
+    /// inputs cover selections sharing atoms, atoms on both relations of a
+    /// join, more than 64 distinct atoms (several words per row), the
+    /// boolean combinators with `True`/`False` operands, COUNT DISTINCT
+    /// over a column holding NULLs, and an empty `U` over non-empty
+    /// relations. Two cases in three have at most six atoms, where the
+    /// combinators keep some tuples and drop others; the rest have more
+    /// than 64.
     #[test]
     fn compiled_predicate_matches_interpreter(
-        values in proptest::collection::vec(arb_dict_value(), 1..40),
-        atoms in proptest::collection::vec((arb_cmp_op(), arb_dict_value()), 1..6),
-        shape in 0u8..4,
+        xs in proptest::collection::vec(arb_dict_value(), 1..12),
+        children in proptest::collection::vec((0usize..12, arb_dict_value()), 1..30),
+        mut atoms in proptest::collection::vec((0usize..3, arb_cmp_op(), arb_dict_value()), 299),
+        atom_count in prop_oneof![1usize..7, 1usize..7, 65usize..300],
+        shapes in (0u8..4, 0u8..4, 0u8..4),
     ) {
+        atoms.truncate(atom_count);
         let schema = SchemaBuilder::new()
-            .relation("R", &[("id", T::Int), ("x", T::Any)], &["id"])
+            .relation("P", &[("id", T::Int), ("x", T::Any)], &["id"])
+            .relation("C", &[("id", T::Int), ("pid", T::Int), ("y", T::Any)], &["id"])
+            .standard_fk("C", &["pid"], "P")
             .build()
             .unwrap();
         let mut db = Database::new(schema);
-        for (i, v) in values.iter().enumerate() {
-            db.insert("R", vec![(i as i64).into(), v.clone()]).unwrap();
+        for (i, x) in xs.iter().enumerate() {
+            db.insert("P", vec![(i as i64).into(), x.clone()]).unwrap();
         }
-        let x = db.schema().attr("R", "x").unwrap();
-
+        for (i, (parent, y)) in children.iter().enumerate() {
+            let pid = (parent % xs.len()) as i64;
+            db.insert("C", vec![(i as i64).into(), pid.into(), y.clone()]).unwrap();
+        }
+        let attrs = [
+            db.schema().attr("P", "x").unwrap(),
+            db.schema().attr("C", "y").unwrap(),
+            db.schema().attr("P", "id").unwrap(),
+        ];
         let parts: Vec<Predicate> = atoms
             .iter()
-            .map(|(op, rhs)| Predicate::cmp(x, *op, rhs.clone()))
+            .map(|(a, op, rhs)| Predicate::cmp(attrs[*a], *op, rhs.clone()))
             .collect();
         let mid = parts.len() / 2;
-        let p = match shape {
-            0 => Predicate::and(parts),
-            1 => Predicate::or(parts),
-            2 => Predicate::not(Predicate::and(parts)),
-            _ => Predicate::and([
-                Predicate::or(parts[..mid].to_vec()),
-                Predicate::not(Predicate::or(parts[mid..].to_vec())),
+        let first = shaped(shapes.0, &parts);
+        // The selections share atoms: the halves overlap the whole, the
+        // next two reuse single atoms, and then every atom is a selection
+        // of its own, so each bit of every word is checked alone.
+        let mut selections = vec![
+            first.clone(),
+            shaped(shapes.1, &parts[..=mid]),
+            shaped(shapes.2, &parts[mid..]),
+            Predicate::and([
+                Predicate::True,
+                first.clone(),
+                Predicate::or([Predicate::False, parts[parts.len() - 1].clone()]),
             ]),
-        };
-        // Constant operands exercise the compile-time folding.
-        let folded = Predicate::and([
-            Predicate::True,
-            p.clone(),
-            Predicate::or([Predicate::False, p.clone()]),
-        ]);
+            Predicate::and([parts[0].clone(), Predicate::not(parts[mid].clone())]),
+            Predicate::False,
+        ];
+        selections.extend(parts.iter().cloned());
+        let funcs = [
+            AggFunc::CountStar,
+            AggFunc::CountDistinct(attrs[1]),
+            AggFunc::CountDistinct(attrs[0]),
+        ];
+        let pairs: Vec<(&Predicate, &AggFunc)> =
+            selections.iter().zip(funcs.iter().cycle()).collect();
 
-        let u = Universal::compute(&db, &db.full_view());
-        let store = std::sync::Arc::clone(db.columns());
-        for q in [&p, &folded] {
-            let coded = store.compile_predicate(q);
-            for t in u.iter() {
-                prop_assert_eq!(coded.eval(t), q.eval(&db, t), "{:?} on {:?}", q, t);
+        let full = db.full_view();
+        let mut no_children = db.full_view();
+        no_children.live[1] = TupleSet::empty(children.len());
+        for view in [&full, &no_children] {
+            let u = Universal::compute(&db, view);
+            let folded = aggregate::evaluate_many(&db, &u, &pairs, true).unwrap();
+            for (j, (p, f)) in pairs.iter().enumerate() {
+                let kept: Vec<u32> = u
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, t)| p.eval(&db, t))
+                    .map(|(i, _)| i as u32)
+                    .collect();
+                let want = match f {
+                    AggFunc::CountDistinct(a) => kept
+                        .iter()
+                        .map(|&i| db.value(*a, u.tuple(i as usize)[a.rel] as usize))
+                        .filter(|v| !v.is_null())
+                        .collect::<BTreeSet<_>>()
+                        .len(),
+                    _ => kept.len(),
+                };
+                prop_assert_eq!(&folded.positions[j], &kept, "{:?}", p);
+                prop_assert_eq!(folded.values[j], want as f64, "{:?}", f);
             }
         }
     }

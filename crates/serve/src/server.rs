@@ -866,7 +866,7 @@ fn run_explain(inner: &Inner, params: &QuestionParams) -> Result<(String, Cost),
     let (q_d, table_len, choice, ranked) = {
         let _span = inner.sink.span("server.request.explain");
         let q_d = explainer.q_d().map_err(|e| e.to_string())?;
-        let (table, choice) = explainer.table().map_err(|e| e.to_string())?;
+        let (table, choice) = explainer.table_ref().map_err(|e| e.to_string())?;
         let ranked = explainer
             .top(params.kind, params.top_k)
             .map_err(|e| e.to_string())?;

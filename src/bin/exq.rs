@@ -296,7 +296,7 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
     if !obs.json {
         println!("Q(D) = {q_d}");
     }
-    let (table, choice) = explainer.table().map_err(|e| e.to_string())?;
+    let (table, choice) = explainer.table_ref().map_err(|e| e.to_string())?;
     if !obs.json {
         println!(
             "{} candidate explanations (engine: {choice:?})",
