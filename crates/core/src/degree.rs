@@ -17,7 +17,7 @@
 use crate::explanation::Explanation;
 use crate::intervention::{Intervention, InterventionEngine};
 use crate::question::UserQuestion;
-use exq_relstore::aggregate::evaluate;
+use exq_relstore::aggregate::evaluate_many;
 use exq_relstore::{Database, Predicate, Result, Universal};
 
 /// `μ_aggr(φ)` by direct evaluation over `σ_φ(U(D))`.
@@ -40,12 +40,30 @@ pub fn mu_aggr_predicate(
     question: &UserQuestion,
     phi: &Predicate,
 ) -> Result<f64> {
-    let mut vals = Vec::with_capacity(question.query.arity());
-    for q in &question.query.aggregates {
-        let sel = Predicate::and([phi.clone(), q.selection.clone()]);
-        vals.push(evaluate(db, u, &sel, &q.func)?);
-    }
-    Ok(question.direction.aggr_sign() * question.query.combine(&vals))
+    Ok(aggr_values_predicate(db, u, question, phi)?.1)
+}
+
+/// The values `q_j(σ_φ(U(D)))` of every sub-query, folded in one pass
+/// over `U`, together with the `μ_aggr` combined from them.
+pub fn aggr_values_predicate(
+    db: &Database,
+    u: &Universal,
+    question: &UserQuestion,
+    phi: &Predicate,
+) -> Result<(Vec<f64>, f64)> {
+    let aggregates = &question.query.aggregates;
+    let selections: Vec<Predicate> = aggregates
+        .iter()
+        .map(|q| Predicate::and([phi.clone(), q.selection.clone()]))
+        .collect();
+    let pairs: Vec<_> = selections
+        .iter()
+        .zip(aggregates)
+        .map(|(sel, q)| (sel, &q.func))
+        .collect();
+    let values = evaluate_many(db, u, &pairs, false)?.values;
+    let mu = question.direction.aggr_sign() * question.query.combine(&values);
+    Ok((values, mu))
 }
 
 /// `μ_interv(φ)` by running program **P** and evaluating `Q(D − Δ^φ)`

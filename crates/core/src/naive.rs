@@ -8,13 +8,12 @@
 //! dramatically. Used here both as the benchmark baseline and as ground
 //! truth in the cube-correctness tests.
 
-use crate::degree::{mu_aggr, mu_interv_of};
+use crate::degree::{aggr_values_predicate, mu_aggr, mu_interv_of};
 use crate::error::Result;
 use crate::explanation::{enumerate_candidates, Explanation};
 use crate::intervention::InterventionEngine;
 use crate::question::UserQuestion;
 use crate::table_m::{ExplanationRow, ExplanationTable};
-use exq_relstore::aggregate::evaluate;
 use exq_relstore::{par, AttrRef, Database, ExecConfig, Predicate};
 
 /// Compute the explanation table `M` by brute force.
@@ -108,15 +107,9 @@ fn candidate_row(
     let iv = engine.compute(phi);
     let mu_i = mu_interv_of(db, question, &iv)?;
 
-    // μ_aggr and the v_j values over σ_φ(U).
-    let u = engine.universal();
+    // The v_j values over σ_φ(U), in one pass, and μ_aggr from them.
     let phi_pred = phi.conjunction().to_predicate();
-    let mut values = Vec::with_capacity(question.query.arity());
-    for q in &question.query.aggregates {
-        let sel = Predicate::and([phi_pred.clone(), q.selection.clone()]);
-        values.push(evaluate(db, u, &sel, &q.func)?);
-    }
-    let mu_a = mu_aggr(db, u, question, phi)?;
+    let (values, mu_a) = aggr_values_predicate(db, engine.universal(), question, &phi_pred)?;
 
     Ok(ExplanationRow {
         coord: phi

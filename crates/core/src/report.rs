@@ -57,7 +57,7 @@ pub fn generate(explainer: &Explainer<'_>, config: &ReportConfig) -> Result<Stri
     if question.query.smoothing != 0.0 {
         let _ = writeln!(out, "smoothing: {}", question.query.smoothing);
     }
-    let q_d = question.query.eval(db)?;
+    let q_d = explainer.q_d()?;
     let _ = writeln!(out, "Q(D) = {q_d}");
     let _ = writeln!(out);
 

@@ -637,6 +637,46 @@ mod tests {
     }
 
     #[test]
+    fn append_batch_checks_composite_keys_against_coded_old_rows() {
+        let schema = SchemaBuilder::new()
+            .relation("P", &[("a", T::Int), ("b", T::Str)], &["a", "b"])
+            .build()
+            .unwrap();
+        let mut db = Database::new(schema);
+        for (a, b) in [(1, "x"), (2, "y"), (3, "x")] {
+            db.insert("P", vec![a.into(), b.into()]).unwrap();
+        }
+        db.validate().unwrap();
+        let old_store = Arc::clone(db.columns());
+
+        // (1, "y") and (2, "x") each match old keys on one column only.
+        db.append_batch(vec![(
+            "P".into(),
+            vec![vec![1.into(), "y".into()], vec![2.into(), "x".into()]],
+        )])
+        .unwrap();
+        assert_eq!(db.relation_len(0), 5);
+        assert!(!Arc::ptr_eq(db.columns(), &old_store));
+
+        // (3, "x") matches old row 2 on both; the error names that key.
+        let err = db
+            .append_batch(vec![(
+                "P".into(),
+                vec![vec![4.into(), "y".into()], vec![3.into(), "x".into()]],
+            )])
+            .unwrap_err();
+        match err {
+            Error::DuplicateKey { relation, key } => {
+                assert_eq!(relation, "P");
+                assert_eq!(key, format_key(&[3.into(), "x".into()]));
+            }
+            other => panic!("expected a duplicate key, got {other:?}"),
+        }
+        assert_eq!(db.relation_len(0), 5);
+        db.validate().unwrap();
+    }
+
+    #[test]
     fn append_batch_copies_a_shared_relation_at_exactly_its_new_length() {
         let mut db = two_table_db();
         let earlier_epoch = db.clone();

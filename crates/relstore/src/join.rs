@@ -12,10 +12,11 @@
 use crate::column::ColumnStore;
 use crate::database::{Database, View};
 use crate::dict::NO_CODE;
-use crate::lookup::{LookupMap, LookupSet};
+use crate::lookup::LookupMap;
 use crate::schema::DatabaseSchema;
 use crate::tupleset::TupleSet;
 use crate::ExecConfig;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// One edge of a component's BFS join tree.
@@ -40,6 +41,36 @@ pub struct Component {
     pub root: usize,
     /// Tree edges in BFS (top-down) order.
     pub edges: Vec<TreeEdge>,
+}
+
+impl Component {
+    /// The component's tree edges re-rooted at `root`: each oriented away
+    /// from it, in BFS order, so an edge's parent is reached before it.
+    fn rooted_at(&self, root: usize) -> Vec<TreeEdge> {
+        let mut reached = vec![root];
+        let mut edges = Vec::with_capacity(self.edges.len());
+        let mut next = 0;
+        while let Some(&u) = reached.get(next) {
+            next += 1;
+            for e in &self.edges {
+                let outward = if e.parent == u && !reached.contains(&e.child) {
+                    e.clone()
+                } else if e.child == u && !reached.contains(&e.parent) {
+                    TreeEdge {
+                        parent: e.child,
+                        child: e.parent,
+                        parent_cols: e.child_cols.clone(),
+                        child_cols: e.parent_cols.clone(),
+                    }
+                } else {
+                    continue;
+                };
+                reached.push(outward.child);
+                edges.push(outward);
+            }
+        }
+        edges
+    }
 }
 
 /// Decompose the schema's foreign-key graph into components with BFS join
@@ -165,14 +196,18 @@ impl Universal {
     /// partitioned by their *first* relation (in component order) that
     /// holds a new row: for pivot `i`, relations before `i` are
     /// restricted to their old rows, relation `i` to its new rows, and
-    /// later relations are unrestricted. Each partition runs through the
-    /// ordinary `join_component` machinery, so every new tuple is
-    /// produced exactly once. Because the component's output order is
-    /// strictly lexicographic in (root row, edge-child rows…) — a key in
-    /// which every component relation appears exactly once — sorting the
-    /// delta by that key and merging it with `old` (already sorted, and
-    /// key-disjoint since old tuples hold no new rows) reproduces the
-    /// rebuild order exactly.
+    /// later relations are unrestricted, so every new tuple is produced
+    /// exactly once. Any relation of an acyclic join tree can root it
+    /// (Yannakakis, VLDB 1981), so each partition joins along the tree
+    /// re-rooted at its pivot: the roots are the pivot's new rows, and
+    /// each edge is probed only for the keys the partial tuples reaching
+    /// it hold (`DeltaProbe`), which costs O(delta + the scanned code
+    /// columns), not a probe over every relation. Because a rebuild's
+    /// output order is strictly lexicographic in (root row, edge-child
+    /// rows…) — a key in which every component relation appears exactly
+    /// once — sorting the delta by that key and merging it with `old`
+    /// (already sorted, and key-disjoint since old tuples hold no new
+    /// rows) reproduces the rebuild order exactly.
     ///
     /// Note `old` may have been computed over a *reduced* view: full
     /// semijoin reduction keeps exactly the rows participating in some
@@ -207,25 +242,25 @@ impl Universal {
             return (u, touched);
         }
         let comp = &components[0];
+        let store = Arc::clone(db.columns());
 
-        // One join_component run per pivot relation that gained rows.
+        // One pivot-rooted join per relation that gained rows.
         let mut delta: Vec<u32> = Vec::new();
         for (i, &pivot) in comp.relations.iter().enumerate() {
             if db.relation_len(pivot) == old_lens[pivot] {
                 continue;
             }
-            let live = (0..stride)
+            let rows: Vec<Range<usize>> = (0..stride)
                 .map(|rel| {
                     let len = db.relation_len(rel);
                     match comp.relations.iter().position(|&r| r == rel) {
-                        Some(j) if j < i => TupleSet::prefix(len, old_lens[rel]),
-                        Some(j) if j == i => TupleSet::prefix(len, old_lens[rel]).complement(),
-                        _ => TupleSet::full(len),
+                        Some(j) if j < i => 0..old_lens[rel],
+                        Some(j) if j == i => old_lens[rel]..len,
+                        _ => 0..len,
                     }
                 })
                 .collect();
-            let view = View { live };
-            delta.extend(join_component(db, &view, comp, stride, exec));
+            delta.extend(join_from_pivot(&store, comp, pivot, &rows, stride, exec));
         }
         sink.add("ingest.delta.tuples", (delta.len() / stride) as u64);
 
@@ -240,10 +275,11 @@ impl Universal {
             }
         }
 
-        // Sort the delta by the component's output key and merge with the
-        // old tuples. No two tuples share a key (old/old by strictness of
-        // the component order, old/delta because a delta tuple holds at
-        // least one new row, delta/delta by the exactly-once partition).
+        // Sort the delta by the key a rebuild emits tuples in (original
+        // root row, then edge-child rows) and merge with the old tuples.
+        // No two tuples share a key (old/old by strictness of the
+        // component order, old/delta because a delta tuple holds at least
+        // one new row, delta/delta by the exactly-once partition).
         let key_slots: Vec<usize> = std::iter::once(comp.root)
             .chain(comp.edges.iter().map(|e| e.child))
             .collect();
@@ -354,14 +390,16 @@ impl Universal {
     }
 }
 
-/// A per-edge probe mapping a parent row to its matching child rows.
+/// A per-edge probe of the full join, mapping a parent row to its
+/// matching child rows. (A delta partition probes through [`DeltaProbe`]
+/// instead, built from the keys its partial tuples hold.)
 ///
 /// The probe works entirely in `u32` code space: parent codes are
 /// translated into the child's dictionary once per *code* (not per row),
 /// and child rows are bucketed per code (single-column edges) or keyed by
 /// code tuples (composite edges) — the inner probe loop never clones or
 /// hashes a [`Value`](crate::value::Value). Bucket contents are pushed in
-/// live-row ascending order in every variant, so the probe order — and
+/// live-row ascending order in both variants, so the probe order — and
 /// hence the universal tuple order — is identical across variants and
 /// thread counts.
 enum EdgeProbe<'a> {
@@ -373,19 +411,6 @@ enum EdgeProbe<'a> {
         translate: Vec<u32>,
         /// Child code → live child rows, ascending.
         buckets: Vec<Vec<u32>>,
-    },
-    /// One coded join column, but with few live parent rows (the delta
-    /// side of an incremental join): instead of translating every parent
-    /// code and bucketing every child code, only the codes the live
-    /// parent rows can actually present are translated, and child rows
-    /// are bucketed under those parent codes directly. Build cost is
-    /// O(live parents + child scan), not O(dictionaries).
-    SingleSparse {
-        /// Parent-side codes, per parent row.
-        parent_codes: &'a [u32],
-        /// Parent code → live child rows, ascending; codes no live
-        /// parent row holds are simply absent.
-        buckets: LookupMap<u32, Vec<u32>>,
     },
     /// Composite coded join columns: child rows keyed by code tuples.
     Multi {
@@ -404,38 +429,6 @@ impl EdgeProbe<'_> {
         let parent = store.dict_columns(edge.parent, &edge.parent_cols);
         let child = store.dict_columns(edge.child, &edge.child_cols);
         if let ([(parent_codes, pdict)], [(child_codes, cdict)]) = (&parent[..], &child[..]) {
-            // When few parent rows are live — the delta partitions of
-            // [`Universal::extend_for_append_with`] — the full per-code
-            // translation table and per-code bucket vector would dwarf
-            // the probe itself; translate only the codes those rows
-            // hold. Both variants bucket child rows in live-row
-            // ascending order, so the choice (a function of the view
-            // alone) never changes the output.
-            let parent_live = view.live(edge.parent).count();
-            if parent_live * 16 <= pdict.len() {
-                let mut translated: LookupSet<u32> = LookupSet::with_capacity(parent_live);
-                let mut child_to_parent: LookupMap<u32, u32> =
-                    LookupMap::with_capacity(parent_live);
-                for row in view.live(edge.parent).iter() {
-                    let pc = parent_codes[row];
-                    if translated.insert(pc) {
-                        if let Some(cc) = cdict.code(pdict.value(pc)) {
-                            child_to_parent.insert(cc, pc);
-                        }
-                    }
-                }
-                let mut buckets: LookupMap<u32, Vec<u32>> =
-                    LookupMap::with_capacity(child_to_parent.len());
-                for row in view.live(edge.child).iter() {
-                    if let Some(&pc) = child_to_parent.get(&child_codes[row]) {
-                        buckets.entry(pc).or_default().push(row as u32);
-                    }
-                }
-                return EdgeProbe::SingleSparse {
-                    parent_codes,
-                    buckets,
-                };
-            }
             let translate = pdict.translate_to(cdict);
             let mut buckets = vec![Vec::new(); cdict.len()];
             for row in view.live(edge.child).iter() {
@@ -486,12 +479,6 @@ impl EdgeProbe<'_> {
                     &buckets[code as usize]
                 }
             }
-            EdgeProbe::SingleSparse {
-                parent_codes,
-                buckets,
-            } => buckets
-                .get(&parent_codes[parent_row])
-                .map_or(&[][..], Vec::as_slice),
             EdgeProbe::Multi {
                 parent_codes,
                 translations,
@@ -581,6 +568,154 @@ fn expand_roots(
         partials = next;
     }
     partials
+}
+
+/// Join one delta partition of `comp` along its tree re-rooted at
+/// `pivot`. `rows[rel]` is the row range relation `rel` contributes; the
+/// roots are `rows[pivot]`. Slots outside the component hold `u32::MAX`.
+/// The output order is the re-rooted expansion's, which the caller
+/// re-sorts.
+fn join_from_pivot(
+    store: &ColumnStore,
+    comp: &Component,
+    pivot: usize,
+    rows: &[Range<usize>],
+    stride: usize,
+    exec: &ExecConfig,
+) -> Vec<u32> {
+    let sink = exec.metrics();
+    sink.add("join.root_rows", rows[pivot].len() as u64);
+    let mut partials: Vec<u32> = Vec::with_capacity(rows[pivot].len() * stride);
+    for row in rows[pivot].clone() {
+        let base = partials.len();
+        partials.resize(base + stride, u32::MAX);
+        partials[base + pivot] = row as u32;
+    }
+    let mut build_rows = 0;
+    for edge in comp.rooted_at(pivot) {
+        if partials.is_empty() {
+            break;
+        }
+        let probe = DeltaProbe::build(store, &edge, &partials, stride, rows[edge.child].clone());
+        build_rows += probe.buckets.iter().map(Vec::len).sum::<usize>();
+        let mut next: Vec<u32> = Vec::with_capacity(partials.len());
+        for (t, &slot) in partials.chunks_exact(stride).zip(&probe.slots) {
+            if slot == NO_CODE {
+                continue;
+            }
+            for &child_row in &probe.buckets[slot as usize] {
+                let base = next.len();
+                next.extend_from_slice(t);
+                next[base + edge.child] = child_row;
+            }
+        }
+        partials = next;
+    }
+    sink.add("join.build_rows", build_rows as u64);
+    sink.add("join.probe_matches", (partials.len() / stride) as u64);
+    partials
+}
+
+/// The probe of one edge of a delta partition, built from the parent
+/// keys its partial tuples hold rather than from the whole parent.
+///
+/// Each distinct parent key is translated into the child's dictionaries
+/// once, through its value (`Dict::code(pdict.value(pc))`, the
+/// translation [`EdgeProbe`] uses, so NULL and `Int`/`Float` equality
+/// agree with the full join), and every distinct child key it lands on
+/// gets the next slot. One sequential pass over the child's code column
+/// then buckets the child rows under their slot through a dense
+/// code-indexed slot table, in ascending row order. A composite key
+/// takes its slots by code tuple, and each child row looks its code
+/// tuple up.
+struct DeltaProbe {
+    /// Per partial tuple, its slot, or [`NO_CODE`] when its key has no
+    /// child code.
+    slots: Vec<u32>,
+    /// Per slot, the matching child rows, ascending.
+    buckets: Vec<Vec<u32>>,
+}
+
+impl DeltaProbe {
+    fn build(
+        store: &ColumnStore,
+        edge: &TreeEdge,
+        partials: &[u32],
+        stride: usize,
+        child_rows: Range<usize>,
+    ) -> DeltaProbe {
+        // A parent code not translated yet; slots stay below it, as a
+        // slot is taken per distinct child key.
+        const UNSEEN: u32 = NO_CODE - 1;
+        let parent = store.dict_columns(edge.parent, &edge.parent_cols);
+        let child = store.dict_columns(edge.child, &edge.child_cols);
+        let parent_rows = partials
+            .chunks_exact(stride)
+            .map(|t| t[edge.parent] as usize);
+        if let ([(parent_codes, pdict)], [(child_codes, cdict)]) = (&parent[..], &child[..]) {
+            let mut parent_slot = vec![UNSEEN; pdict.len()];
+            let mut child_slot = vec![NO_CODE; cdict.len()];
+            let mut taken = 0;
+            let slots = parent_rows
+                .map(|row| {
+                    let pc = parent_codes[row] as usize;
+                    if parent_slot[pc] == UNSEEN {
+                        parent_slot[pc] =
+                            cdict.code(pdict.value(pc as u32)).map_or(NO_CODE, |cc| {
+                                let slot = &mut child_slot[cc as usize];
+                                if *slot == NO_CODE {
+                                    *slot = taken;
+                                    taken += 1;
+                                }
+                                *slot
+                            });
+                    }
+                    parent_slot[pc]
+                })
+                .collect();
+            let mut buckets = vec![Vec::new(); taken as usize];
+            for row in child_rows {
+                let slot = child_slot[child_codes[row] as usize];
+                if slot != NO_CODE {
+                    buckets[slot as usize].push(row as u32);
+                }
+            }
+            return DeltaProbe { slots, buckets };
+        }
+        let mut parent_slot: LookupMap<Box<[u32]>, u32> = LookupMap::new();
+        let mut child_slot: LookupMap<Box<[u32]>, u32> = LookupMap::new();
+        let mut key: Vec<u32> = Vec::with_capacity(parent.len());
+        let slots = parent_rows
+            .map(|row| {
+                key.clear();
+                key.extend(parent.iter().map(|&(codes, _)| codes[row]));
+                if let Some(&slot) = parent_slot.get(key.as_slice()) {
+                    return slot;
+                }
+                let ckey: Option<Box<[u32]>> = parent
+                    .iter()
+                    .zip(&child)
+                    .zip(&key)
+                    .map(|((&(_, pd), &(_, cd)), &pc)| cd.code(pd.value(pc)))
+                    .collect();
+                let slot = ckey.map_or(NO_CODE, |ckey| {
+                    let taken = child_slot.len() as u32;
+                    *child_slot.entry(ckey).or_insert(taken)
+                });
+                parent_slot.insert(key.as_slice().into(), slot);
+                slot
+            })
+            .collect();
+        let mut buckets = vec![Vec::new(); child_slot.len()];
+        for row in child_rows {
+            key.clear();
+            key.extend(child.iter().map(|&(codes, _)| codes[row]));
+            if let Some(&slot) = child_slot.get(key.as_slice()) {
+                buckets[slot as usize].push(row as u32);
+            }
+        }
+        DeltaProbe { slots, buckets }
+    }
 }
 
 #[cfg(test)]

@@ -1,0 +1,274 @@
+//! The delta join against a rebuild. A valid instance is split into an
+//! epoch-0 prefix and foreign-key-valid append batches. After every
+//! batch, [`Universal::extend_for_append_with`] must equal
+//! [`Universal::compute_with`] over the full view tuple for tuple, and
+//! the rows it reports touched must be exactly the projections of the
+//! tuples that are new.
+
+use exq_datagen::random::{random_tree_db, RandomDbConfig};
+use exq_relstore::{
+    semijoin, AppendBatch, Database, ExecConfig, MetricsSink, SchemaBuilder, TupleSet, Universal,
+    Value, ValueType as T,
+};
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Per relation, per row, the epoch the row arrives in (0 is the
+/// prefix). A row draws 0 with probability `stay` and a batch in
+/// `1..=batches` otherwise, then arrives no earlier than any row it
+/// references, so every epoch's rows are foreign-key-valid.
+fn draw_epochs(db: &Database, batches: usize, stay: f64, rng: &mut SmallRng) -> Vec<Vec<usize>> {
+    let schema = db.schema();
+    let n = schema.relation_count();
+    let mut epochs: Vec<Option<Vec<usize>>> = vec![None; n];
+    // Referenced relations first; the foreign-key graph is a forest.
+    while epochs.iter().any(Option::is_none) {
+        for rel in 0..n {
+            let fks: Vec<_> = schema
+                .foreign_keys()
+                .iter()
+                .filter(|fk| fk.from_rel == rel)
+                .collect();
+            if epochs[rel].is_some() || fks.iter().any(|fk| epochs[fk.to_rel].is_none()) {
+                continue;
+            }
+            let targets: Vec<BTreeMap<Vec<Value>, usize>> = fks
+                .iter()
+                .map(|fk| {
+                    let to = db.relation(fk.to_rel);
+                    let arrives = epochs[fk.to_rel].as_ref().expect("done above");
+                    (0..to.len())
+                        .map(|row| (to.project(row, &fk.to_cols), arrives[row]))
+                        .collect()
+                })
+                .collect();
+            let rows = db.relation(rel);
+            let arrives = (0..rows.len())
+                .map(|row| {
+                    let drawn = if rng.random::<f64>() < stay {
+                        0
+                    } else {
+                        rng.random_range(1..=batches)
+                    };
+                    fks.iter().zip(&targets).fold(drawn, |e, (fk, target)| {
+                        e.max(target[&rows.project(row, &fk.from_cols)])
+                    })
+                })
+                .collect();
+            epochs[rel] = Some(arrives);
+        }
+    }
+    epochs.into_iter().map(Option::unwrap).collect()
+}
+
+/// Per batch, the relations that gained rows.
+type Grown = Vec<Vec<usize>>;
+
+/// Load the rows of `full` that arrive in epoch 0, then append each
+/// later epoch's rows as one batch, checking the delta join after each.
+/// `reduced_start` joins epoch 0 over its semijoin-reduced view, as
+/// `PreparedDb` does.
+fn check_epochs(
+    full: &Database,
+    epochs: &[Vec<usize>],
+    batches: usize,
+    reduced_start: bool,
+) -> Result<Grown, TestCaseError> {
+    let schema = full.schema();
+    let n = schema.relation_count();
+    let rows_of = |rel: usize, epoch: usize| -> Vec<Vec<Value>> {
+        (0..full.relation_len(rel))
+            .filter(|&row| epochs[rel][row] == epoch)
+            .map(|row| full.relation(rel).row(row).to_vec())
+            .collect()
+    };
+    let mut db = Database::new(schema.clone());
+    for rel in 0..n {
+        for row in rows_of(rel, 0) {
+            db.insert_at(rel, row).expect("rows of a valid instance");
+        }
+    }
+    let start = if reduced_start {
+        semijoin::reduce(&db, &db.full_view())
+    } else {
+        db.full_view()
+    };
+    let mut u = Universal::compute(&db, &start);
+    let mut grown = Vec::with_capacity(batches);
+    for epoch in 1..=batches {
+        let old_lens: Vec<usize> = (0..n).map(|rel| db.relation_len(rel)).collect();
+        let batch: AppendBatch = (0..n)
+            .map(|rel| (schema.relation(rel).name.clone(), rows_of(rel, epoch)))
+            .filter(|(_, rows)| !rows.is_empty())
+            .collect();
+        if let Err(e) = db.append_batch(batch) {
+            return Err(TestCaseError::fail(format!("epoch {epoch}: append: {e}")));
+        }
+        grown.push(
+            (0..n)
+                .filter(|&rel| db.relation_len(rel) > old_lens[rel])
+                .collect(),
+        );
+
+        let sink = MetricsSink::recording();
+        let exec = ExecConfig::sequential().with_metrics(sink.clone());
+        let (extended, touched) = Universal::extend_for_append_with(&u, &db, &old_lens, &exec);
+        let rebuilt = Universal::compute(&db, &db.full_view());
+        prop_assert_eq!(
+            extended.len(),
+            rebuilt.len(),
+            "epoch {}: tuple count",
+            epoch
+        );
+        prop_assert!(
+            extended.iter().eq(rebuilt.iter()),
+            "epoch {}: the delta join left the rebuild's order",
+            epoch
+        );
+
+        // A tuple is new iff it holds a row past its relation's old length.
+        let mut expected: Vec<TupleSet> = (0..n)
+            .map(|rel| TupleSet::empty(db.relation_len(rel)))
+            .collect();
+        let mut new_tuples = 0u64;
+        for t in rebuilt.iter() {
+            if t.iter()
+                .zip(&old_lens)
+                .any(|(&row, &len)| row as usize >= len)
+            {
+                new_tuples += 1;
+                for (rel, &row) in t.iter().enumerate() {
+                    expected[rel].insert(row as usize);
+                }
+            }
+        }
+        prop_assert_eq!(&touched, &expected, "epoch {}: touched rows", epoch);
+        prop_assert_eq!(
+            sink.snapshot().counter("ingest.delta.tuples"),
+            new_tuples,
+            "epoch {}",
+            epoch
+        );
+        u = extended;
+    }
+    Ok(grown)
+}
+
+/// Random tree schemas and instances, split at random into a prefix and
+/// one to three batches. Appends land in the root, inner relations and
+/// leaves, often several per batch, so the delta join runs several
+/// pivots, rooted away from the join tree's root.
+#[test]
+fn delta_join_matches_rebuild_on_random_tree_instances() {
+    let config = ProptestConfig::default();
+    let cases = config.cases as usize;
+    let appended_cases = AtomicUsize::new(0);
+    // Batches growing several relations; batches growing the join
+    // tree's root, an inner relation, and a leaf.
+    let coverage: [AtomicUsize; 4] = Default::default();
+    let strategy = (any::<u64>(), 1usize..7, 3usize..14, 1usize..4);
+    TestRunner::new(config).run(&strategy, |(seed, relations, key_domain, batches)| {
+        let Some(full) = random_tree_db(&RandomDbConfig {
+            relations,
+            rows_per_relation: 16,
+            key_domain,
+            back_and_forth_probability: 0.5,
+            seed,
+        }) else {
+            return Ok(());
+        };
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EED);
+        let epochs = draw_epochs(&full, batches, 0.6, &mut rng);
+        let grown = check_epochs(&full, &epochs, batches, seed % 2 == 0)?;
+        if grown.iter().any(|rels| !rels.is_empty()) {
+            appended_cases.fetch_add(1, Ordering::Relaxed);
+        }
+        // `join_forest` roots the tree at relation 0.
+        let degree = |rel: usize| {
+            full.schema()
+                .foreign_keys()
+                .iter()
+                .filter(|fk| fk.from_rel == rel || fk.to_rel == rel)
+                .count()
+        };
+        for rels in &grown {
+            let kinds = [
+                rels.len() > 1,
+                rels.contains(&0),
+                rels.iter().any(|&r| r != 0 && degree(r) > 1),
+                rels.iter().any(|&r| r != 0 && degree(r) == 1),
+            ];
+            for (count, hit) in coverage.iter().zip(kinds) {
+                count.fetch_add(usize::from(hit), Ordering::Relaxed);
+            }
+        }
+        Ok(())
+    });
+    let appended = appended_cases.into_inner();
+    assert!(
+        appended * 2 >= cases,
+        "only {appended} of {cases} cases appended anything"
+    );
+    let coverage = coverage.map(AtomicUsize::into_inner);
+    assert!(
+        coverage.iter().all(|&c| c > 0),
+        "batches growing several relations / the root / an inner relation / a leaf: {coverage:?}"
+    );
+}
+
+/// A composite foreign key, `Emp(org, dno) -> Dept`, probed from both
+/// sides: new employees of old and new departments, new projects of old
+/// employees, and keys that match an old department on one column only.
+#[test]
+fn delta_join_matches_rebuild_over_a_composite_key() {
+    let schema = SchemaBuilder::new()
+        .relation(
+            "Dept",
+            &[("org", T::Str), ("dno", T::Int), ("name", T::Str)],
+            &["org", "dno"],
+        )
+        .relation(
+            "Emp",
+            &[("eid", T::Int), ("org", T::Str), ("dno", T::Int)],
+            &["eid"],
+        )
+        .relation("Proj", &[("pid", T::Int), ("eid", T::Int)], &["pid"])
+        .standard_fk("Emp", &["org", "dno"], "Dept")
+        .back_and_forth_fk("Proj", &["eid"], "Emp")
+        .build()
+        .unwrap();
+    let mut full = Database::new(schema);
+    // Emp codes `org` and `dno` in another order than Dept does, so a
+    // key must be translated between the two relations' dictionaries.
+    for (org, dno, name) in [("a", 2, "y"), ("a", 1, "x"), ("b", 1, "z"), ("b", 2, "w")] {
+        full.insert("Dept", vec![org.into(), dno.into(), name.into()])
+            .unwrap();
+    }
+    for (eid, org, dno) in [
+        (1, "b", 1),
+        (2, "a", 2),
+        (3, "a", 1),
+        (4, "b", 2),
+        (5, "a", 1),
+        (6, "b", 1),
+    ] {
+        full.insert("Emp", vec![eid.into(), org.into(), dno.into()])
+            .unwrap();
+    }
+    for (pid, eid) in [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 1), (7, 6)] {
+        full.insert("Proj", vec![pid.into(), eid.into()]).unwrap();
+    }
+    full.validate().unwrap();
+    let epochs = vec![
+        vec![0, 0, 0, 1],
+        vec![0, 0, 1, 1, 2, 2],
+        vec![0, 2, 1, 2, 2, 1, 2],
+    ];
+    for reduced_start in [false, true] {
+        let grown = check_epochs(&full, &epochs, 2, reduced_start).unwrap();
+        assert_eq!(grown, vec![vec![0, 1, 2], vec![1, 2]]);
+    }
+}

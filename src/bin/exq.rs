@@ -288,11 +288,7 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
         "aggr" => DegreeKind::Aggravation,
         other => return Err(format!("unknown degree `{other}` (interv|aggr)")),
     };
-    let q_d = explainer
-        .question()
-        .query
-        .eval(&db)
-        .map_err(|e| e.to_string())?;
+    let q_d = explainer.q_d().map_err(|e| e.to_string())?;
     if !obs.json {
         println!("Q(D) = {q_d}");
     }

@@ -5,14 +5,14 @@
 //! **indistinguishable** from throwing everything away and rebuilding
 //! from scratch — at every epoch, for every workload, at every thread
 //! count. These tests interleave append batches with explains on the
-//! two headline workloads (DBLP Figure 2, natality Figure 10) and
-//! require bit-identical reduced views, universal relations, and
+//! headline workloads (DBLP Figure 2, natality Figure 10, Geo-DBLP
+//! Figure 15) and require bit-identical reduced views, universal relations, and
 //! explanation tables between the incremental and rebuilt pipelines,
 //! then re-run the whole epoch sequence at 2 and 7 threads against the
 //! sequential baseline (the PR 2 bit-identity contract).
 
 use exq::core::prepared::PreparedDb;
-use exq::datagen::{dblp, natality};
+use exq::datagen::{dblp, geodblp, natality};
 use exq::prelude::*;
 use exq_relstore::aggregate::AggFunc;
 use exq_relstore::{AppendBatch, Database, ExecConfig, Value};
@@ -217,6 +217,46 @@ fn natality_appends_are_indistinguishable_from_rebuild_at_every_epoch() {
             "Natality.edu",
             "Natality.marital",
         ],
+    );
+}
+
+/// The Fig. 15 question: UK SIGMOD over PODS output (Section 5.2).
+fn geodblp_question(db: &Database) -> UserQuestion {
+    let schema = db.schema();
+    let pubid = schema.attr("Publication", "pubid").unwrap();
+    let venue = schema.attr("Publication", "venue").unwrap();
+    let country = schema.attr("CountryG", "country").unwrap();
+    let q = |v: &str| AggregateQuery {
+        func: AggFunc::CountDistinct(pubid),
+        selection: Predicate::and([
+            Predicate::eq(country, "United Kingdom"),
+            Predicate::eq(venue, v),
+        ]),
+    };
+    UserQuestion::new(
+        NumericalQuery::ratio(q("SIGMOD"), q("PODS")).with_smoothing(1e-4),
+        Direction::Low,
+    )
+}
+
+/// The 8-relation Geo-DBLP tree, rooted at `Author`, grows through
+/// `Authored`: every delta partition joins from a pivot that is not the
+/// root, outward through both of its neighbours.
+#[test]
+fn geodblp_appends_are_indistinguishable_from_rebuild_at_every_epoch() {
+    let full = geodblp::generate(&geodblp::GeoDblpConfig {
+        papers: 2_000,
+        seed: 11,
+    });
+    let authored = full.schema().relation_index("Authored").unwrap();
+    let keep = full.relation(authored).len() * 8 / 10;
+    let (initial, held) = hold_back(&full, "Authored", keep);
+    let batches = batches_of("Authored", held, 3);
+    epochs_match_rebuild(
+        &initial,
+        &batches,
+        geodblp_question,
+        &["Author.name", "AffiliationG.inst", "CityG.city"],
     );
 }
 
