@@ -23,6 +23,7 @@ use exq_datagen::{chain, dblp, geodblp, paper_examples};
 use exq_relstore::aggregate::{evaluate, AggFunc};
 use exq_relstore::cube::CubeStrategy;
 use exq_relstore::{Atom, Database, ExecConfig, Predicate, Universal, Value};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 #[expect(clippy::disallowed_methods, reason = "times the printed tables")]
@@ -290,7 +291,7 @@ fn fig12(full: bool) {
             cube_algo::explanation_table(&db, &u, &question, &dims, CubeAlgoConfig::checked())
                 .unwrap()
         });
-        let engine = InterventionEngine::with_universal(&db, u);
+        let engine = InterventionEngine::with_universal(&db, Arc::new(u));
         let (_, t_naive) =
             timed(|| naive::explanation_table_naive(&db, &engine, &question, &dims).unwrap());
         println!(
@@ -310,7 +311,7 @@ fn fig12(full: bool) {
         "attrs", "cube", "no-cube", "speedup"
     );
     let db = natality_db(rows);
-    let u0 = Universal::compute(&db, &db.full_view());
+    let u0 = Arc::new(Universal::compute(&db, &db.full_view()));
     let question = q_race(&db);
     let dmax = if full { 5 } else { 4 };
     for d in 1..=dmax {
@@ -319,7 +320,7 @@ fn fig12(full: bool) {
             cube_algo::explanation_table(&db, &u0, &question, &dims, CubeAlgoConfig::checked())
                 .unwrap()
         });
-        let engine = InterventionEngine::with_universal(&db, u0.clone());
+        let engine = InterventionEngine::with_universal(&db, Arc::clone(&u0));
         let (_, t_naive) =
             timed(|| naive::explanation_table_naive(&db, &engine, &question, &dims).unwrap());
         println!(
@@ -611,7 +612,7 @@ fn scaling(full: bool) {
     let dims = natality_dims(&db, 2);
     let question = q_race(&db);
     let u = Universal::compute(&db, &db.full_view());
-    let engine = InterventionEngine::with_universal(&db, u);
+    let engine = InterventionEngine::with_universal(&db, Arc::new(u));
     println!(
         "(host reports {} available core(s))",
         std::thread::available_parallelism().map_or(0, usize::from)

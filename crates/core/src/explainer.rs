@@ -155,18 +155,16 @@ impl<'a> Explainer<'a> {
         self
     }
 
-    fn universal(&self) -> &Universal {
-        self.universal
-            .get_or_init(|| {
-                self.exec.metrics().time("explain.universal", || {
-                    Arc::new(Universal::compute_with(
-                        self.db,
-                        &self.db.full_view(),
-                        &self.exec,
-                    ))
-                })
+    fn universal(&self) -> &Arc<Universal> {
+        self.universal.get_or_init(|| {
+            self.exec.metrics().time("explain.universal", || {
+                Arc::new(Universal::compute_with(
+                    self.db,
+                    &self.db.full_view(),
+                    &self.exec,
+                ))
             })
-            .as_ref()
+        })
     }
 
     /// Set the explanation attributes `A'`.
@@ -304,14 +302,15 @@ impl<'a> Explainer<'a> {
             // It still carries the metrics sink, so fixpoint counters from
             // worker threads land in the shared registry (integer adds
             // commute — totals stay deterministic).
-            let engine = InterventionEngine::with_universal(self.db, u.clone())
+            let engine = InterventionEngine::with_universal(self.db, Arc::clone(u))
                 .with_exec(ExecConfig::sequential().with_metrics(self.exec.metrics().clone()));
-            naive::explanation_table_naive_with(
+            naive::explanation_table_naive_folded(
                 self.db,
                 &engine,
                 &self.question,
                 &self.dims,
                 &self.exec,
+                || Ok(self.line_1()?.values.clone()),
             )?
         };
         if let Some(threshold) = self.min_support {
@@ -341,7 +340,7 @@ impl<'a> Explainer<'a> {
         candidates: Vec<crate::rich::RichExplanation>,
         k: usize,
     ) -> Result<Vec<crate::rich::RankedRich>> {
-        let engine = InterventionEngine::with_universal(self.db, self.universal().clone())
+        let engine = InterventionEngine::with_universal(self.db, Arc::clone(self.universal()))
             .with_exec(self.exec.clone());
         let mut ranked = crate::rich::evaluate_candidates(&engine, &self.question, candidates)?;
         ranked.truncate(k);
@@ -365,7 +364,7 @@ impl<'a> Explainer<'a> {
     pub fn explain(&self, phi: &Explanation) -> Result<DegreeReport> {
         let u = self.universal();
         let engine =
-            InterventionEngine::with_universal(self.db, u.clone()).with_exec(self.exec.clone());
+            InterventionEngine::with_universal(self.db, Arc::clone(u)).with_exec(self.exec.clone());
         let (mu_interv, intervention) = degree::mu_interv(&engine, &self.question, phi)?;
         let mu_aggr = degree::mu_aggr(self.db, u, &self.question, phi)?;
         let mu_hybrid = hybrid::mu_hybrid(self.db, u, &self.question, phi)?;

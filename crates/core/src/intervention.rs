@@ -67,9 +67,11 @@
 
 use crate::explanation::Explanation;
 use exq_relstore::index::HashIndex;
+use exq_relstore::join::referenced_rows;
 use exq_relstore::{
     semijoin, Conjunction, Database, ExecConfig, FkKind, Predicate, TupleSet, Universal,
 };
+use std::sync::Arc;
 
 /// The result of running program **P**.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,9 +104,10 @@ impl Intervention {
 #[derive(Debug)]
 pub struct InterventionEngine<'a> {
     db: &'a Database,
-    universal: Universal,
+    universal: Arc<Universal>,
     /// For each back-and-forth fk: `(from_rel, to_rel, row map)` where
-    /// `row map[j]` is the (unique, by pk) referenced row of `to_rel`.
+    /// `row map[j]` is the (unique, by pk) referenced row of `to_rel`,
+    /// keys matched as the join matches them.
     bf_maps: Vec<(usize, usize, Vec<u32>)>,
     /// Executor for the per-iteration semijoin reductions. Sequential by
     /// default: the naive table already parallelizes *across* candidates,
@@ -117,30 +120,20 @@ impl<'a> InterventionEngine<'a> {
     /// semijoin-reduced (the paper's standing assumption, Section 2).
     pub fn new(db: &'a Database) -> InterventionEngine<'a> {
         let universal = Universal::compute(db, &db.full_view());
-        InterventionEngine::with_universal(db, universal)
+        InterventionEngine::with_universal(db, Arc::new(universal))
     }
 
-    /// Build an engine reusing a pre-computed universal relation.
-    pub fn with_universal(db: &'a Database, universal: Universal) -> InterventionEngine<'a> {
-        let mut bf_maps = Vec::new();
-        for fk in db.schema().foreign_keys() {
-            if fk.kind != FkKind::BackAndForth {
-                continue;
-            }
-            let full = TupleSet::full(db.relation_len(fk.to_rel));
-            let index = HashIndex::build(db, fk.to_rel, &fk.to_cols, &full);
-            let from = db.relation(fk.from_rel);
-            let mut key = Vec::new();
-            let map = (0..from.len())
-                .map(|j| {
-                    from.project_into(j, &fk.from_cols, &mut key);
-                    // The target is unique because to_cols is a primary key;
-                    // referential integrity guarantees it exists.
-                    index.get(&key).first().copied().unwrap_or(u32::MAX)
-                })
-                .collect();
-            bf_maps.push((fk.from_rel, fk.to_rel, map));
-        }
+    /// Build an engine sharing a pre-computed universal relation.
+    pub fn with_universal(db: &'a Database, universal: Arc<Universal>) -> InterventionEngine<'a> {
+        // The target is unique because to_cols is a primary key;
+        // referential integrity guarantees it exists.
+        let bf_maps = db
+            .schema()
+            .foreign_keys()
+            .iter()
+            .filter(|fk| fk.kind == FkKind::BackAndForth)
+            .map(|fk| (fk.from_rel, fk.to_rel, referenced_rows(db, fk)))
+            .collect();
         InterventionEngine {
             db,
             universal,

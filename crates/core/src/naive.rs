@@ -52,6 +52,22 @@ pub fn explanation_table_naive_with(
     dims: &[AttrRef],
     exec: &ExecConfig,
 ) -> Result<ExplanationTable> {
+    explanation_table_naive_folded(db, engine, question, dims, exec, || {
+        Ok(question.query.aggregate_values(db, engine.universal())?)
+    })
+}
+
+/// [`explanation_table_naive_with`] with Q's totals taken from `totals`,
+/// e.g. line 1's fold, which an [`crate::explainer::Explainer`] already
+/// holds. `totals` is called after the candidate sweep.
+pub(crate) fn explanation_table_naive_folded(
+    db: &Database,
+    engine: &InterventionEngine<'_>,
+    question: &UserQuestion,
+    dims: &[AttrRef],
+    exec: &ExecConfig,
+    totals: impl FnOnce() -> Result<Vec<f64>>,
+) -> Result<ExplanationTable> {
     let u = engine.universal();
     // Same candidate set as Algorithm 1: explanations observed under at
     // least one sub-query selection.
@@ -86,10 +102,9 @@ pub fn explanation_table_naive_with(
     // Totals after the candidate sweep, so the error surfaced by a failing
     // run is the deterministic per-candidate one above, not a phase-order
     // accident.
-    let totals = question.query.aggregate_values(db, u)?;
     Ok(ExplanationTable {
         dims: dims.to_vec(),
-        totals,
+        totals: totals()?,
         rows,
     })
 }

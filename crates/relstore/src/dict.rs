@@ -447,17 +447,6 @@ impl Dict {
             null_code,
         }
     }
-
-    /// Per-code translation table into another column's dictionary:
-    /// `table[c]` is the `other` code of `self.value(c)`, or [`NO_CODE`]
-    /// when the value does not occur in `other`. This is the join-probe
-    /// primitive: translating once per *code* replaces hashing once per
-    /// *row*.
-    pub fn translate_to(&self, other: &Dict) -> Vec<u32> {
-        (0..self.len() as u32)
-            .map(|c| other.code(self.value(c)).unwrap_or(NO_CODE))
-            .collect()
-    }
 }
 
 /// Incremental dictionary builder for one sequential column scan.
@@ -654,14 +643,6 @@ mod tests {
         assert_eq!(d.len(), 2, "total_cmp distinguishes NaN bit patterns");
         assert_eq!(d.code(&Value::Float(q1)), Some(0));
         assert_eq!(d.code(&Value::Float(q2)), Some(1));
-    }
-
-    #[test]
-    fn translate_maps_shared_values_and_flags_missing() {
-        let a = dict_of(&[Value::str("x"), Value::str("y"), Value::str("z")]);
-        let b = dict_of(&[Value::str("z"), Value::str("x")]);
-        let t = a.translate_to(&b);
-        assert_eq!(t, vec![1, NO_CODE, 0]);
     }
 
     /// Code for code: values, ranks, lookups and the null code.

@@ -2,8 +2,10 @@
 //!
 //! All relations are joined on all foreign-key constraints (Section 2). The
 //! schema's foreign-key graph is a forest, so the join is acyclic: each
-//! connected component is joined along a BFS tree with hash indexes, and
-//! components are cross-multiplied (a schema normally has one component).
+//! connected component is joined along a BFS tree, one edge at a time,
+//! and components are cross-multiplied (a schema normally has one
+//! component). An edge's keys meet in `u32` code space, in one place
+//! (`KeyMatch`), which the semijoin reducer and [`referenced_rows`] share.
 //!
 //! Universal tuples are stored as flat arrays of row indices — one `u32`
 //! per relation — so no attribute values are copied; accessors project on
@@ -11,16 +13,16 @@
 
 use crate::column::ColumnStore;
 use crate::database::{Database, View};
-use crate::dict::NO_CODE;
+use crate::dict::{Dict, NO_CODE};
 use crate::lookup::LookupMap;
-use crate::schema::DatabaseSchema;
+use crate::schema::{DatabaseSchema, ForeignKey};
 use crate::tupleset::TupleSet;
 use crate::ExecConfig;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// One edge of a component's BFS join tree.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TreeEdge {
     /// The relation closer to the root.
     pub parent: usize,
@@ -46,74 +48,70 @@ pub struct Component {
 impl Component {
     /// The component's tree edges re-rooted at `root`: each oriented away
     /// from it, in BFS order, so an edge's parent is reached before it.
-    fn rooted_at(&self, root: usize) -> Vec<TreeEdge> {
-        let mut reached = vec![root];
-        let mut edges = Vec::with_capacity(self.edges.len());
-        let mut next = 0;
-        while let Some(&u) = reached.get(next) {
-            next += 1;
-            for e in &self.edges {
-                let outward = if e.parent == u && !reached.contains(&e.child) {
-                    e.clone()
-                } else if e.child == u && !reached.contains(&e.parent) {
-                    TreeEdge {
-                        parent: e.child,
-                        child: e.parent,
-                        parent_cols: e.child_cols.clone(),
-                        child_cols: e.parent_cols.clone(),
-                    }
-                } else {
-                    continue;
-                };
-                reached.push(outward.child);
-                edges.push(outward);
-            }
-        }
-        edges
+    /// Rooted at [`Component::root`], these are [`Component::edges`].
+    pub fn rooted_at(&self, root: usize) -> Vec<TreeEdge> {
+        rooted(&self.edges, root)
     }
 }
 
+/// The edges of `edges` reachable from `root`, each oriented away from
+/// it, in BFS order with ties in `edges` order.
+fn rooted(edges: &[TreeEdge], root: usize) -> Vec<TreeEdge> {
+    let mut reached = vec![root];
+    let mut tree = Vec::new();
+    let mut next = 0;
+    while let Some(&u) = reached.get(next) {
+        next += 1;
+        for e in edges {
+            let outward = if e.parent == u && !reached.contains(&e.child) {
+                e.clone()
+            } else if e.child == u && !reached.contains(&e.parent) {
+                TreeEdge {
+                    parent: e.child,
+                    child: e.parent,
+                    parent_cols: e.child_cols.clone(),
+                    child_cols: e.parent_cols.clone(),
+                }
+            } else {
+                continue;
+            };
+            reached.push(outward.child);
+            tree.push(outward);
+        }
+    }
+    tree
+}
+
 /// Decompose the schema's foreign-key graph into components with BFS join
-/// trees.
+/// trees, each rooted at its first relation and explored in foreign-key
+/// order.
 pub fn join_forest(schema: &DatabaseSchema) -> Vec<Component> {
-    let adj = schema.fk_adjacency();
-    let fks = schema.foreign_keys();
-    let n = schema.relation_count();
-    let mut seen = vec![false; n];
+    let fks: Vec<TreeEdge> = schema
+        .foreign_keys()
+        .iter()
+        .map(|fk| TreeEdge {
+            parent: fk.from_rel,
+            child: fk.to_rel,
+            parent_cols: fk.from_cols.clone(),
+            child_cols: fk.to_cols.clone(),
+        })
+        .collect();
+    let mut seen = vec![false; schema.relation_count()];
     let mut components = Vec::new();
-    for start in 0..n {
-        if seen[start] {
+    for root in 0..seen.len() {
+        if seen[root] {
             continue;
         }
-        seen[start] = true;
-        let mut relations = vec![start];
-        let mut edges = Vec::new();
-        let mut queue = std::collections::VecDeque::from([start]);
-        while let Some(u) = queue.pop_front() {
-            for &(fk_idx, v) in &adj[u] {
-                if seen[v] {
-                    continue;
-                }
-                seen[v] = true;
-                let fk = &fks[fk_idx];
-                let (parent_cols, child_cols) = if fk.from_rel == u {
-                    (fk.from_cols.clone(), fk.to_cols.clone())
-                } else {
-                    (fk.to_cols.clone(), fk.from_cols.clone())
-                };
-                edges.push(TreeEdge {
-                    parent: u,
-                    child: v,
-                    parent_cols,
-                    child_cols,
-                });
-                relations.push(v);
-                queue.push_back(v);
-            }
+        let edges = rooted(&fks, root);
+        let relations: Vec<usize> = std::iter::once(root)
+            .chain(edges.iter().map(|e| e.child))
+            .collect();
+        for &rel in &relations {
+            seen[rel] = true;
         }
         components.push(Component {
             relations,
-            root: start,
+            root,
             edges,
         });
     }
@@ -148,10 +146,13 @@ impl Universal {
         exec.metrics()
             .add("join.components", components.len() as u64);
 
-        // Join each component independently.
+        // Join each component independently, from its root over the live
+        // rows.
+        let store = Arc::clone(db.columns());
+        let rows: Vec<Rows<'_>> = view.live.iter().map(Rows::Live).collect();
         let mut per_component: Vec<Vec<u32>> = Vec::with_capacity(components.len());
         for comp in &components {
-            let tuples = join_component(db, view, comp, stride, exec);
+            let tuples = join_from_pivot(&store, comp, comp.root, &rows, stride, exec);
             // Per-component output size distribution, in component order.
             exec.metrics()
                 .observe("join.component_rows", (tuples.len() / stride) as u64);
@@ -200,12 +201,12 @@ impl Universal {
     /// exactly once. Any relation of an acyclic join tree can root it
     /// (Yannakakis, VLDB 1981), so each partition joins along the tree
     /// re-rooted at its pivot: the roots are the pivot's new rows, and
-    /// each edge is probed only for the keys the partial tuples reaching
-    /// it hold (`DeltaProbe`), which costs O(delta + the scanned code
-    /// columns), not a probe over every relation. Because a rebuild's
-    /// output order is strictly lexicographic in (root row, edge-child
-    /// rows…) — a key in which every component relation appears exactly
-    /// once — sorting the delta by that key and merging it with `old`
+    /// each edge matches only the keys the partial tuples reaching it
+    /// hold, which costs O(delta + the scanned code columns), not a join
+    /// of every relation. Because a rebuild's output order is strictly
+    /// lexicographic in (root row, edge-child rows…) — a key in which
+    /// every component relation appears exactly once — sorting the delta
+    /// by that key and merging it with `old`
     /// (already sorted, and key-disjoint since old tuples hold no new
     /// rows) reproduces the rebuild order exactly.
     ///
@@ -250,14 +251,14 @@ impl Universal {
             if db.relation_len(pivot) == old_lens[pivot] {
                 continue;
             }
-            let rows: Vec<Range<usize>> = (0..stride)
+            let rows: Vec<Rows<'_>> = (0..stride)
                 .map(|rel| {
                     let len = db.relation_len(rel);
-                    match comp.relations.iter().position(|&r| r == rel) {
+                    Rows::Range(match comp.relations.iter().position(|&r| r == rel) {
                         Some(j) if j < i => 0..old_lens[rel],
                         Some(j) if j == i => old_lens[rel]..len,
                         _ => 0..len,
-                    }
+                    })
                 })
                 .collect();
             delta.extend(join_from_pivot(&store, comp, pivot, &rows, stride, exec));
@@ -390,331 +391,287 @@ impl Universal {
     }
 }
 
-/// A per-edge probe of the full join, mapping a parent row to its
-/// matching child rows. (A delta partition probes through [`DeltaProbe`]
-/// instead, built from the keys its partial tuples hold.)
-///
-/// The probe works entirely in `u32` code space: parent codes are
-/// translated into the child's dictionary once per *code* (not per row),
-/// and child rows are bucketed per code (single-column edges) or keyed by
-/// code tuples (composite edges) — the inner probe loop never clones or
-/// hashes a [`Value`](crate::value::Value). Bucket contents are pushed in
-/// live-row ascending order in both variants, so the probe order — and
-/// hence the universal tuple order — is identical across variants and
-/// thread counts.
-enum EdgeProbe<'a> {
-    /// One coded join column: `buckets[child_code]` lists child rows.
-    Single {
-        /// Parent-side codes, per parent row.
-        parent_codes: &'a [u32],
-        /// Parent code → child code, or [`NO_CODE`].
-        translate: Vec<u32>,
-        /// Child code → live child rows, ascending.
-        buckets: Vec<Vec<u32>>,
-    },
-    /// Composite coded join columns: child rows keyed by code tuples.
-    Multi {
-        /// Per join column: parent-side codes per parent row.
-        parent_codes: Vec<&'a [u32]>,
-        /// Per join column: parent code → child code, or [`NO_CODE`].
-        translations: Vec<Vec<u32>>,
-        /// Child code tuple → live child rows, ascending.
-        map: LookupMap<Box<[u32]>, Vec<u32>>,
-    },
+/// The rows a relation contributes to a join: a view's live set, or one
+/// row range of a delta partition.
+enum Rows<'a> {
+    Live(&'a TupleSet),
+    Range(Range<usize>),
 }
 
-impl EdgeProbe<'_> {
-    /// Build the probe for `edge` over the live child rows of `view`.
-    fn build<'a>(store: &'a ColumnStore, view: &View, edge: &TreeEdge) -> EdgeProbe<'a> {
-        let parent = store.dict_columns(edge.parent, &edge.parent_cols);
-        let child = store.dict_columns(edge.child, &edge.child_cols);
-        if let ([(parent_codes, pdict)], [(child_codes, cdict)]) = (&parent[..], &child[..]) {
-            let translate = pdict.translate_to(cdict);
-            let mut buckets = vec![Vec::new(); cdict.len()];
-            for row in view.live(edge.child).iter() {
-                buckets[child_codes[row] as usize].push(row as u32);
-            }
-            return EdgeProbe::Single {
-                parent_codes,
-                translate,
-                buckets,
-            };
-        }
-        let translations = parent
-            .iter()
-            .zip(&child)
-            .map(|(&(_, pd), &(_, cd))| pd.translate_to(cd))
-            .collect();
-        let parent_codes = parent.iter().map(|&(codes, _)| codes).collect();
-        let mut map: LookupMap<Box<[u32]>, Vec<u32>> = LookupMap::new();
-        let mut key: Vec<u32> = Vec::with_capacity(child.len());
-        for row in view.live(edge.child).iter() {
-            key.clear();
-            key.extend(child.iter().map(|&(codes, _)| codes[row]));
-            map.entry(key.as_slice().into())
-                .or_default()
-                .push(row as u32);
-        }
-        EdgeProbe::Multi {
-            parent_codes,
-            translations,
-            map,
-        }
-    }
-
-    /// The live child rows matching `parent_row`, in ascending order.
-    /// `ckey` is a reusable scratch buffer for the `Multi` variant.
-    #[inline]
-    fn child_rows<'s>(&'s self, parent_row: usize, ckey: &mut Vec<u32>) -> &'s [u32] {
+impl Rows<'_> {
+    fn len(&self) -> usize {
         match self {
-            EdgeProbe::Single {
-                parent_codes,
-                translate,
-                buckets,
-            } => {
-                let code = translate[parent_codes[parent_row] as usize];
-                if code == NO_CODE {
-                    &[]
-                } else {
-                    &buckets[code as usize]
-                }
-            }
-            EdgeProbe::Multi {
-                parent_codes,
-                translations,
-                map,
-            } => {
-                ckey.clear();
-                for (codes, translate) in parent_codes.iter().zip(translations) {
-                    let code = translate[codes[parent_row] as usize];
-                    if code == NO_CODE {
-                        return &[];
-                    }
-                    ckey.push(code);
-                }
-                map.get(ckey.as_slice()).map_or(&[][..], Vec::as_slice)
-            }
+            Rows::Live(live) => live.count(),
+            Rows::Range(range) => range.len(),
         }
     }
 }
 
-/// Join one component along its BFS tree; returns flat tuples of `stride`
-/// row indices where slots outside the component hold `u32::MAX`.
+/// Join one component along its tree rooted at `pivot`. `rows[rel]` is
+/// what relation `rel` contributes; the roots are `rows[pivot]`. Slots
+/// outside the component hold `u32::MAX`.
 ///
-/// The output order is lexicographic in (root row, first-edge child row,
-/// second-edge child row, …), a property of the *input* alone.
-fn join_component(
-    db: &Database,
-    view: &View,
-    comp: &Component,
-    stride: usize,
-    exec: &ExecConfig,
-) -> Vec<u32> {
-    let roots: Vec<u32> = view.live(comp.root).iter().map(|row| row as u32).collect();
-
-    // `build_rows` counts the rows *entering* each edge's probe
-    // structure as a function of the view alone, regardless of which
-    // probe variant the edge's columns allow.
-    let sink = exec.metrics();
-    sink.add("join.root_rows", roots.len() as u64);
-    sink.add(
-        "join.build_rows",
-        comp.edges
-            .iter()
-            .map(|e| view.live(e.child).count() as u64)
-            .sum(),
-    );
-
-    // Build each edge's probe once, up front.
-    let store = Arc::clone(db.columns());
-    let probes: Vec<EdgeProbe<'_>> = comp
-        .edges
-        .iter()
-        .map(|e| EdgeProbe::build(&store, view, e))
-        .collect();
-    let data = expand_roots(comp, stride, &roots, &probes);
-    sink.add("join.probe_matches", (data.len() / stride.max(1)) as u64);
-    data
-}
-
-/// Expand the root rows through every edge of the component, against
-/// the prebuilt per-edge probes.
-fn expand_roots(
-    comp: &Component,
-    stride: usize,
-    roots: &[u32],
-    probes: &[EdgeProbe<'_>],
-) -> Vec<u32> {
-    let mut partials: Vec<u32> = Vec::with_capacity(roots.len() * stride);
-    for &row in roots {
-        let base = partials.len();
-        partials.resize(base + stride, u32::MAX);
-        partials[base + comp.root] = row;
-    }
-
-    let mut ckey: Vec<u32> = Vec::new();
-    for (edge, probe) in comp.edges.iter().zip(probes) {
-        if partials.is_empty() {
-            break;
-        }
-        let mut next: Vec<u32> = Vec::with_capacity(partials.len());
-        for t in partials.chunks_exact(stride) {
-            for &child_row in probe.child_rows(t[edge.parent] as usize, &mut ckey) {
-                let base = next.len();
-                next.extend_from_slice(t);
-                next[base + edge.child] = child_row;
-            }
-        }
-        partials = next;
-    }
-    partials
-}
-
-/// Join one delta partition of `comp` along its tree re-rooted at
-/// `pivot`. `rows[rel]` is the row range relation `rel` contributes; the
-/// roots are `rows[pivot]`. Slots outside the component hold `u32::MAX`.
-/// The output order is the re-rooted expansion's, which the caller
-/// re-sorts.
+/// The output is lexicographic in (root row, edge-child rows…) along the
+/// rooted tree. Rooted at the component's own root that is the rebuild
+/// order, as `comp.rooted_at(comp.root)` is `comp.edges`; a delta
+/// partition rooted elsewhere is re-sorted by its caller.
 fn join_from_pivot(
     store: &ColumnStore,
     comp: &Component,
     pivot: usize,
-    rows: &[Range<usize>],
+    rows: &[Rows<'_>],
     stride: usize,
     exec: &ExecConfig,
 ) -> Vec<u32> {
+    let edges = comp.rooted_at(pivot);
+    // Counted from the inputs alone: each edge's child rows are scanned
+    // into its key match unless an earlier edge already emptied the join.
     let sink = exec.metrics();
-    sink.add("join.root_rows", rows[pivot].len() as u64);
-    let mut partials: Vec<u32> = Vec::with_capacity(rows[pivot].len() * stride);
-    for row in rows[pivot].clone() {
+    let roots = rows[pivot].len();
+    sink.add("join.root_rows", roots as u64);
+    sink.add(
+        "join.build_rows",
+        edges.iter().map(|e| rows[e.child].len() as u64).sum(),
+    );
+    let mut partials: Vec<u32> = Vec::with_capacity(roots * stride);
+    let mut add_root = |row: usize| {
         let base = partials.len();
         partials.resize(base + stride, u32::MAX);
         partials[base + pivot] = row as u32;
+    };
+    match &rows[pivot] {
+        Rows::Live(live) => live.iter().for_each(&mut add_root),
+        Rows::Range(range) => range.clone().for_each(add_root),
     }
-    let mut build_rows = 0;
-    for edge in comp.rooted_at(pivot) {
+    for edge in &edges {
         if partials.is_empty() {
             break;
         }
-        let probe = DeltaProbe::build(store, &edge, &partials, stride, rows[edge.child].clone());
-        build_rows += probe.buckets.iter().map(Vec::len).sum::<usize>();
+        let parents = partials
+            .chunks_exact(stride)
+            .map(|t| t[edge.parent] as usize);
+        let key = KeyMatch::new(
+            store,
+            (edge.parent, &edge.parent_cols),
+            (edge.child, &edge.child_cols),
+            parents.clone(),
+        );
+        let buckets = match &rows[edge.child] {
+            Rows::Live(live) => key.buckets(live.iter()),
+            Rows::Range(range) => key.buckets(range.clone()),
+        };
         let mut next: Vec<u32> = Vec::with_capacity(partials.len());
-        for (t, &slot) in partials.chunks_exact(stride).zip(&probe.slots) {
+        let mut tuples = partials.chunks_exact(stride);
+        key.each(Side::Parent, parents, |_, slot| {
+            let t = tuples.next().expect("one tuple per parent row");
             if slot == NO_CODE {
-                continue;
+                return;
             }
-            for &child_row in &probe.buckets[slot as usize] {
+            for &child_row in &buckets[slot as usize] {
                 let base = next.len();
                 next.extend_from_slice(t);
                 next[base + edge.child] = child_row;
             }
-        }
+        });
         partials = next;
     }
-    sink.add("join.build_rows", build_rows as u64);
     sink.add("join.probe_matches", (partials.len() / stride) as u64);
     partials
 }
 
-/// The probe of one edge of a delta partition, built from the parent
-/// keys its partial tuples hold rather than from the whole parent.
-///
-/// Each distinct parent key is translated into the child's dictionaries
-/// once, through its value (`Dict::code(pdict.value(pc))`, the
-/// translation [`EdgeProbe`] uses, so NULL and `Int`/`Float` equality
-/// agree with the full join), and every distinct child key it lands on
-/// gets the next slot. One sequential pass over the child's code column
-/// then buckets the child rows under their slot through a dense
-/// code-indexed slot table, in ascending row order. A composite key
-/// takes its slots by code tuple, and each child row looks its code
-/// tuple up.
-struct DeltaProbe {
-    /// Per partial tuple, its slot, or [`NO_CODE`] when its key has no
-    /// child code.
-    slots: Vec<u32>,
-    /// Per slot, the matching child rows, ascending.
-    buckets: Vec<Vec<u32>>,
+/// Per row of `fk`'s referencing relation, the first row of the
+/// referenced relation whose key equals its foreign key, or `u32::MAX`
+/// when none does. Keys are matched as the join matches them.
+pub fn referenced_rows(db: &Database, fk: &ForeignKey) -> Vec<u32> {
+    let from = 0..db.relation_len(fk.from_rel);
+    let key = KeyMatch::new(
+        db.columns(),
+        (fk.from_rel, &fk.from_cols),
+        (fk.to_rel, &fk.to_cols),
+        from.clone(),
+    );
+    let buckets = key.buckets(0..db.relation_len(fk.to_rel));
+    let mut map = Vec::with_capacity(from.len());
+    key.each(Side::Parent, from, |_, slot| {
+        let first = (slot != NO_CODE).then(|| buckets[slot as usize].first());
+        map.push(first.flatten().copied().unwrap_or(u32::MAX));
+    });
+    map
 }
 
-impl DeltaProbe {
-    fn build(
-        store: &ColumnStore,
-        edge: &TreeEdge,
-        partials: &[u32],
-        stride: usize,
-        child_rows: Range<usize>,
-    ) -> DeltaProbe {
-        // A parent code not translated yet; slots stay below it, as a
-        // slot is taken per distinct child key.
-        const UNSEEN: u32 = NO_CODE - 1;
-        let parent = store.dict_columns(edge.parent, &edge.parent_cols);
-        let child = store.dict_columns(edge.child, &edge.child_cols);
-        let parent_rows = partials
-            .chunks_exact(stride)
-            .map(|t| t[edge.parent] as usize);
-        if let ([(parent_codes, pdict)], [(child_codes, cdict)]) = (&parent[..], &child[..]) {
-            let mut parent_slot = vec![UNSEEN; pdict.len()];
-            let mut child_slot = vec![NO_CODE; cdict.len()];
-            let mut taken = 0;
-            let slots = parent_rows
-                .map(|row| {
-                    let pc = parent_codes[row] as usize;
-                    if parent_slot[pc] == UNSEEN {
-                        parent_slot[pc] =
-                            cdict.code(pdict.value(pc as u32)).map_or(NO_CODE, |cc| {
-                                let slot = &mut child_slot[cc as usize];
-                                if *slot == NO_CODE {
-                                    *slot = taken;
-                                    taken += 1;
-                                }
-                                *slot
-                            });
-                    }
-                    parent_slot[pc]
-                })
-                .collect();
-            let mut buckets = vec![Vec::new(); taken as usize];
-            for row in child_rows {
-                let slot = child_slot[child_codes[row] as usize];
-                if slot != NO_CODE {
-                    buckets[slot as usize].push(row as u32);
-                }
-            }
-            return DeltaProbe { slots, buckets };
+/// One side of a foreign-key edge in a [`KeyMatch`].
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Side {
+    /// The side whose rows reach the edge.
+    Parent,
+    /// The side whose rows are matched.
+    Child,
+}
+
+/// Where one foreign-key edge's keys meet in code space, for the join,
+/// the semijoin and [`referenced_rows`] alike.
+///
+/// Built from the parent rows that reach the edge: it marks their key
+/// codes, translates the marked codes into the child's dictionaries in
+/// code order through their values (`Dict::code(pdict.value(pc))`, so
+/// NULL and `Int`/`Float` equality are exactly what the dictionaries
+/// say), and gives every child key they land on a slot. A row's slot is
+/// then read back, [`NO_CODE`] when its key meets nothing. The key's
+/// shape is matched once per call, never once per row.
+pub(crate) struct KeyMatch<'a> {
+    /// Number of slots: the distinct child keys the parent rows reach.
+    slots: usize,
+    shape: KeyShape<'a>,
+}
+
+/// Per side, indexed by [`Side`]: the key columns' codes, and for one
+/// column a dense code → slot table. A composite key translates parent
+/// codes column by column and looks child code tuples up.
+enum KeyShape<'a> {
+    Dense {
+        codes: [&'a [u32]; 2],
+        slot: [Vec<u32>; 2],
+    },
+    Tuples {
+        codes: [Vec<&'a [u32]>; 2],
+        translate: Vec<Vec<u32>>,
+        slot: LookupMap<Box<[u32]>, u32>,
+    },
+}
+
+/// Mark the codes `rows` hold in one parent key column, then translate
+/// the marked codes into `cdict` in code order: `table[pc]` is
+/// `child(cc)` for a marked `pc` whose value has child code `cc`, else
+/// [`NO_CODE`].
+fn translate_marked(
+    codes: &[u32],
+    (pdict, cdict): (&Dict, &Dict),
+    rows: impl Iterator<Item = usize>,
+    mut child: impl FnMut(u32) -> u32,
+) -> Vec<u32> {
+    let mut marked = TupleSet::empty(pdict.len());
+    for row in rows {
+        marked.insert(codes[row] as usize);
+    }
+    let mut table = vec![NO_CODE; pdict.len()];
+    for pc in marked.iter() {
+        if let Some(cc) = cdict.code(pdict.value(pc as u32)) {
+            table[pc] = child(cc);
         }
-        let mut parent_slot: LookupMap<Box<[u32]>, u32> = LookupMap::new();
-        let mut child_slot: LookupMap<Box<[u32]>, u32> = LookupMap::new();
-        let mut key: Vec<u32> = Vec::with_capacity(parent.len());
-        let slots = parent_rows
-            .map(|row| {
-                key.clear();
-                key.extend(parent.iter().map(|&(codes, _)| codes[row]));
-                if let Some(&slot) = parent_slot.get(key.as_slice()) {
-                    return slot;
+    }
+    table
+}
+
+impl<'a> KeyMatch<'a> {
+    /// The match of `parent`'s key columns against `child`'s, each a
+    /// `(relation, columns)` pair, reached from `parent_rows`.
+    pub(crate) fn new(
+        store: &'a ColumnStore,
+        parent: (usize, &[usize]),
+        child: (usize, &[usize]),
+        parent_rows: impl Iterator<Item = usize> + Clone,
+    ) -> KeyMatch<'a> {
+        let parent = store.dict_columns(parent.0, parent.1);
+        let child = store.dict_columns(child.0, child.1);
+        if let ([(parent_codes, pdict)], [(child_codes, cdict)]) = (&parent[..], &child[..]) {
+            let mut child_slot = vec![NO_CODE; cdict.len()];
+            let mut slots = 0;
+            let parent_slot = translate_marked(parent_codes, (pdict, cdict), parent_rows, |cc| {
+                let slot = &mut child_slot[cc as usize];
+                if *slot == NO_CODE {
+                    *slot = slots;
+                    slots += 1;
                 }
-                let ckey: Option<Box<[u32]>> = parent
-                    .iter()
-                    .zip(&child)
-                    .zip(&key)
-                    .map(|((&(_, pd), &(_, cd)), &pc)| cd.code(pd.value(pc)))
-                    .collect();
-                let slot = ckey.map_or(NO_CODE, |ckey| {
-                    let taken = child_slot.len() as u32;
-                    *child_slot.entry(ckey).or_insert(taken)
-                });
-                parent_slot.insert(key.as_slice().into(), slot);
-                slot
+                *slot
+            });
+            return KeyMatch {
+                slots: slots as usize,
+                shape: KeyShape::Dense {
+                    codes: [parent_codes, child_codes],
+                    slot: [parent_slot, child_slot],
+                },
+            };
+        }
+        let translate: Vec<Vec<u32>> = parent
+            .iter()
+            .zip(&child)
+            .map(|(&(codes, pdict), &(_, cdict))| {
+                translate_marked(codes, (pdict, cdict), parent_rows.clone(), |cc| cc)
             })
             .collect();
-        let mut buckets = vec![Vec::new(); child_slot.len()];
-        for row in child_rows {
+        let codes: [Vec<&[u32]>; 2] =
+            [&parent, &child].map(|cols| cols.iter().map(|&(codes, _)| codes).collect());
+        let mut slot: LookupMap<Box<[u32]>, u32> = LookupMap::new();
+        let mut key: Vec<u32> = Vec::with_capacity(translate.len());
+        'rows: for row in parent_rows {
             key.clear();
-            key.extend(child.iter().map(|&(codes, _)| codes[row]));
-            if let Some(&slot) = child_slot.get(key.as_slice()) {
-                buckets[slot as usize].push(row as u32);
+            for (codes, table) in codes[0].iter().zip(&translate) {
+                let cc = table[codes[row] as usize];
+                if cc == NO_CODE {
+                    continue 'rows;
+                }
+                key.push(cc);
+            }
+            if !slot.contains_key(key.as_slice()) {
+                slot.insert(key.as_slice().into(), slot.len() as u32);
             }
         }
-        DeltaProbe { slots, buckets }
+        KeyMatch {
+            slots: slot.len(),
+            shape: KeyShape::Tuples {
+                codes,
+                translate,
+                slot,
+            },
+        }
+    }
+
+    /// Call `f(row, slot)` for each row of `rows` on `side`, in order. A
+    /// parent row must be one the match was built from.
+    pub(crate) fn each(
+        &self,
+        side: Side,
+        rows: impl Iterator<Item = usize>,
+        mut f: impl FnMut(usize, u32),
+    ) {
+        let s = side as usize;
+        match &self.shape {
+            KeyShape::Dense { codes, slot } => {
+                let (codes, slot) = (codes[s], &slot[s]);
+                for row in rows {
+                    f(row, slot[codes[row] as usize]);
+                }
+            }
+            KeyShape::Tuples {
+                codes,
+                translate,
+                slot,
+            } => {
+                let mut key: Vec<u32> = Vec::with_capacity(translate.len());
+                for row in rows {
+                    key.clear();
+                    key.extend(codes[s].iter().zip(translate).map(|(codes, table)| {
+                        let code = codes[row];
+                        match side {
+                            Side::Parent => table[code as usize],
+                            Side::Child => code,
+                        }
+                    }));
+                    f(row, slot.get(key.as_slice()).copied().unwrap_or(NO_CODE));
+                }
+            }
+        }
+    }
+
+    /// The child rows of `rows` per slot, ascending.
+    fn buckets(&self, rows: impl Iterator<Item = usize>) -> Vec<Vec<u32>> {
+        let mut buckets = vec![Vec::new(); self.slots];
+        self.each(Side::Child, rows, |row, slot| {
+            if slot != NO_CODE {
+                buckets[slot as usize].push(row as u32);
+            }
+        });
+        buckets
     }
 }
 
@@ -1040,6 +997,41 @@ mod tests {
         ])
         .unwrap();
         assert_extend_matches_rebuild(&db, &old, &[1, 1]);
+    }
+
+    /// A composite key matched from the referenced side: a parent key
+    /// with a column the child's dictionary lacks reaches nothing and
+    /// takes no slot, and the two matching keys take one slot each.
+    #[test]
+    fn composite_key_match_gives_slots_to_reached_child_keys_only() {
+        let schema = SchemaBuilder::new()
+            .relation("Dept", &[("org", T::Str), ("dno", T::Int)], &["org", "dno"])
+            .relation(
+                "Emp",
+                &[("eid", T::Int), ("org", T::Str), ("dno", T::Int)],
+                &["eid"],
+            )
+            .standard_fk("Emp", &["org", "dno"], "Dept")
+            .build()
+            .unwrap();
+        let mut db = Database::new(schema);
+        for (org, dno) in [("a", 1), ("a", 2), ("b", 1), ("c", 3)] {
+            db.insert("Dept", vec![org.into(), dno.into()]).unwrap();
+        }
+        for (eid, org, dno) in [(1, "b", 1), (2, "a", 1), (3, "b", 1)] {
+            db.insert("Emp", vec![eid.into(), org.into(), dno.into()])
+                .unwrap();
+        }
+        let key = KeyMatch::new(db.columns(), (0, &[0, 1]), (1, &[1, 2]), 0..4);
+        assert_eq!(key.slots, 2);
+        let slots_of = |side, rows| {
+            let mut slots = Vec::new();
+            key.each(side, rows, |_, slot| slots.push(slot));
+            slots
+        };
+        assert_eq!(slots_of(Side::Parent, 0..4), vec![0, NO_CODE, 1, NO_CODE]);
+        assert_eq!(slots_of(Side::Child, 0..3), vec![1, 0, 1]);
+        assert_eq!(key.buckets(0..3), vec![vec![1], vec![0, 2]]);
     }
 
     #[test]

@@ -32,8 +32,7 @@
 
 use crate::database::{Database, View};
 use crate::dict::NO_CODE;
-use crate::join::{join_forest, Component};
-use crate::lookup::LookupSet;
+use crate::join::{join_forest, Component, KeyMatch, Side};
 use crate::tupleset::TupleSet;
 use crate::ExecConfig;
 
@@ -154,65 +153,24 @@ fn apply_steps(db: &Database, view: &mut View, steps: &[Step<'_>], exec: &ExecCo
     sink.add(&format!("semijoin.drops.{pass}"), dropped);
 }
 
-/// Live rows of `step.target` whose join key has no live `step.source`
-/// row, in ascending row order. Membership is tested in code space: live
-/// source rows are marked per target-side code (translating source codes
-/// via the dictionaries, once per code), and target rows whose code was
-/// never marked drop. A code translation exists exactly when the `Value`
-/// key occurs in the target dictionary, so this is the `Value`-key
-/// semijoin.
+/// The live rows of `step.target` whose key no live `step.source` row
+/// reaches, in ascending row order: the target rows that the edge's key
+/// match, built from the live source rows, gives no slot. This is the
+/// `Value`-key semijoin, as a code translation exists exactly when the
+/// value occurs in the target's dictionary.
 fn compute_drops(db: &Database, view: &View, step: &Step<'_>) -> Vec<usize> {
-    let store = db.columns();
-    let source = store.dict_columns(step.source, step.source_cols);
-    let target = store.dict_columns(step.target, step.target_cols);
-    let translations: Vec<Vec<u32>> = source
-        .iter()
-        .zip(&target)
-        .map(|(&(_, sd), &(_, td))| sd.translate_to(td))
-        .collect();
-
+    let key = KeyMatch::new(
+        db.columns(),
+        (step.source, step.source_cols),
+        (step.target, step.target_cols),
+        view.live(step.source).iter(),
+    );
     let mut to_drop = Vec::new();
-    if let ([(source_codes, _)], [(target_codes, td)]) = (&source[..], &target[..]) {
-        // Single column: membership is a dense bitmap over the target's
-        // code space.
-        let mut live_code = vec![false; td.len()];
-        for row in view.live(step.source).iter() {
-            let code = translations[0][source_codes[row] as usize];
-            if code != NO_CODE {
-                live_code[code as usize] = true;
-            }
+    key.each(Side::Child, view.live(step.target).iter(), |row, slot| {
+        if slot == NO_CODE {
+            to_drop.push(row);
         }
-        for row in view.live(step.target).iter() {
-            if !live_code[target_codes[row] as usize] {
-                to_drop.push(row);
-            }
-        }
-    } else {
-        // Composite key: membership set of translated code tuples. A
-        // source key with any untranslatable column can't match a target
-        // row, so it is skipped.
-        let mut keys: LookupSet<Box<[u32]>> = LookupSet::new();
-        let mut key: Vec<u32> = Vec::with_capacity(source.len());
-        'source: for row in view.live(step.source).iter() {
-            key.clear();
-            for ((codes, _), translate) in source.iter().zip(&translations) {
-                let code = translate[codes[row] as usize];
-                if code == NO_CODE {
-                    continue 'source;
-                }
-                key.push(code);
-            }
-            keys.insert(key.as_slice().into());
-        }
-        let mut probe: Vec<u32> = Vec::with_capacity(target.len());
-        for row in view.live(step.target).iter() {
-            probe.clear();
-            probe.extend(target.iter().map(|&(codes, _)| codes[row]));
-            if !keys.contains(probe.as_slice()) {
-                to_drop.push(row);
-            }
-        }
-    }
+    });
     to_drop
 }
 

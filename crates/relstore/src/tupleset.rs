@@ -195,6 +195,7 @@ impl FromIterator<usize> for TupleSet {
 }
 
 /// Ascending iterator over set bits.
+#[derive(Clone)]
 pub struct TupleSetIter<'a> {
     set: &'a TupleSet,
     word_idx: usize,

@@ -1,14 +1,17 @@
-//! The delta join against a rebuild. A valid instance is split into an
-//! epoch-0 prefix and foreign-key-valid append batches. After every
-//! batch, [`Universal::extend_for_append_with`] must equal
-//! [`Universal::compute_with`] over the full view tuple for tuple, and
-//! the rows it reports touched must be exactly the projections of the
-//! tuples that are new.
+//! The join against a nested-loop oracle that shares no key-matching
+//! code with it. A valid instance is split into an epoch-0 prefix and
+//! foreign-key-valid append batches. At every epoch,
+//! [`Universal::compute_with`] must equal the oracle tuple for tuple over
+//! the full view, the semijoin-reduced view and a view with random rows
+//! removed; after every batch, [`Universal::extend_for_append_with`] must
+//! equal it over the full view, and the rows it reports touched must be
+//! exactly the projections of the tuples that are new.
 
 use exq_datagen::random::{random_tree_db, RandomDbConfig};
+use exq_relstore::join::{join_forest, TreeEdge};
 use exq_relstore::{
-    semijoin, AppendBatch, Database, ExecConfig, MetricsSink, SchemaBuilder, TupleSet, Universal,
-    Value, ValueType as T,
+    semijoin, AppendBatch, AttrRef, Database, ExecConfig, MetricsSink, SchemaBuilder, TupleSet,
+    Universal, Value, ValueType as T, View,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -64,19 +67,126 @@ fn draw_epochs(db: &Database, batches: usize, stay: f64, rng: &mut SmallRng) -> 
     epochs.into_iter().map(Option::unwrap).collect()
 }
 
+/// The universal relation over `live` by nested loops over rows,
+/// comparing key `Value`s pair by pair. Per component of the join
+/// forest, tuples come in (root row, edge-child rows…) order; components
+/// are crossed with the last one outermost, as the join crosses them.
+fn nested_loop_join(db: &Database, live: &[TupleSet]) -> Vec<Vec<u32>> {
+    fn expand(
+        db: &Database,
+        live: &[TupleSet],
+        edges: &[TreeEdge],
+        tuple: &mut Vec<u32>,
+        out: &mut Vec<Vec<u32>>,
+    ) {
+        let Some((edge, rest)) = edges.split_first() else {
+            out.push(tuple.clone());
+            return;
+        };
+        let parent_row = tuple[edge.parent] as usize;
+        for child_row in live[edge.child].iter() {
+            let keys_equal = edge
+                .parent_cols
+                .iter()
+                .zip(&edge.child_cols)
+                .all(|(&p, &c)| {
+                    let parent = AttrRef {
+                        rel: edge.parent,
+                        col: p,
+                    };
+                    let child = AttrRef {
+                        rel: edge.child,
+                        col: c,
+                    };
+                    db.value(parent, parent_row) == db.value(child, child_row)
+                });
+            if keys_equal {
+                tuple[edge.child] = child_row as u32;
+                expand(db, live, rest, tuple, out);
+            }
+        }
+        tuple[edge.child] = u32::MAX;
+    }
+    let n = db.schema().relation_count();
+    let mut per_component: Vec<Vec<Vec<u32>>> = join_forest(db.schema())
+        .iter()
+        .map(|comp| {
+            let mut out = Vec::new();
+            let mut tuple = vec![u32::MAX; n];
+            for root in live[comp.root].iter() {
+                tuple[comp.root] = root as u32;
+                expand(db, live, &comp.edges, &mut tuple, &mut out);
+            }
+            out
+        })
+        .collect();
+    let mut tuples = per_component.pop().unwrap_or_default();
+    for other in per_component.into_iter().rev() {
+        tuples = tuples
+            .iter()
+            .flat_map(|a| {
+                other
+                    .iter()
+                    .map(move |b| a.iter().zip(b).map(|(&x, &y)| x.min(y)).collect())
+            })
+            .collect();
+    }
+    tuples
+}
+
+fn tuples_of(u: &Universal) -> Vec<Vec<u32>> {
+    u.iter().map(<[u32]>::to_vec).collect()
+}
+
+/// `Universal::compute_with` over `view` against the oracle.
+fn check_join(db: &Database, view: &View, what: &str) -> Result<(), TestCaseError> {
+    let joined = Universal::compute_with(db, view, &ExecConfig::sequential());
+    prop_assert_eq!(
+        tuples_of(&joined),
+        nested_loop_join(db, &view.live),
+        "{}",
+        what
+    );
+    Ok(())
+}
+
+/// The join over the full view, the reduced view, and the full view with
+/// about a quarter of the rows removed at random, the shape of a naive
+/// residual `D − Δ`.
+fn check_views(db: &Database, epoch: usize, rng: &mut SmallRng) -> Result<(), TestCaseError> {
+    let full = db.full_view();
+    check_join(db, &full, &format!("epoch {epoch}: full view"))?;
+    let reduced = semijoin::reduce(db, &full);
+    check_join(db, &reduced, &format!("epoch {epoch}: reduced view"))?;
+    let mut residual = full;
+    for live in &mut residual.live {
+        for row in 0..live.capacity() {
+            if rng.random::<f64>() < 0.25 {
+                live.remove(row);
+            }
+        }
+    }
+    check_join(db, &residual, &format!("epoch {epoch}: residual view"))
+}
+
 /// Per batch, the relations that gained rows.
 type Grown = Vec<Vec<usize>>;
 
 /// Load the rows of `full` that arrive in epoch 0, then append each
-/// later epoch's rows as one batch, checking the delta join after each.
-/// `reduced_start` joins epoch 0 over its semijoin-reduced view, as
-/// `PreparedDb` does.
+/// later epoch's rows as one batch, checking the join at every epoch and
+/// the delta join after each batch. `reduced_start` joins epoch 0 over
+/// its semijoin-reduced view, as `PreparedDb` does. A forest of several
+/// components takes the delta join's rebuild fallback, which reports
+/// every row of the new `U` touched.
 fn check_epochs(
     full: &Database,
     epochs: &[Vec<usize>],
     batches: usize,
     reduced_start: bool,
+    seed: u64,
 ) -> Result<Grown, TestCaseError> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let fallback = join_forest(full.schema()).len() > 1;
     let schema = full.schema();
     let n = schema.relation_count();
     let rows_of = |rel: usize, epoch: usize| -> Vec<Vec<Value>> {
@@ -96,6 +206,7 @@ fn check_epochs(
     } else {
         db.full_view()
     };
+    check_views(&db, 0, &mut rng)?;
     let mut u = Universal::compute(&db, &start);
     let mut grown = Vec::with_capacity(batches);
     for epoch in 1..=batches {
@@ -116,28 +227,26 @@ fn check_epochs(
         let sink = MetricsSink::recording();
         let exec = ExecConfig::sequential().with_metrics(sink.clone());
         let (extended, touched) = Universal::extend_for_append_with(&u, &db, &old_lens, &exec);
-        let rebuilt = Universal::compute(&db, &db.full_view());
+        let oracle = nested_loop_join(&db, &db.full_view().live);
         prop_assert_eq!(
-            extended.len(),
-            rebuilt.len(),
-            "epoch {}: tuple count",
+            tuples_of(&extended),
+            oracle.clone(),
+            "epoch {}: the delta join left the oracle",
             epoch
         );
-        prop_assert!(
-            extended.iter().eq(rebuilt.iter()),
-            "epoch {}: the delta join left the rebuild's order",
-            epoch
-        );
+        check_views(&db, epoch, &mut rng)?;
 
-        // A tuple is new iff it holds a row past its relation's old length.
+        // A tuple is new iff it holds a row past its relation's old
+        // length; the fallback reports every tuple's rows.
         let mut expected: Vec<TupleSet> = (0..n)
             .map(|rel| TupleSet::empty(db.relation_len(rel)))
             .collect();
         let mut new_tuples = 0u64;
-        for t in rebuilt.iter() {
-            if t.iter()
-                .zip(&old_lens)
-                .any(|(&row, &len)| row as usize >= len)
+        for t in &oracle {
+            if fallback
+                || t.iter()
+                    .zip(&old_lens)
+                    .any(|(&row, &len)| row as usize >= len)
             {
                 new_tuples += 1;
                 for (rel, &row) in t.iter().enumerate() {
@@ -146,12 +255,13 @@ fn check_epochs(
             }
         }
         prop_assert_eq!(&touched, &expected, "epoch {}: touched rows", epoch);
-        prop_assert_eq!(
-            sink.snapshot().counter("ingest.delta.tuples"),
-            new_tuples,
-            "epoch {}",
-            epoch
-        );
+        let counters = sink.snapshot();
+        let (counter, count) = if fallback {
+            ("ingest.delta.full_rebuilds", 1)
+        } else {
+            ("ingest.delta.tuples", new_tuples)
+        };
+        prop_assert_eq!(counters.counter(counter), count, "epoch {}", epoch);
         u = extended;
     }
     Ok(grown)
@@ -182,7 +292,7 @@ fn delta_join_matches_rebuild_on_random_tree_instances() {
         };
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EED);
         let epochs = draw_epochs(&full, batches, 0.6, &mut rng);
-        let grown = check_epochs(&full, &epochs, batches, seed % 2 == 0)?;
+        let grown = check_epochs(&full, &epochs, batches, seed % 2 == 0, seed)?;
         if grown.iter().any(|rels| !rels.is_empty()) {
             appended_cases.fetch_add(1, Ordering::Relaxed);
         }
@@ -268,7 +378,73 @@ fn delta_join_matches_rebuild_over_a_composite_key() {
         vec![0, 2, 1, 2, 2, 1, 2],
     ];
     for reduced_start in [false, true] {
-        let grown = check_epochs(&full, &epochs, 2, reduced_start).unwrap();
+        let grown = check_epochs(&full, &epochs, 2, reduced_start, 7).unwrap();
         assert_eq!(grown, vec![vec![0, 1, 2], vec![1, 2]]);
     }
+}
+
+/// Two join trees, `Dept <- Emp` and `Cat <- Item`, whose universal
+/// relation is their cross product. The delta join falls back to a
+/// rebuild (`ingest.delta.full_rebuilds`); batches grow one component,
+/// then both, starting from an empty second component.
+#[test]
+fn delta_join_matches_oracle_over_two_components() {
+    let schema = SchemaBuilder::new()
+        .relation("Dept", &[("dno", T::Int)], &["dno"])
+        .relation("Emp", &[("eid", T::Int), ("dno", T::Int)], &["eid"])
+        .relation("Cat", &[("cid", T::Str)], &["cid"])
+        .relation("Item", &[("iid", T::Int), ("cid", T::Str)], &["iid"])
+        .standard_fk("Emp", &["dno"], "Dept")
+        .back_and_forth_fk("Item", &["cid"], "Cat")
+        .build()
+        .unwrap();
+    assert_eq!(join_forest(&schema).len(), 2);
+    let mut full = Database::new(schema);
+    for dno in [2, 1, 3] {
+        full.insert("Dept", vec![dno.into()]).unwrap();
+    }
+    for (eid, dno) in [(1, 1), (2, 2), (3, 1), (4, 3), (5, 2)] {
+        full.insert("Emp", vec![eid.into(), dno.into()]).unwrap();
+    }
+    for cid in ["x", "y"] {
+        full.insert("Cat", vec![cid.into()]).unwrap();
+    }
+    for (iid, cid) in [(1, "y"), (2, "x"), (3, "y")] {
+        full.insert("Item", vec![iid.into(), cid.into()]).unwrap();
+    }
+    full.validate().unwrap();
+    let epochs = vec![
+        vec![0, 0, 2],
+        vec![0, 0, 1, 2, 3],
+        vec![1, 2],
+        vec![3, 1, 2],
+    ];
+    for reduced_start in [false, true] {
+        let grown = check_epochs(&full, &epochs, 3, reduced_start, 11).unwrap();
+        assert_eq!(grown, vec![vec![1, 2, 3], vec![0, 1, 2, 3], vec![1, 3]]);
+    }
+}
+
+/// Rooted at its own root, a component's tree is its BFS edges, in
+/// order and orientation: the join from the root therefore expands in
+/// the rebuild's order, which the delta join's merge relies on.
+#[test]
+fn rooting_a_component_at_its_root_keeps_its_edges() {
+    let mut components = 0;
+    for seed in 0..256u64 {
+        let Some(db) = random_tree_db(&RandomDbConfig {
+            relations: 1 + (seed % 9) as usize,
+            rows_per_relation: 4,
+            key_domain: 4,
+            back_and_forth_probability: 0.5,
+            seed,
+        }) else {
+            continue;
+        };
+        for comp in join_forest(db.schema()) {
+            assert_eq!(comp.rooted_at(comp.root), comp.edges, "seed {seed}");
+            components += 1;
+        }
+    }
+    assert!(components > 128, "only {components} schemas drawn");
 }
