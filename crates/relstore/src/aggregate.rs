@@ -465,7 +465,7 @@ impl RowWords {
     fn fill(store: &ColumnStore, atoms: &[&Atom], first_bit: usize) -> RowWords {
         let first = first_bit / 64;
         let width = (first_bit + atoms.len() - 1) / 64 + 1 - first;
-        let rows = store.column(atoms[0].attr).codes.len();
+        let rows = store.dict_column(atoms[0].attr).0.len();
         let mut words = vec![0u64; rows * width];
         let mut bit = first_bit - first * 64;
         for same_attr in atoms.chunk_by(|a, b| a.attr == b.attr) {

@@ -176,10 +176,10 @@ impl Database {
         // small); the old prefix is swept once probing that set. When
         // every key column is dictionary-coded in the pre-append column
         // store, the probe compares u32 code tuples — and a new key
-        // holding a value no old row ever stored cannot collide, so it
-        // drops out of the sweep entirely. Otherwise the sweep falls
-        // back to borrowed value refs; either way the O(old) side
-        // allocates nothing per row.
+        // holding a value no old row of the relation stores in that
+        // column cannot collide, so it drops out of the sweep entirely.
+        // Otherwise the sweep falls back to borrowed value refs; either
+        // way the O(old) side allocates nothing per row.
         for (rel_idx, &old_len) in old_lens.iter().enumerate() {
             let rel = self.relations[rel_idx].as_ref();
             if rel.len() == old_len {
@@ -201,18 +201,24 @@ impl Database {
             let dict_cols = old_cols.map(|store| store.dict_columns(rel_idx, pk));
             match dict_cols {
                 Some(cols) if cols.iter().all(|&(codes, _)| codes.len() == old_len) => {
-                    let mut coded: LookupSet<Vec<u32>> = LookupSet::new();
-                    'key: for i in old_len..rel.len() {
-                        let row = rel.row(i);
-                        let mut key = Vec::with_capacity(pk.len());
-                        for (&c, &(_, dict)) in pk.iter().zip(&cols) {
-                            match dict.code(&row[c]) {
-                                Some(code) => key.push(code),
-                                None => continue 'key,
-                            }
+                    let mut keys: Vec<Vec<u32>> = (old_len..rel.len())
+                        .filter_map(|i| {
+                            let row = rel.row(i);
+                            let key = pk.iter().zip(&cols);
+                            key.map(|(&c, &(_, dict))| dict.code(&row[c])).collect()
+                        })
+                        .collect();
+                    // A dictionary is its key class's, so a value with a
+                    // code may be held by another relation only: keep the
+                    // keys whose every value an old row holds in its column.
+                    for (j, &(codes, dict)) in cols.iter().enumerate() {
+                        let mut held = TupleSet::empty(dict.len());
+                        for &code in codes {
+                            held.insert(code as usize);
                         }
-                        coded.insert(key);
+                        keys.retain(|key| held.contains(key[j] as usize));
                     }
+                    let coded: LookupSet<Vec<u32>> = keys.into_iter().collect();
                     if !coded.is_empty() {
                         let mut probe: Vec<u32> = Vec::with_capacity(pk.len());
                         for i in 0..old_len {
@@ -245,13 +251,13 @@ impl Database {
         }
         // Foreign keys: only the new rows of grown source relations can
         // dangle (appending targets never invalidates existing edges).
-        // Single-column edges whose target column is dictionary-coded
-        // check each new row with one dictionary lookup (a value has a
-        // code iff some old target row stores it), plus a small set of
-        // the target's own new keys for intra-batch referents. Other
-        // edges collect the distinct keys the new rows need and sweep
-        // the post-append target crossing them off, stopping as soon as
-        // every needed key has resolved.
+        // Single-column edges into the one top of their key class check
+        // each new row with one dictionary lookup (the prefix's foreign
+        // keys hold, so a value has a code iff some old target row stores
+        // it), plus a small set of the target's own new keys for
+        // intra-batch referents. Other edges collect the distinct keys
+        // the new rows need and sweep the post-append target crossing
+        // them off, stopping as soon as every needed key has resolved.
         for fk in self.schema.foreign_keys() {
             let from = self.relations[fk.from_rel].as_ref();
             let old_len = old_lens[fk.from_rel];
@@ -260,14 +266,13 @@ impl Database {
             }
             let to = self.relations[fk.to_rel].as_ref();
             let to_old_len = old_lens[fk.to_rel];
+            let target = AttrRef {
+                rel: fk.to_rel,
+                col: fk.to_cols[0],
+            };
             let target_dict = old_cols
-                .filter(|_| fk.from_cols.len() == 1)
-                .map(|store| {
-                    store.dict_column(AttrRef {
-                        rel: fk.to_rel,
-                        col: fk.to_cols[0],
-                    })
-                })
+                .filter(|store| fk.from_cols.len() == 1 && store.is_sole_top(target))
+                .map(|store| store.dict_column(target))
                 .filter(|&(codes, _)| codes.len() == to_old_len);
             if let Some((_, dict)) = target_dict {
                 let new_targets: LookupSet<&Value> = (to_old_len..to.len())
@@ -633,6 +638,50 @@ mod tests {
             assert_eq!(&now, expected, "relation {r} rows");
         }
         assert!(Arc::ptr_eq(db.columns(), &old_store));
+        db.validate().unwrap();
+    }
+
+    /// A chain `A(k) <- B(k) <- C(fk)`: `B.k` is `B`'s key and a foreign
+    /// key into `A`, so `A.k`, `B.k` and `C.fk` share one dictionary, and
+    /// a value coded from `A` says nothing about `B`. An appended `C` row
+    /// must still find its referent among `B`'s rows.
+    #[test]
+    fn append_batch_checks_a_chain_edge_against_the_referenced_rows() {
+        let schema = SchemaBuilder::new()
+            .relation("A", &[("k", T::Int)], &["k"])
+            .relation("B", &[("k", T::Int)], &["k"])
+            .relation("C", &[("id", T::Int), ("fk", T::Int)], &["id"])
+            .standard_fk("B", &["k"], "A")
+            .standard_fk("C", &["fk"], "B")
+            .build()
+            .unwrap();
+        let mut db = Database::new(schema);
+        db.insert("A", vec![1.into()]).unwrap();
+        db.insert("A", vec![2.into()]).unwrap();
+        db.insert("B", vec![1.into()]).unwrap();
+        db.insert("C", vec![10.into(), 1.into()]).unwrap();
+        db.validate().unwrap();
+        let _ = db.columns();
+
+        // 2 is in A but not in B.
+        let err = db
+            .append_batch(vec![("C".into(), vec![vec![11.into(), 2.into()]])])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            Error::DanglingForeignKey {
+                from: "C".into(),
+                to: "B".into(),
+                key: "(2)".into(),
+            }
+        );
+        // The same row, with its B referent in the same batch.
+        db.append_batch(vec![
+            ("C".into(), vec![vec![11.into(), 2.into()]]),
+            ("B".into(), vec![vec![2.into()]]),
+        ])
+        .unwrap();
+        assert_eq!(db.relation_len(2), 2);
         db.validate().unwrap();
     }
 

@@ -1,14 +1,14 @@
 //! First-appearance dictionary encoding for attribute values.
 //!
-//! A [`Dict`] maps the distinct [`Value`]s of one column to dense `u32`
-//! codes. Codes are assigned **in first-appearance-in-table order** during
-//! a sequential scan, so a dictionary is a pure function of the stored
-//! rows — never of thread counts, hash seeds, or probe order. That makes
-//! code-space computations (hash-join probes, semijoin membership, cube
-//! grouping) safe to substitute for `Value`-space computations inside the
-//! engine's bit-identity contract: the code↔value mapping is a bijection
-//! on the column's distinct values, and the per-code `rank` table recovers
-//! the `Value` total order exactly.
+//! A [`Dict`] maps the distinct [`Value`]s of one key class (a key column
+//! and the foreign keys that reference it) to dense `u32` codes, assigned
+//! **in first-appearance order** during a sequential scan, so a dictionary
+//! is a pure function of the stored rows — never of thread counts, hash
+//! seeds, or probe order. That makes code-space computations (join
+//! probes, semijoin membership, cube grouping) safe to substitute for
+//! `Value`-space computations inside the engine's bit-identity contract:
+//! the code↔value mapping is a bijection on the class's distinct values,
+//! and the per-code `rank` table recovers the `Value` total order exactly.
 //!
 //! Distinctness is measured under the [`Value`] total order, which is the
 //! same equality every `Value`-keyed hash map in the engine uses: a mixed
@@ -33,13 +33,13 @@
 use crate::value::{code_hash_str, Value};
 use std::sync::Arc;
 
-/// The reserved "no code" sentinel: used for failed cross-dictionary
-/// translations and for the cube's "don't care" coordinate. It can never
-/// collide with a real code: codes < distinct values ≤ rows, and rows are
-/// addressed by `u32` throughout the engine (universal tuples, probe
-/// buckets), so a relation — and hence a dictionary — holds fewer than
-/// `u32::MAX` entries. [`DictBuilder::encode`] and [`Dict::extended`]
-/// enforce that bound with a panic rather than trusting it.
+/// The reserved "no code" sentinel: used for a key no row of the other
+/// side of a join edge holds and for the cube's "don't care" coordinate.
+/// It can never collide with a real code: codes < distinct values ≤ the
+/// rows of the key class's columns, and rows are addressed by `u32`
+/// throughout the engine (universal tuples, probe buckets).
+/// [`DictBuilder::encode`] and [`Dict::extended`] enforce the bound with
+/// a panic rather than trusting it.
 pub const NO_CODE: u32 = u32::MAX;
 
 /// The one hard check behind [`NO_CODE`]: a dictionary about to hold `len`
@@ -273,7 +273,7 @@ struct DictBase {
     index: CodeTable,
 }
 
-/// An immutable value dictionary for one column.
+/// An immutable value dictionary for one key class.
 ///
 /// Storage is split in two layers: a shared `DictBase` holding codes
 /// `0..base.values.len()`, and a small owned overlay holding the codes
@@ -292,7 +292,7 @@ pub struct Dict {
     /// codes. Owned: a flat `u32` array is cheap to copy, unlike the
     /// value storage.
     rank: Vec<u32>,
-    /// The code NULL was assigned, if the column contains NULLs.
+    /// The code NULL was assigned, if the class contains NULLs.
     null_code: Option<u32>,
 }
 
@@ -302,7 +302,7 @@ impl Dict {
         self.base.values.len() + self.extra_values.len()
     }
 
-    /// Whether the dictionary is empty (column had no rows).
+    /// Whether the dictionary is empty (its columns had no rows).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -317,7 +317,7 @@ impl Dict {
         }
     }
 
-    /// The code of `v`, if `v` occurs in the column (equality under the
+    /// The code of `v`, if `v` occurs in the class (equality under the
     /// `Value` total order, so `Int(2)` finds a code stored for
     /// `Float(2.0)` and vice versa).
     #[inline]
@@ -339,7 +339,7 @@ impl Dict {
         self.rank[code as usize]
     }
 
-    /// The code assigned to SQL NULL, if the column contains NULLs.
+    /// The code assigned to SQL NULL, if the class contains NULLs.
     pub fn null_code(&self) -> Option<u32> {
         self.null_code
     }
@@ -369,9 +369,6 @@ impl Dict {
     ///
     /// If the extended dictionary would reach [`NO_CODE`] codes.
     pub fn extended(&self, fresh: Vec<Value>) -> Dict {
-        if fresh.is_empty() {
-            return self.clone();
-        }
         assert_codes_fit(self.len() + fresh.len());
         debug_assert!(fresh.iter().all(|v| self.code(v).is_none()));
         let old_len = self.len();
@@ -449,7 +446,7 @@ impl Dict {
     }
 }
 
-/// Incremental dictionary builder for one sequential column scan.
+/// Incremental dictionary builder for one sequential scan of a key class.
 #[derive(Debug, Default)]
 pub struct DictBuilder {
     values: Vec<Value>,

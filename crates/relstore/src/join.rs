@@ -4,7 +4,8 @@
 //! schema's foreign-key graph is a forest, so the join is acyclic: each
 //! connected component is joined along a BFS tree, one edge at a time,
 //! and components are cross-multiplied (a schema normally has one
-//! component). An edge's keys meet in `u32` code space, in one place
+//! component). An edge's two key columns share one dictionary, so its
+//! keys meet in `u32` code space without translating, in one place
 //! (`KeyMatch`), which the semijoin reducer and [`referenced_rows`] share.
 //!
 //! Universal tuples are stored as flat arrays of row indices — one `u32`
@@ -450,24 +451,18 @@ fn join_from_pivot(
         let parents = partials
             .chunks_exact(stride)
             .map(|t| t[edge.parent] as usize);
-        let key = KeyMatch::new(
-            store,
-            (edge.parent, &edge.parent_cols),
-            (edge.child, &edge.child_cols),
-            parents.clone(),
-        );
+        let parent_key = store.dict_columns(edge.parent, &edge.parent_cols);
+        let child_key = store.dict_columns(edge.child, &edge.child_cols);
+        let key = KeyMatch::new(&parent_key, parents.clone());
         let buckets = match &rows[edge.child] {
-            Rows::Live(live) => key.buckets(live.iter()),
-            Rows::Range(range) => key.buckets(range.clone()),
+            Rows::Live(live) => key.buckets(&child_key, live.iter()),
+            Rows::Range(range) => key.buckets(&child_key, range.clone()),
         };
         let mut next: Vec<u32> = Vec::with_capacity(partials.len());
         let mut tuples = partials.chunks_exact(stride);
-        key.each(Side::Parent, parents, |_, slot| {
+        key.each(&parent_key, parents, |_, slot| {
             let t = tuples.next().expect("one tuple per parent row");
-            if slot == NO_CODE {
-                return;
-            }
-            for &child_row in &buckets[slot as usize] {
+            for &child_row in buckets.get(slot) {
                 let base = next.len();
                 next.extend_from_slice(t);
                 next[base + edge.child] = child_row;
@@ -483,195 +478,154 @@ fn join_from_pivot(
 /// referenced relation whose key equals its foreign key, or `u32::MAX`
 /// when none does. Keys are matched as the join matches them.
 pub fn referenced_rows(db: &Database, fk: &ForeignKey) -> Vec<u32> {
+    let store = db.columns();
     let from = 0..db.relation_len(fk.from_rel);
-    let key = KeyMatch::new(
-        db.columns(),
-        (fk.from_rel, &fk.from_cols),
-        (fk.to_rel, &fk.to_cols),
-        from.clone(),
-    );
-    let buckets = key.buckets(0..db.relation_len(fk.to_rel));
+    let from_key = store.dict_columns(fk.from_rel, &fk.from_cols);
+    let key = KeyMatch::new(&from_key, from.clone());
+    let to_key = store.dict_columns(fk.to_rel, &fk.to_cols);
+    let buckets = key.buckets(&to_key, 0..db.relation_len(fk.to_rel));
     let mut map = Vec::with_capacity(from.len());
-    key.each(Side::Parent, from, |_, slot| {
-        let first = (slot != NO_CODE).then(|| buckets[slot as usize].first());
-        map.push(first.flatten().copied().unwrap_or(u32::MAX));
+    key.each(&from_key, from, |_, slot| {
+        map.push(buckets.get(slot).first().copied().unwrap_or(u32::MAX));
     });
     map
 }
 
-/// One side of a foreign-key edge in a [`KeyMatch`].
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Side {
-    /// The side whose rows reach the edge.
-    Parent,
-    /// The side whose rows are matched.
-    Child,
-}
+/// The key columns of one side of a foreign-key edge, as
+/// [`ColumnStore::dict_columns`] gives them: per column, its codes and
+/// its key class's dictionary.
+pub(crate) type Key<'a> = [(&'a [u32], &'a Dict)];
 
 /// Where one foreign-key edge's keys meet in code space, for the join,
 /// the semijoin and [`referenced_rows`] alike.
 ///
-/// Built from the parent rows that reach the edge: it marks their key
-/// codes, translates the marked codes into the child's dictionaries in
-/// code order through their values (`Dict::code(pdict.value(pc))`, so
-/// NULL and `Int`/`Float` equality are exactly what the dictionaries
-/// say), and gives every child key they land on a slot. A row's slot is
-/// then read back, [`NO_CODE`] when its key meets nothing. The key's
-/// shape is matched once per call, never once per row.
-pub(crate) struct KeyMatch<'a> {
-    /// Number of slots: the distinct child keys the parent rows reach.
+/// The two sides of an edge share their key classes' dictionaries, so a
+/// value has one code on both. The match is built from the parent rows
+/// that reach the edge: every distinct key they hold gets a slot. Any
+/// row's slot — a parent's or a child's, read the same way — is then read
+/// back, [`NO_CODE`] when no parent row holds its key. NULL and
+/// `Int`/`Float` equality are exactly what the dictionary says. The
+/// key's shape is matched once per call, never once per row.
+pub(crate) struct KeyMatch {
+    /// Number of slots: the distinct keys the parent rows hold.
     slots: usize,
-    shape: KeyShape<'a>,
+    shape: KeyShape,
 }
 
-/// Per side, indexed by [`Side`]: the key columns' codes, and for one
-/// column a dense code → slot table. A composite key translates parent
-/// codes column by column and looks child code tuples up.
-enum KeyShape<'a> {
-    Dense {
-        codes: [&'a [u32]; 2],
-        slot: [Vec<u32>; 2],
-    },
-    Tuples {
-        codes: [Vec<&'a [u32]>; 2],
-        translate: Vec<Vec<u32>>,
-        slot: LookupMap<Box<[u32]>, u32>,
-    },
+/// For one key column, a code-indexed slot table; for a composite key,
+/// a map from the parent rows' code tuples to slots.
+enum KeyShape {
+    Dense(Vec<u32>),
+    Tuples(LookupMap<Box<[u32]>, u32>),
 }
 
-/// Mark the codes `rows` hold in one parent key column, then translate
-/// the marked codes into `cdict` in code order: `table[pc]` is
-/// `child(cc)` for a marked `pc` whose value has child code `cc`, else
-/// [`NO_CODE`].
-fn translate_marked(
-    codes: &[u32],
-    (pdict, cdict): (&Dict, &Dict),
-    rows: impl Iterator<Item = usize>,
-    mut child: impl FnMut(u32) -> u32,
-) -> Vec<u32> {
-    let mut marked = TupleSet::empty(pdict.len());
-    for row in rows {
-        marked.insert(codes[row] as usize);
-    }
-    let mut table = vec![NO_CODE; pdict.len()];
-    for pc in marked.iter() {
-        if let Some(cc) = cdict.code(pdict.value(pc as u32)) {
-            table[pc] = child(cc);
+/// Each slot's child rows, ascending, in one counting-sort layout: slot
+/// `s` holds `rows[start[s]..start[s + 1]]`.
+struct Buckets {
+    start: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl Buckets {
+    /// The rows of `slot`; none for [`NO_CODE`].
+    #[inline]
+    fn get(&self, slot: u32) -> &[u32] {
+        if slot == NO_CODE {
+            return &[];
         }
+        let s = slot as usize;
+        &self.rows[self.start[s] as usize..self.start[s + 1] as usize]
     }
-    table
 }
 
-impl<'a> KeyMatch<'a> {
-    /// The match of `parent`'s key columns against `child`'s, each a
-    /// `(relation, columns)` pair, reached from `parent_rows`.
-    pub(crate) fn new(
-        store: &'a ColumnStore,
-        parent: (usize, &[usize]),
-        child: (usize, &[usize]),
-        parent_rows: impl Iterator<Item = usize> + Clone,
-    ) -> KeyMatch<'a> {
-        let parent = store.dict_columns(parent.0, parent.1);
-        let child = store.dict_columns(child.0, child.1);
-        if let ([(parent_codes, pdict)], [(child_codes, cdict)]) = (&parent[..], &child[..]) {
-            let mut child_slot = vec![NO_CODE; cdict.len()];
+impl KeyMatch {
+    /// The match of the keys `parent_rows` hold in `parent`.
+    pub(crate) fn new(parent: &Key<'_>, parent_rows: impl Iterator<Item = usize>) -> KeyMatch {
+        if let [(codes, dict)] = parent {
+            let mut slot = vec![NO_CODE; dict.len()];
             let mut slots = 0;
-            let parent_slot = translate_marked(parent_codes, (pdict, cdict), parent_rows, |cc| {
-                let slot = &mut child_slot[cc as usize];
-                if *slot == NO_CODE {
-                    *slot = slots;
+            for row in parent_rows {
+                let s = &mut slot[codes[row] as usize];
+                if *s == NO_CODE {
+                    *s = slots;
                     slots += 1;
                 }
-                *slot
-            });
+            }
             return KeyMatch {
                 slots: slots as usize,
-                shape: KeyShape::Dense {
-                    codes: [parent_codes, child_codes],
-                    slot: [parent_slot, child_slot],
-                },
+                shape: KeyShape::Dense(slot),
             };
         }
-        let translate: Vec<Vec<u32>> = parent
-            .iter()
-            .zip(&child)
-            .map(|(&(codes, pdict), &(_, cdict))| {
-                translate_marked(codes, (pdict, cdict), parent_rows.clone(), |cc| cc)
-            })
-            .collect();
-        let codes: [Vec<&[u32]>; 2] =
-            [&parent, &child].map(|cols| cols.iter().map(|&(codes, _)| codes).collect());
         let mut slot: LookupMap<Box<[u32]>, u32> = LookupMap::new();
-        let mut key: Vec<u32> = Vec::with_capacity(translate.len());
-        'rows: for row in parent_rows {
+        let mut key = Vec::with_capacity(parent.len());
+        for row in parent_rows {
             key.clear();
-            for (codes, table) in codes[0].iter().zip(&translate) {
-                let cc = table[codes[row] as usize];
-                if cc == NO_CODE {
-                    continue 'rows;
-                }
-                key.push(cc);
-            }
+            key.extend(parent.iter().map(|(codes, _)| codes[row]));
             if !slot.contains_key(key.as_slice()) {
                 slot.insert(key.as_slice().into(), slot.len() as u32);
             }
         }
         KeyMatch {
             slots: slot.len(),
-            shape: KeyShape::Tuples {
-                codes,
-                translate,
-                slot,
-            },
+            shape: KeyShape::Tuples(slot),
         }
     }
 
-    /// Call `f(row, slot)` for each row of `rows` on `side`, in order. A
-    /// parent row must be one the match was built from.
+    /// Call `f(row, slot)` for each row of `rows`, whose keys are in
+    /// `key`, in order.
     pub(crate) fn each(
         &self,
-        side: Side,
+        key: &Key<'_>,
         rows: impl Iterator<Item = usize>,
         mut f: impl FnMut(usize, u32),
     ) {
-        let s = side as usize;
         match &self.shape {
-            KeyShape::Dense { codes, slot } => {
-                let (codes, slot) = (codes[s], &slot[s]);
+            KeyShape::Dense(slot) => {
+                let codes = key[0].0;
                 for row in rows {
                     f(row, slot[codes[row] as usize]);
                 }
             }
-            KeyShape::Tuples {
-                codes,
-                translate,
-                slot,
-            } => {
-                let mut key: Vec<u32> = Vec::with_capacity(translate.len());
+            KeyShape::Tuples(slot) => {
+                let mut probe = Vec::with_capacity(key.len());
                 for row in rows {
-                    key.clear();
-                    key.extend(codes[s].iter().zip(translate).map(|(codes, table)| {
-                        let code = codes[row];
-                        match side {
-                            Side::Parent => table[code as usize],
-                            Side::Child => code,
-                        }
-                    }));
-                    f(row, slot.get(key.as_slice()).copied().unwrap_or(NO_CODE));
+                    probe.clear();
+                    probe.extend(key.iter().map(|(codes, _)| codes[row]));
+                    f(row, slot.get(probe.as_slice()).copied().unwrap_or(NO_CODE));
                 }
             }
         }
     }
 
-    /// The child rows of `rows` per slot, ascending.
-    fn buckets(&self, rows: impl Iterator<Item = usize>) -> Vec<Vec<u32>> {
-        let mut buckets = vec![Vec::new(); self.slots];
-        self.each(Side::Child, rows, |row, slot| {
+    /// The rows of `rows`, whose keys are in `key`, per slot: a count
+    /// pass sizes each slot and keeps the rows that have one, a place
+    /// pass files them in row order.
+    fn buckets(&self, key: &Key<'_>, rows: impl Iterator<Item = usize>) -> Buckets {
+        let mut hits: Vec<(u32, u32)> = Vec::new();
+        let mut start = vec![0u32; self.slots + 1];
+        self.each(key, rows, |row, slot| {
             if slot != NO_CODE {
-                buckets[slot as usize].push(row as u32);
+                start[slot as usize + 1] += 1;
+                hits.push((row as u32, slot));
             }
         });
-        buckets
+        for s in 1..start.len() {
+            start[s] += start[s - 1];
+        }
+        // Placing a row advances its slot's start to the next slot's, so
+        // shifting the array one place afterwards restores the starts.
+        let mut placed = vec![0u32; hits.len()];
+        for (row, slot) in hits {
+            let at = &mut start[slot as usize];
+            placed[*at as usize] = row;
+            *at += 1;
+        }
+        start.rotate_right(1);
+        start[0] = 0;
+        Buckets {
+            start,
+            rows: placed,
+        }
     }
 }
 
@@ -999,11 +953,12 @@ mod tests {
         assert_extend_matches_rebuild(&db, &old, &[1, 1]);
     }
 
-    /// A composite key matched from the referenced side: a parent key
-    /// with a column the child's dictionary lacks reaches nothing and
-    /// takes no slot, and the two matching keys take one slot each.
+    /// A composite key matched from the referenced side: every key the
+    /// parent rows hold takes a slot, and a child key is read back
+    /// through the same code-tuple map — a child key that matches a
+    /// parent key on one column only gets none.
     #[test]
-    fn composite_key_match_gives_slots_to_reached_child_keys_only() {
+    fn composite_key_match_reads_one_code_tuple_map_from_both_sides() {
         let schema = SchemaBuilder::new()
             .relation("Dept", &[("org", T::Str), ("dno", T::Int)], &["org", "dno"])
             .relation(
@@ -1018,20 +973,34 @@ mod tests {
         for (org, dno) in [("a", 1), ("a", 2), ("b", 1), ("c", 3)] {
             db.insert("Dept", vec![org.into(), dno.into()]).unwrap();
         }
-        for (eid, org, dno) in [(1, "b", 1), (2, "a", 1), (3, "b", 1)] {
+        for (eid, org, dno) in [(1, "b", 1), (2, "a", 1), (3, "b", 1), (4, "a", 3)] {
             db.insert("Emp", vec![eid.into(), org.into(), dno.into()])
                 .unwrap();
         }
-        let key = KeyMatch::new(db.columns(), (0, &[0, 1]), (1, &[1, 2]), 0..4);
-        assert_eq!(key.slots, 2);
-        let slots_of = |side, rows| {
+        let store = db.columns();
+        let (dept, emp) = (
+            store.dict_columns(0, &[0, 1]),
+            store.dict_columns(1, &[1, 2]),
+        );
+        for ((_, d), (_, e)) in dept.iter().zip(&emp) {
+            assert!(
+                std::ptr::eq(*d, *e),
+                "an edge's columns share one dictionary"
+            );
+        }
+        let key = KeyMatch::new(&dept, 0..4);
+        assert_eq!(key.slots, 4);
+        let slots_of = |side: &Key<'_>, rows| {
             let mut slots = Vec::new();
             key.each(side, rows, |_, slot| slots.push(slot));
             slots
         };
-        assert_eq!(slots_of(Side::Parent, 0..4), vec![0, NO_CODE, 1, NO_CODE]);
-        assert_eq!(slots_of(Side::Child, 0..3), vec![1, 0, 1]);
-        assert_eq!(key.buckets(0..3), vec![vec![1], vec![0, 2]]);
+        assert_eq!(slots_of(&dept, 0..4), vec![0, 1, 2, 3]);
+        assert_eq!(slots_of(&emp, 0..4), vec![2, 0, 2, NO_CODE]);
+        let buckets = key.buckets(&emp, 0..4);
+        let per_slot: Vec<&[u32]> = (0..4).map(|slot| buckets.get(slot)).collect();
+        assert_eq!(per_slot, vec![&[1][..], &[], &[0, 2], &[]]);
+        assert!(buckets.get(NO_CODE).is_empty());
     }
 
     #[test]

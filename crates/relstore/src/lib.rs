@@ -74,7 +74,7 @@ pub mod text;
 pub mod tupleset;
 pub mod value;
 
-pub use column::{ColumnData, ColumnStore};
+pub use column::ColumnStore;
 pub use database::{AppendBatch, Database, View};
 pub use dict::{CodeTuples, Dict, DictBuilder, Interner};
 pub use error::{Error, Result};

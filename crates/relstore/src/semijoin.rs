@@ -32,7 +32,7 @@
 
 use crate::database::{Database, View};
 use crate::dict::NO_CODE;
-use crate::join::{join_forest, Component, KeyMatch, Side};
+use crate::join::{join_forest, Component, KeyMatch};
 use crate::tupleset::TupleSet;
 use crate::ExecConfig;
 
@@ -156,17 +156,14 @@ fn apply_steps(db: &Database, view: &mut View, steps: &[Step<'_>], exec: &ExecCo
 /// The live rows of `step.target` whose key no live `step.source` row
 /// reaches, in ascending row order: the target rows that the edge's key
 /// match, built from the live source rows, gives no slot. This is the
-/// `Value`-key semijoin, as a code translation exists exactly when the
-/// value occurs in the target's dictionary.
+/// `Value`-key semijoin, as the two sides share one code per value.
 fn compute_drops(db: &Database, view: &View, step: &Step<'_>) -> Vec<usize> {
-    let key = KeyMatch::new(
-        db.columns(),
-        (step.source, step.source_cols),
-        (step.target, step.target_cols),
-        view.live(step.source).iter(),
-    );
+    let store = db.columns();
+    let source = store.dict_columns(step.source, step.source_cols);
+    let key = KeyMatch::new(&source, view.live(step.source).iter());
+    let target = store.dict_columns(step.target, step.target_cols);
     let mut to_drop = Vec::new();
-    key.each(Side::Child, view.live(step.target).iter(), |row, slot| {
+    key.each(&target, view.live(step.target).iter(), |row, slot| {
         if slot == NO_CODE {
             to_drop.push(row);
         }

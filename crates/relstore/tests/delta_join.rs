@@ -8,10 +8,10 @@
 //! exactly the projections of the tuples that are new.
 
 use exq_datagen::random::{random_tree_db, RandomDbConfig};
-use exq_relstore::join::{join_forest, TreeEdge};
+use exq_relstore::join::{join_forest, referenced_rows, TreeEdge};
 use exq_relstore::{
-    semijoin, AppendBatch, AttrRef, Database, ExecConfig, MetricsSink, SchemaBuilder, TupleSet,
-    Universal, Value, ValueType as T, View,
+    semijoin, AppendBatch, AttrRef, Database, Error, ExecConfig, MetricsSink, SchemaBuilder,
+    TupleSet, Universal, Value, ValueType as T, View,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -381,6 +381,190 @@ fn delta_join_matches_rebuild_over_a_composite_key() {
         let grown = check_epochs(&full, &epochs, 2, reduced_start, 7).unwrap();
         assert_eq!(grown, vec![vec![0, 1, 2], vec![1, 2]]);
     }
+}
+
+/// Keys meet across an edge exactly when their `Value`s are equal: over
+/// an `Any`-typed edge a parent `Int(2)` meets a child `Float(2.0)` and a
+/// child `Int(2)`, a parent NULL meets a child NULL, and a child key no
+/// parent holds dangles. The join, the semijoin, `referenced_rows` and
+/// append validation all agree with the nested-loop oracle's `==`.
+#[test]
+fn keys_meet_across_an_edge_as_values_are_equal() {
+    let schema = SchemaBuilder::new()
+        .relation("P", &[("k", T::Any)], &["k"])
+        .relation("C", &[("id", T::Int), ("k", T::Any)], &["id"])
+        .standard_fk("C", &["k"], "P")
+        .build()
+        .unwrap();
+    let load = |children: &[Value]| {
+        let mut db = Database::new(schema.clone());
+        for k in [Value::Int(2), Value::Null, Value::str("s")] {
+            db.insert("P", vec![k]).unwrap();
+        }
+        for (id, k) in children.iter().enumerate() {
+            db.insert("C", vec![(id as i64).into(), k.clone()]).unwrap();
+        }
+        db
+    };
+    let db = load(&[
+        Value::Float(2.0),
+        Value::Null,
+        Value::str("t"),
+        Value::Int(2),
+    ]);
+    let full = db.full_view();
+    let oracle = nested_loop_join(&db, &full.live);
+    assert_eq!(oracle, vec![vec![0, 0], vec![0, 3], vec![1, 1]]);
+    check_join(&db, &full, "full view").unwrap();
+
+    let mut projected: Vec<TupleSet> = (0..2)
+        .map(|rel| TupleSet::empty(db.relation_len(rel)))
+        .collect();
+    for t in &oracle {
+        for (rel, &row) in t.iter().enumerate() {
+            projected[rel].insert(row as usize);
+        }
+    }
+    assert_eq!(semijoin::reduce(&db, &full).live, projected);
+
+    for fk in db.schema().foreign_keys() {
+        let (from, to) = (db.relation(fk.from_rel), db.relation(fk.to_rel));
+        let expected: Vec<u32> = (0..from.len())
+            .map(|row| {
+                let key = from.project(row, &fk.from_cols);
+                (0..to.len())
+                    .find(|&r| to.project(r, &fk.to_cols) == key)
+                    .map_or(u32::MAX, |r| r as u32)
+            })
+            .collect();
+        assert_eq!(expected, vec![0, 1, u32::MAX, 0]);
+        assert_eq!(referenced_rows(&db, fk), expected);
+    }
+
+    // Appends onto a prefix whose foreign keys hold, with columns built.
+    let mut db = load(&[Value::Float(2.0)]);
+    db.validate().unwrap();
+    let _ = db.columns();
+    let child = |id: i64, k: Value| vec![("C".to_string(), vec![vec![id.into(), k]])];
+    let parent = |k: Value| ("P".to_string(), vec![vec![k]]);
+    db.append_batch(child(1, Value::Null)).unwrap();
+    db.append_batch(child(2, Value::Int(2))).unwrap();
+    assert!(matches!(
+        db.append_batch(child(3, Value::str("t"))),
+        Err(Error::DanglingForeignKey { .. })
+    ));
+    for k in [Value::Float(2.0), Value::Null] {
+        assert!(matches!(
+            db.append_batch(vec![parent(k)]),
+            Err(Error::DuplicateKey { .. })
+        ));
+    }
+    let mut batch = child(3, Value::str("t"));
+    batch.push(parent(Value::str("t")));
+    db.append_batch(batch).unwrap();
+    db.validate().unwrap();
+    check_join(&db, &db.full_view(), "after the appends").unwrap();
+    assert_eq!(
+        nested_loop_join(&db, &db.full_view().live),
+        vec![vec![0, 0], vec![0, 2], vec![1, 1], vec![3, 3]]
+    );
+}
+
+/// `C.x` is a foreign key into both `A` and `B`, so its key class has two
+/// tops. The join, the semijoin and the delta join still match the
+/// oracle and a rebuild at every epoch, and every column decodes to the
+/// rebuild's values; only the codes may be numbered differently, as
+/// `B`'s are here: `B` coded 3 before `A` held it.
+#[test]
+fn a_key_class_with_two_tops_appends_as_a_rebuild_does() {
+    let schema = SchemaBuilder::new()
+        .relation("A", &[("k", T::Int)], &["k"])
+        .relation("B", &[("k", T::Int)], &["k"])
+        .relation("C", &[("id", T::Int), ("x", T::Int)], &["id"])
+        .standard_fk("C", &["x"], "A")
+        .back_and_forth_fk("C", &["x"], "B")
+        .build()
+        .unwrap();
+    let mut full = Database::new(schema.clone());
+    for k in [1, 2, 3, 4] {
+        full.insert("A", vec![k.into()]).unwrap();
+    }
+    for k in [1, 3, 2, 4, 5] {
+        full.insert("B", vec![k.into()]).unwrap();
+    }
+    for (id, x) in [(1, 1), (2, 2), (3, 3), (4, 4)] {
+        full.insert("C", vec![id.into(), x.into()]).unwrap();
+    }
+    full.validate().unwrap();
+    let epochs = vec![vec![0, 1, 1, 2], vec![0, 0, 0, 2, 2], vec![0, 1, 2, 2]];
+    for reduced_start in [false, true] {
+        check_epochs(&full, &epochs, 2, reduced_start, 5).unwrap();
+    }
+
+    let rows_of = |rel: usize, epoch: usize| -> Vec<Vec<Value>> {
+        (0..full.relation_len(rel))
+            .filter(|&row| epochs[rel][row] == epoch)
+            .map(|row| full.relation(rel).row(row).to_vec())
+            .collect()
+    };
+    let rebuild = |db: &Database| {
+        let mut rebuilt = Database::new(schema.clone());
+        for rel in 0..3 {
+            for row in db.relation(rel).rows() {
+                rebuilt.insert_at(rel, row.to_vec()).unwrap();
+            }
+        }
+        rebuilt
+    };
+    let mut db = Database::new(schema.clone());
+    for rel in 0..3 {
+        for row in rows_of(rel, 0) {
+            db.insert_at(rel, row).unwrap();
+        }
+    }
+    let _ = db.columns();
+    for epoch in 1..=2 {
+        let batch: AppendBatch = (0..3)
+            .map(|rel| (schema.relation(rel).name.clone(), rows_of(rel, epoch)))
+            .filter(|(_, rows)| !rows.is_empty())
+            .collect();
+        db.append_batch(batch).unwrap();
+        let rebuilt = rebuild(&db);
+        let (view, rebuilt_view) = (db.full_view(), rebuilt.full_view());
+        assert_eq!(
+            tuples_of(&Universal::compute(&db, &view)),
+            tuples_of(&Universal::compute(&rebuilt, &rebuilt_view)),
+            "epoch {epoch}"
+        );
+        assert_eq!(
+            semijoin::reduce(&db, &view),
+            semijoin::reduce(&rebuilt, &rebuilt_view),
+            "epoch {epoch}"
+        );
+        for rel in 0..3 {
+            for col in 0..schema.relation(rel).arity() {
+                let attr = AttrRef { rel, col };
+                let decoded = |db: &Database| -> Vec<Value> {
+                    let (codes, dict) = db.columns().dict_column(attr);
+                    codes.iter().map(|&c| dict.value(c).clone()).collect()
+                };
+                assert_eq!(decoded(&db), decoded(&rebuilt), "epoch {epoch}: {attr:?}");
+            }
+        }
+    }
+    let b_codes = |db: &Database| {
+        db.columns()
+            .dict_column(AttrRef { rel: 1, col: 0 })
+            .0
+            .to_vec()
+    };
+    assert_eq!(b_codes(&db), vec![0, 1, 2, 3, 4]);
+    assert_eq!(b_codes(&rebuild(&db)), vec![0, 2, 1, 3, 4]);
+    // 5 is in `B` but not in `A`.
+    assert!(matches!(
+        db.append_batch(vec![("C".into(), vec![vec![9.into(), 5.into()]])]),
+        Err(Error::DanglingForeignKey { .. })
+    ));
 }
 
 /// Two join trees, `Dept <- Emp` and `Cat <- Item`, whose universal

@@ -1084,7 +1084,9 @@ fn join_and_semijoin_on_more_than_2_pow_20_distinct_keys_match_hash_index() {
 
     let store = db.columns();
     let (codes, dict) = store.dict_column(parent_id);
-    assert_eq!(dict.len(), PARENTS as usize);
+    // `Child.pid` shares `Parent.id`'s dictionary, which therefore also
+    // codes the 15 dangling keys k·257, k = 4081…4095.
+    assert_eq!(dict.len(), PARENTS as usize + 15);
     assert_eq!(codes.last(), Some(&(1 << 20)));
     assert_eq!(dict.value(1 << 20), &Value::Int(PARENTS - 1));
 
@@ -1258,5 +1260,138 @@ proptest! {
             prop_assert_eq!(dict.rank(code), dict2.rank(code));
         }
         prop_assert_eq!(dict.null_code(), dict2.null_code());
+    }
+
+    /// Key classes span relations: `Authored.aid` shares `Author.aid`'s
+    /// dictionary and `Authored.pid` shares `Pub.pid`'s. Batches grow the
+    /// parents, the child or both, and child rows reference old parent
+    /// keys that no child referenced before as well as keys new in the
+    /// same batch. `Authored` is declared first, so foreign-key order is
+    /// not schema order. Every epoch's codes are a prefix of the next
+    /// epoch's, the final store equals a cold `ColumnStore::build`
+    /// (codes, values, ranks, null code), and every foreign-key edge's
+    /// two columns share one dictionary in both.
+    #[test]
+    fn key_class_appends_are_prefix_stable_and_match_rebuild(
+        initial in (
+            1usize..8,
+            1usize..4,
+            proptest::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 0..10),
+        ),
+        batches in proptest::collection::vec(
+            (
+                0usize..4,
+                0usize..3,
+                proptest::collection::vec((any::<u8>(), any::<u8>(), any::<bool>()), 0..8),
+            ),
+            1..5,
+        ),
+    ) {
+        use std::cmp::Ordering;
+        let schema = SchemaBuilder::new()
+            .relation(
+                "Authored",
+                &[("id", T::Int), ("aid", T::Int), ("pid", T::Any)],
+                &["id"],
+            )
+            .relation("Author", &[("aid", T::Int), ("name", T::Str)], &["aid"])
+            .relation("Pub", &[("pid", T::Any), ("year", T::Int)], &["pid"])
+            .standard_fk("Authored", &["aid"], "Author")
+            .back_and_forth_fk("Authored", &["pid"], "Pub")
+            .build()
+            .unwrap();
+        // Pub keys mix NULL, strings and numbers, which a child may spell
+        // as a float.
+        let pub_key = |n: usize, as_float: bool| match n % 3 {
+            _ if n == 0 => Value::Null,
+            1 => Value::str(format!("p{n}")),
+            _ if as_float => Value::Float(n as f64),
+            _ => Value::Int(n as i64),
+        };
+        let pub_row = |n: usize| vec![pub_key(n, false), Value::Int(1990 + (n % 5) as i64)];
+        let author_row = |n: usize| {
+            let name = if n.is_multiple_of(2) { Value::Null } else { Value::str(format!("a{n}")) };
+            vec![Value::Int(n as i64 * 7), name]
+        };
+        let (mut pubs, mut authors, mut authored) = (0usize, 0usize, 0i64);
+        let mut grow = |(new_pubs, new_authors, refs): &(usize, usize, Vec<(u8, u8, bool)>)| {
+            let pub_rows: Vec<Vec<Value>> = (pubs..pubs + new_pubs).map(pub_row).collect();
+            let author_rows: Vec<Vec<Value>> =
+                (authors..authors + new_authors).map(author_row).collect();
+            pubs += new_pubs;
+            authors += new_authors;
+            let authored_rows: Vec<Vec<Value>> = refs
+                .iter()
+                .map(|&(a, p, as_float)| {
+                    authored += 1;
+                    vec![
+                        Value::Int(authored),
+                        Value::Int((a as usize % authors) as i64 * 7),
+                        pub_key(p as usize % pubs, as_float),
+                    ]
+                })
+                .collect();
+            [("Pub", pub_rows), ("Author", author_rows), ("Authored", authored_rows)]
+                .into_iter()
+                .filter(|(_, rows)| !rows.is_empty())
+                .map(|(rel, rows)| (rel.to_string(), rows))
+                .collect::<Vec<_>>()
+        };
+        let mut db = Database::new(schema);
+        for (rel, rows) in grow(&initial) {
+            for row in rows {
+                db.insert(&rel, row).unwrap();
+            }
+        }
+        db.validate().unwrap();
+        let attrs: Vec<AttrRef> = (0..3)
+            .flat_map(|rel| {
+                (0..db.schema().relation(rel).arity()).map(move |col| AttrRef { rel, col })
+            })
+            .collect();
+        let codes_of = |db: &Database| -> Vec<Vec<u32>> {
+            attrs.iter().map(|&a| db.columns().dict_column(a).0.to_vec()).collect()
+        };
+        let mut epochs = vec![codes_of(&db)];
+        for batch in &batches {
+            db.append_batch(grow(batch)).unwrap();
+            epochs.push(codes_of(&db));
+        }
+
+        for (epoch, w) in epochs.windows(2).enumerate() {
+            for (attr, (before, after)) in attrs.iter().zip(w[0].iter().zip(&w[1])) {
+                prop_assert_eq!(
+                    &after[..before.len()],
+                    &before[..],
+                    "epoch {} codes of {:?} rewritten by the following append",
+                    epoch,
+                    attr
+                );
+            }
+        }
+        let rebuilt = ColumnStore::build(&db);
+        for &attr in &attrs {
+            let (codes, dict) = db.columns().dict_column(attr);
+            let (codes2, dict2) = rebuilt.dict_column(attr);
+            prop_assert_eq!(codes, codes2, "codes of {:?}", attr);
+            prop_assert_eq!(dict.len(), dict2.len());
+            for code in 0..dict.len() as u32 {
+                prop_assert_eq!(dict.value(code).cmp(dict2.value(code)), Ordering::Equal);
+                prop_assert_eq!(dict.rank(code), dict2.rank(code));
+            }
+            prop_assert_eq!(dict.null_code(), dict2.null_code());
+        }
+        for store in [&**db.columns(), &rebuilt] {
+            for fk in db.schema().foreign_keys() {
+                for (&from, &to) in fk.from_cols.iter().zip(&fk.to_cols) {
+                    let dict_of =
+                        |rel, col| store.dict_column(AttrRef { rel, col }).1 as *const _;
+                    prop_assert!(std::ptr::eq(
+                        dict_of(fk.from_rel, from),
+                        dict_of(fk.to_rel, to)
+                    ));
+                }
+            }
+        }
     }
 }

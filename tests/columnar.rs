@@ -279,3 +279,57 @@ fn dictionary_codes_are_stable_across_thread_counts() {
         assert_eq!(codes_at(threads), baseline, "threads = {threads}");
     }
 }
+
+/// A foreign-key column and the key it references share one dictionary —
+/// their key class's — on DBLP, Geo-DBLP and random tree schemas.
+/// Natality has no foreign key, so each of its columns keeps a dictionary
+/// of its own.
+#[test]
+fn foreign_key_edges_share_one_dictionary() {
+    use exq::datagen::random::{random_tree_db, RandomDbConfig};
+    use exq_relstore::Dict;
+    let dict_of = |db: &Database, rel, col| -> *const Dict {
+        db.columns().dict_column(AttrRef { rel, col }).1
+    };
+    let mut dbs = vec![
+        dblp::generate(&dblp::DblpConfig::default()),
+        geodblp::generate(&geodblp::GeoDblpConfig {
+            papers: 1500,
+            seed: 11,
+        }),
+    ];
+    dbs.extend((0..32u64).filter_map(|seed| {
+        random_tree_db(&RandomDbConfig {
+            relations: 2 + (seed % 6) as usize,
+            rows_per_relation: 8,
+            key_domain: 6,
+            back_and_forth_probability: 0.5,
+            seed,
+        })
+    }));
+    let mut edges = 0;
+    for db in &dbs {
+        for fk in db.schema().foreign_keys() {
+            for (&from, &to) in fk.from_cols.iter().zip(&fk.to_cols) {
+                assert!(
+                    std::ptr::eq(dict_of(db, fk.from_rel, from), dict_of(db, fk.to_rel, to)),
+                    "{fk:?}"
+                );
+                edges += 1;
+            }
+        }
+    }
+    assert!(edges > 40, "only {edges} foreign-key column pairs checked");
+
+    let db = natality::generate(&natality::NatalityConfig {
+        rows: 2_000,
+        seed: 7,
+    });
+    assert!(db.schema().foreign_keys().is_empty());
+    let dicts: Vec<*const Dict> = (0..db.schema().relation(0).arity())
+        .map(|col| dict_of(&db, 0, col))
+        .collect();
+    for (i, a) in dicts.iter().enumerate() {
+        assert!(dicts[..i].iter().all(|b| !std::ptr::eq(*a, *b)));
+    }
+}
