@@ -753,13 +753,16 @@ fn hybrid_table() {
     // where the backward cascade deletes extra tuples.
     let db = paper_examples::figure3();
     let engine = InterventionEngine::new(&db);
-    let u = engine.universal();
     let venue = db.schema().attr("Publication", "venue").unwrap();
     let name = db.schema().attr("Author", "name").unwrap();
     let question = UserQuestion::new(
         NumericalQuery::single(AggregateQuery::count_star(Predicate::eq(venue, "SIGMOD"))),
         Direction::High,
     );
+    let totals = question
+        .query
+        .aggregate_values(&db, engine.universal())
+        .unwrap();
     println!("Q = COUNT(*) of SIGMOD universal tuples (NOT additive), dir = high");
     println!(
         "{:<22} {:>10} {:>10} {:>10}",
@@ -767,15 +770,14 @@ fn hybrid_table() {
     );
     for n in ["JG", "RR", "CM"] {
         let phi = Explanation::new(vec![Atom::eq(name, n)]);
-        let (mu_i, _) = exq_core::degree::mu_interv(&engine, &question, &phi).unwrap();
-        let mu_h = exq_core::hybrid::mu_hybrid(&db, u, &question, &phi).unwrap();
-        let mu_a = exq_core::degree::mu_aggr(&db, u, &question, &phi).unwrap();
+        let d = exq_core::degree::evaluate(&engine, &question, &phi.conjunction().to_predicate())
+            .unwrap();
         println!(
             "{:<22} {:>10.3} {:>10.3} {:>10.3}",
             format!("[name = {n}]"),
-            mu_i,
-            mu_h,
-            mu_a
+            d.mu_interv,
+            exq_core::hybrid::mu_hybrid(&question, &totals, &d.values),
+            d.mu_aggr
         );
     }
     println!("(hybrid ≤ interv for counts; equality iff no extra cascade fires)");

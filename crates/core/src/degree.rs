@@ -1,97 +1,78 @@
 //! Degrees of explanation (Definitions 2.4 and 2.7), computed directly
-//! (without the data cube).
+//! (without the data cube), all of them from one run of program **P**.
 //!
 //! * **Aggravation** `μ_aggr(φ) = ± Q(D_φ)`: restrict the database to the
 //!   tuples satisfying φ and re-evaluate `Q`. Because a candidate
 //!   explanation is a conjunction of per-relation atoms, `σ_φ(U(D))` is
 //!   itself the universal relation of `D_φ` (it equals the join of the
 //!   selected relations), so `q_j(D_φ) = q_j(σ_φ(U))` — the identity
-//!   Section 4.1 relies on.
+//!   Section 4.1 relies on. For rich predicates (ranges, disjunctions —
+//!   Section 6(ii)) it is the natural sub-population reading.
 //! * **Intervention** `μ_interv(φ) = ∓ Q(D − Δ^φ)`: run program **P** and
-//!   re-evaluate `Q` on the residual database.
+//!   re-evaluate `Q` on the residual database, whose universal relation
+//!   is the tuples of `U(D)` that keep all their rows.
 //!
 //! These direct evaluations are the ground truth the cube pipeline
 //! (`cube_algo`) is tested against, and the engine behind the naive
 //! baseline of Figure 12.
 
-use crate::explanation::Explanation;
+use crate::error::Result;
+use crate::explanation::matching;
 use crate::intervention::{Intervention, InterventionEngine};
 use crate::question::UserQuestion;
-use exq_relstore::aggregate::evaluate_many;
-use exq_relstore::{Database, Predicate, Result, Universal};
+use exq_relstore::Predicate;
 
-/// `μ_aggr(φ)` by direct evaluation over `σ_φ(U(D))`.
-pub fn mu_aggr(
-    db: &Database,
-    u: &Universal,
-    question: &UserQuestion,
-    phi: &Explanation,
-) -> Result<f64> {
-    mu_aggr_predicate(db, u, question, &phi.conjunction().to_predicate())
+/// One candidate's exact evaluation.
+#[derive(Debug, Clone)]
+pub struct Degrees {
+    /// The intervention `Δ^φ`.
+    pub intervention: Intervention,
+    /// `v_j = q_j(σ_φ(U(D)))`, one per sub-query.
+    pub values: Vec<f64>,
+    /// `μ_interv(φ)`, from `Q(D − Δ^φ)`.
+    pub mu_interv: f64,
+    /// `μ_aggr(φ) = ± E(v_1, …, v_m)`.
+    pub mu_aggr: f64,
 }
 
-/// `μ_aggr` for an arbitrary boolean predicate φ, evaluated over
-/// `σ_φ(U(D))`. For conjunctive φ this equals `Q(D_φ)` exactly (see the
-/// module docs); for rich predicates (ranges, disjunctions — Section
-/// 6(ii)) it is the natural sub-population reading of aggravation.
-pub fn mu_aggr_predicate(
-    db: &Database,
-    u: &Universal,
-    question: &UserQuestion,
-    phi: &Predicate,
-) -> Result<f64> {
-    Ok(aggr_values_predicate(db, u, question, phi)?.1)
-}
-
-/// The values `q_j(σ_φ(U(D)))` of every sub-query, folded in one pass
-/// over `U`, together with the `μ_aggr` combined from them.
-pub fn aggr_values_predicate(
-    db: &Database,
-    u: &Universal,
-    question: &UserQuestion,
-    phi: &Predicate,
-) -> Result<(Vec<f64>, f64)> {
-    let aggregates = &question.query.aggregates;
-    let selections: Vec<Predicate> = aggregates
-        .iter()
-        .map(|q| Predicate::and([phi.clone(), q.selection.clone()]))
-        .collect();
-    let pairs: Vec<_> = selections
-        .iter()
-        .zip(aggregates)
-        .map(|(sel, q)| (sel, &q.func))
-        .collect();
-    let values = evaluate_many(db, u, &pairs, false)?.values;
-    let mu = question.direction.aggr_sign() * question.query.combine(&values);
-    Ok((values, mu))
-}
-
-/// `μ_interv(φ)` by running program **P** and evaluating `Q(D − Δ^φ)`
-/// directly. Returns the degree together with the intervention (callers
-/// often want both).
-pub fn mu_interv(
+/// Evaluate φ exactly: program **P** over the engine's `U`, then `Q`
+/// folded over the tuples of `U` that survive `Δ^φ`, and the `v_j`
+/// folded over the tuples that satisfy φ. Both folds read `U` in its
+/// tuple order, so each value is bit-identical to joining `D − Δ^φ`
+/// (or `D_φ`) afresh and folding that. A failure of `Q(D − Δ^φ)` is
+/// reported before one of the `v_j`.
+pub fn evaluate(
     engine: &InterventionEngine<'_>,
     question: &UserQuestion,
-    phi: &Explanation,
-) -> Result<(f64, Intervention)> {
-    let iv = engine.compute(phi);
-    let degree = mu_interv_of(engine.db(), question, &iv)?;
-    Ok((degree, iv))
-}
-
-/// `μ_interv` for an already-computed intervention.
-pub fn mu_interv_of(db: &Database, question: &UserQuestion, iv: &Intervention) -> Result<f64> {
-    let residual = db.view_minus(&iv.delta);
-    let q = question.query.eval_view(db, &residual)?;
-    Ok(question.direction.interv_sign() * q)
+    phi: &Predicate,
+) -> Result<Degrees> {
+    let (db, u) = (engine.db(), engine.universal());
+    let matches = matching(db, u, phi);
+    let (intervention, survivors) = engine.run(&matches);
+    let residual = u.select(survivors.iter());
+    let q = question.query.eval_universal(db, &residual)?;
+    let on_phi = u.select(matches.iter().map(|&i| i as usize));
+    let values = question.query.aggregate_values(db, &on_phi)?;
+    Ok(Degrees {
+        mu_interv: question.direction.interv_sign() * q,
+        mu_aggr: question.direction.aggr_sign() * question.query.combine(&values),
+        values,
+        intervention,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explanation::Explanation;
     use crate::question::{AggregateQuery, Direction, NumericalQuery};
     use exq_relstore::aggregate::AggFunc;
-    use exq_relstore::{Atom, SchemaBuilder, ValueType as T};
+    use exq_relstore::{Atom, Database, SchemaBuilder, ValueType as T};
+
+    fn degrees(db: &Database, question: &UserQuestion, phi: &Explanation) -> Degrees {
+        let engine = InterventionEngine::new(db);
+        evaluate(&engine, question, &phi.conjunction().to_predicate()).unwrap()
+    }
 
     fn figure3_db() -> Database {
         let schema = SchemaBuilder::new()
@@ -166,7 +147,6 @@ mod tests {
     #[test]
     fn aggravation_of_author_explanation() {
         let db = figure3_db();
-        let u = Universal::compute(&db, &db.full_view());
         let question = UserQuestion::new(sigmod_count(&db), Direction::High);
         // φ = [Author.name = RR]: restricting to RR keeps P1 and P3, both
         // SIGMOD → Q(D_φ) = 2; sign is + for dir = high.
@@ -174,20 +154,19 @@ mod tests {
             db.schema().attr("Author", "name").unwrap(),
             "RR",
         )]);
-        assert_eq!(mu_aggr(&db, &u, &question, &phi).unwrap(), 2.0);
+        assert_eq!(degrees(&db, &question, &phi).mu_aggr, 2.0);
 
         // φ = [Author.name = JG]: JG's pubs are P1 (SIGMOD) and P2 (VLDB).
         let phi = Explanation::new(vec![Atom::eq(
             db.schema().attr("Author", "name").unwrap(),
             "JG",
         )]);
-        assert_eq!(mu_aggr(&db, &u, &question, &phi).unwrap(), 1.0);
+        assert_eq!(degrees(&db, &question, &phi).mu_aggr, 1.0);
     }
 
     #[test]
     fn aggravation_sign_flips_with_direction() {
         let db = figure3_db();
-        let u = Universal::compute(&db, &db.full_view());
         let phi = Explanation::new(vec![Atom::eq(
             db.schema().attr("Author", "name").unwrap(),
             "RR",
@@ -195,15 +174,14 @@ mod tests {
         let high = UserQuestion::new(sigmod_count(&db), Direction::High);
         let low = UserQuestion::new(sigmod_count(&db), Direction::Low);
         assert_eq!(
-            mu_aggr(&db, &u, &high, &phi).unwrap(),
-            -mu_aggr(&db, &u, &low, &phi).unwrap()
+            degrees(&db, &high, &phi).mu_aggr,
+            -degrees(&db, &low, &phi).mu_aggr
         );
     }
 
     #[test]
     fn intervention_degree_on_running_example() {
         let db = figure3_db();
-        let engine = InterventionEngine::new(&db);
         let question = UserQuestion::new(sigmod_count(&db), Direction::High);
         // φ = [name = RR]: deleting RR deletes his rows s2, s5, which
         // backward-cascade to P1 and P3 — both SIGMOD pubs vanish.
@@ -212,7 +190,11 @@ mod tests {
             db.schema().attr("Author", "name").unwrap(),
             "RR",
         )]);
-        let (mu, iv) = mu_interv(&engine, &question, &phi).unwrap();
+        let Degrees {
+            mu_interv: mu,
+            intervention: iv,
+            ..
+        } = degrees(&db, &question, &phi);
         assert_eq!(mu, 0.0);
         assert!(!iv.is_empty());
 
@@ -222,7 +204,7 @@ mod tests {
             db.schema().attr("Author", "name").unwrap(),
             "JG",
         )]);
-        let (mu, _) = mu_interv(&engine, &question, &phi).unwrap();
+        let mu = degrees(&db, &question, &phi).mu_interv;
         assert_eq!(mu, -1.0);
     }
 
@@ -231,31 +213,29 @@ mod tests {
         // For (Q = #SIGMOD pubs, high), removing RR flattens Q more than
         // removing JG, so μ(RR) > μ(JG).
         let db = figure3_db();
-        let engine = InterventionEngine::new(&db);
         let question = UserQuestion::new(sigmod_count(&db), Direction::High);
         let name = db.schema().attr("Author", "name").unwrap();
-        let (mu_rr, _) = mu_interv(
-            &engine,
+        let mu_rr = degrees(
+            &db,
             &question,
             &Explanation::new(vec![Atom::eq(name, "RR")]),
         )
-        .unwrap();
-        let (mu_jg, _) = mu_interv(
-            &engine,
+        .mu_interv;
+        let mu_jg = degrees(
+            &db,
             &question,
             &Explanation::new(vec![Atom::eq(name, "JG")]),
         )
-        .unwrap();
+        .mu_interv;
         assert!(mu_rr > mu_jg);
     }
 
     #[test]
     fn trivial_explanation_aggravates_to_original_value() {
         let db = figure3_db();
-        let u = Universal::compute(&db, &db.full_view());
         let question = UserQuestion::new(sigmod_count(&db), Direction::High);
         let q_d = question.query.eval(&db).unwrap();
-        let mu = mu_aggr(&db, &u, &question, &Explanation::trivial()).unwrap();
+        let mu = degrees(&db, &question, &Explanation::trivial()).mu_aggr;
         assert_eq!(mu, q_d);
     }
 }

@@ -297,15 +297,12 @@ impl<'a> Explainer<'a> {
                 self.line_1()?,
             )?
         } else {
-            // The engine stays sequential: the naive table parallelizes
-            // across candidates, and each candidate owns its fixpoint run.
-            // It still carries the metrics sink, so fixpoint counters from
+            // The naive table parallelizes across candidates, and each
+            // candidate owns its fixpoint run. Fixpoint counters from
             // worker threads land in the shared registry (integer adds
             // commute — totals stay deterministic).
-            let engine = InterventionEngine::with_universal(self.db, Arc::clone(u))
-                .with_exec(ExecConfig::sequential().with_metrics(self.exec.metrics().clone()));
+            let engine = self.intervention_engine();
             naive::explanation_table_naive_folded(
-                self.db,
                 &engine,
                 &self.question,
                 &self.dims,
@@ -331,18 +328,39 @@ impl<'a> Explainer<'a> {
         ))
     }
 
+    /// Program **P** over the explainer's `U`, recording into its sink.
+    fn intervention_engine(&self) -> InterventionEngine<'a> {
+        InterventionEngine::with_universal(self.db, Arc::clone(self.universal()))
+            .with_metrics(self.exec.metrics().clone())
+    }
+
     /// Rank *rich* candidates (ranges, disjunctions — Section 6(ii))
-    /// exactly, alongside the cube-based equality pipeline. Rich
-    /// candidates never go through the cube: each is evaluated by program
-    /// **P** directly, so this is linear in the candidate count.
+    /// exactly, alongside the cube-based equality pipeline, sorted by
+    /// `μ_interv` descending (ties: by `μ_aggr`). Rich candidates never go
+    /// through the cube: each is evaluated by program **P** directly, so
+    /// this is linear in the candidate count.
     pub fn rich_top(
         &self,
         candidates: Vec<crate::rich::RichExplanation>,
         k: usize,
     ) -> Result<Vec<crate::rich::RankedRich>> {
-        let engine = InterventionEngine::with_universal(self.db, Arc::clone(self.universal()))
-            .with_exec(self.exec.clone());
-        let mut ranked = crate::rich::evaluate_candidates(&engine, &self.question, candidates)?;
+        let engine = self.intervention_engine();
+        let mut ranked = candidates
+            .into_iter()
+            .map(|explanation| {
+                let d = degree::evaluate(&engine, &self.question, &explanation.to_predicate())?;
+                Ok(crate::rich::RankedRich {
+                    explanation,
+                    mu_interv: d.mu_interv,
+                    mu_aggr: d.mu_aggr,
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        ranked.sort_by(|a, b| {
+            b.mu_interv
+                .total_cmp(&a.mu_interv)
+                .then(b.mu_aggr.total_cmp(&a.mu_aggr))
+        });
         ranked.truncate(k);
         Ok(ranked)
     }
@@ -360,19 +378,16 @@ impl<'a> Explainer<'a> {
     }
 
     /// Exact drill-down for one explanation: all three degrees plus the
-    /// intervention itself.
+    /// intervention itself, from one run of program **P** and, for the
+    /// hybrid degree, line 1's totals.
     pub fn explain(&self, phi: &Explanation) -> Result<DegreeReport> {
-        let u = self.universal();
-        let engine =
-            InterventionEngine::with_universal(self.db, Arc::clone(u)).with_exec(self.exec.clone());
-        let (mu_interv, intervention) = degree::mu_interv(&engine, &self.question, phi)?;
-        let mu_aggr = degree::mu_aggr(self.db, u, &self.question, phi)?;
-        let mu_hybrid = hybrid::mu_hybrid(self.db, u, &self.question, phi)?;
+        let engine = self.intervention_engine();
+        let d = degree::evaluate(&engine, &self.question, &phi.conjunction().to_predicate())?;
         Ok(DegreeReport {
-            mu_interv,
-            mu_aggr,
-            mu_hybrid,
-            intervention,
+            mu_interv: d.mu_interv,
+            mu_aggr: d.mu_aggr,
+            mu_hybrid: hybrid::mu_hybrid(&self.question, &self.line_1()?.values, &d.values),
+            intervention: d.intervention,
         })
     }
 }

@@ -5,9 +5,10 @@
 //! atoms over a chosen attribute set `A'`, in which case an explanation is
 //! exactly a cube *coordinate*: one optional value per attribute of `A'`.
 
+use exq_relstore::aggregate::{evaluate_many, AggFunc};
 use exq_relstore::cube::Coord;
 use exq_relstore::lookup::LookupSet;
-use exq_relstore::{Atom, AttrRef, CmpOp, Conjunction, Database, Universal, Value};
+use exq_relstore::{Atom, AttrRef, CmpOp, Conjunction, Database, Predicate, Universal, Value};
 use std::fmt;
 
 /// A candidate explanation.
@@ -51,8 +52,8 @@ impl Explanation {
     /// atoms (arbitrarily nested `And`s are flattened). Returns `None`
     /// for predicates containing `Or`/`Not`/`False` — those are *rich*
     /// explanations (see [`crate::rich`]), not Definition 2.3 candidates.
-    pub fn from_predicate(pred: &exq_relstore::Predicate) -> Option<Explanation> {
-        use exq_relstore::Predicate as P;
+    pub fn from_predicate(pred: &Predicate) -> Option<Explanation> {
+        use Predicate as P;
         fn collect(p: &P, out: &mut Vec<Atom>) -> bool {
             match p {
                 P::True => true,
@@ -167,15 +168,13 @@ pub fn enumerate_candidates(
     db: &Database,
     u: &Universal,
     dims: &[AttrRef],
-    filter: &exq_relstore::Predicate,
+    filter: &Predicate,
 ) -> Vec<Explanation> {
     let d = dims.len();
     let mut uniq: LookupSet<Coord> = LookupSet::new();
     let mut base: Vec<Value> = Vec::with_capacity(d);
-    for t in u.iter() {
-        if !filter.eval(db, t) {
-            continue;
-        }
+    for i in matching(db, u, filter) {
+        let t = u.tuple(i as usize);
         base.clear();
         base.extend(dims.iter().map(|&a| db.value(a, t[a.rel] as usize).clone()));
         // All non-empty subsets of the dimensions.
@@ -200,10 +199,18 @@ pub fn enumerate_candidates(
         .collect()
 }
 
+/// The positions in `u` of the tuples that satisfy `p`, ascending,
+/// decided from per-relation atom words ([`evaluate_many`]).
+pub(crate) fn matching(db: &Database, u: &Universal, p: &Predicate) -> Vec<u32> {
+    let folded = evaluate_many(db, u, &[(p, &AggFunc::CountStar)], true)
+        .expect("COUNT(*) folds every tuple");
+    folded.positions.into_iter().next().unwrap_or_default()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exq_relstore::{Predicate, SchemaBuilder, ValueType as T};
+    use exq_relstore::{SchemaBuilder, ValueType as T};
 
     fn db() -> Database {
         let schema = SchemaBuilder::new()

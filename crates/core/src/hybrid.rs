@@ -30,49 +30,39 @@
 //!   [`crate::cube_algo`] produces under
 //!   [`CubeAlgoConfig::unchecked`](crate::cube_algo::CubeAlgoConfig)).
 
-use crate::error::Result;
-use crate::explanation::Explanation;
 use crate::question::UserQuestion;
-use exq_relstore::aggregate::evaluate;
-use exq_relstore::{Database, Predicate, Universal};
 
-/// `μ_hybrid(φ)` by direct evaluation (the cube pipeline computes the
-/// same quantity for all candidates at once).
-pub fn mu_hybrid(
-    db: &Database,
-    u: &Universal,
-    question: &UserQuestion,
-    phi: &Explanation,
-) -> Result<f64> {
-    mu_hybrid_predicate(db, u, question, &phi.conjunction().to_predicate())
-}
-
-/// [`mu_hybrid`] for an arbitrary boolean predicate.
-pub fn mu_hybrid_predicate(
-    db: &Database,
-    u: &Universal,
-    question: &UserQuestion,
-    phi: &Predicate,
-) -> Result<f64> {
-    let mut residual_vals = Vec::with_capacity(question.query.arity());
-    for q in &question.query.aggregates {
-        let total = evaluate(db, u, &q.selection, &q.func)?;
-        let sel = Predicate::and([phi.clone(), q.selection.clone()]);
-        let direct = evaluate(db, u, &sel, &q.func)?;
-        residual_vals.push(total - direct);
-    }
-    Ok(question.direction.interv_sign() * question.query.combine(&residual_vals))
+/// `μ_hybrid(φ)` from `Q`'s totals `u_j` (line 1 of Algorithm 1) and φ's
+/// values `v_j` ([`crate::degree::Degrees::values`]); the cube pipeline
+/// computes the same quantity for all candidates at once.
+pub fn mu_hybrid(question: &UserQuestion, totals: &[f64], values: &[f64]) -> f64 {
+    question.direction.interv_sign() * question.query.combine_by(|j| totals[j] - values[j])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cube_algo::{explanation_table, CubeAlgoConfig};
-    use crate::degree::mu_interv;
+    use crate::degree::evaluate;
+    use crate::explanation::Explanation;
     use crate::intervention::InterventionEngine;
     use crate::question::{AggregateQuery, Direction, NumericalQuery};
     use exq_relstore::aggregate::AggFunc;
-    use exq_relstore::{Atom, SchemaBuilder, ValueType as T};
+    use exq_relstore::{Atom, Database, Predicate, SchemaBuilder, ValueType as T};
+
+    /// `(μ_hybrid, μ_interv)` of φ, with the totals folded over `U`.
+    fn hybrid_and_interv(
+        engine: &InterventionEngine<'_>,
+        question: &UserQuestion,
+        phi: &Explanation,
+    ) -> (f64, f64) {
+        let totals = question
+            .query
+            .aggregate_values(engine.db(), engine.universal())
+            .unwrap();
+        let d = evaluate(engine, question, &phi.conjunction().to_predicate()).unwrap();
+        (mu_hybrid(question, &totals, &d.values), d.mu_interv)
+    }
 
     /// Figure 3 with the back-and-forth key (COUNT(*) not additive).
     fn figure3_db() -> Database {
@@ -140,7 +130,6 @@ mod tests {
         // COUNT(DISTINCT pubid) is additive on this schema.
         let db = figure3_db();
         let engine = InterventionEngine::new(&db);
-        let u = engine.universal();
         let venue = db.schema().attr("Publication", "venue").unwrap();
         let pubid = db.schema().attr("Publication", "pubid").unwrap();
         let question = UserQuestion::new(
@@ -155,8 +144,7 @@ mod tests {
                 db.schema().attr("Author", "name").unwrap(),
                 name,
             )]);
-            let h = mu_hybrid(&db, u, &question, &phi).unwrap();
-            let (i, _) = mu_interv(&engine, &question, &phi).unwrap();
+            let (h, i) = hybrid_and_interv(&engine, &question, &phi);
             assert_eq!(h, i, "hybrid ≠ interv for {name}");
         }
     }
@@ -168,7 +156,6 @@ mod tests {
         // dir = high (sign −1) μ_hybrid ≤ μ_interv.
         let db = figure3_db();
         let engine = InterventionEngine::new(&db);
-        let u = engine.universal();
         let venue = db.schema().attr("Publication", "venue").unwrap();
         let question = UserQuestion::new(
             NumericalQuery::single(AggregateQuery::count_star(Predicate::eq(venue, "SIGMOD"))),
@@ -180,8 +167,7 @@ mod tests {
                 db.schema().attr("Author", "name").unwrap(),
                 name,
             )]);
-            let h = mu_hybrid(&db, u, &question, &phi).unwrap();
-            let (i, _) = mu_interv(&engine, &question, &phi).unwrap();
+            let (h, i) = hybrid_and_interv(&engine, &question, &phi);
             assert!(h <= i + 1e-12, "count bound violated for {name}: {h} > {i}");
             diverged |= (h - i).abs() > 1e-12;
         }
@@ -194,17 +180,18 @@ mod tests {
     #[test]
     fn hybrid_is_the_unchecked_cube_column() {
         let db = figure3_db();
-        let u = Universal::compute(&db, &db.full_view());
+        let engine = InterventionEngine::new(&db);
+        let u = engine.universal();
         let venue = db.schema().attr("Publication", "venue").unwrap();
         let question = UserQuestion::new(
             NumericalQuery::single(AggregateQuery::count_star(Predicate::eq(venue, "SIGMOD"))),
             Direction::High,
         );
         let dims = vec![db.schema().attr("Author", "name").unwrap()];
-        let m = explanation_table(&db, &u, &question, &dims, CubeAlgoConfig::unchecked()).unwrap();
+        let m = explanation_table(&db, u, &question, &dims, CubeAlgoConfig::unchecked()).unwrap();
         for row in &m.rows {
             let phi = m.explanation(row);
-            let h = mu_hybrid(&db, &u, &question, &phi).unwrap();
+            let (h, _) = hybrid_and_interv(&engine, &question, &phi);
             assert!(
                 (row.mu_interv - h).abs() < 1e-12,
                 "cube row {:?}",

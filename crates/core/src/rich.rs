@@ -15,13 +15,11 @@
 //! space*: the data cube no longer enumerates the candidates, so rich
 //! candidates are generated explicitly ([`range_candidates`],
 //! [`one_of_candidates`]) and evaluated with the exact per-candidate
-//! engine — the paper's "naive iterative algorithm", whose optimization
-//! the authors leave as future work.
+//! engine ([`crate::degree::evaluate`], ranked by
+//! [`crate::explainer::Explainer::rich_top`]) — the paper's "naive
+//! iterative algorithm", whose optimization the authors leave as future
+//! work.
 
-use crate::degree::{mu_aggr_predicate, mu_interv_of};
-use crate::error::Result;
-use crate::intervention::InterventionEngine;
-use crate::question::UserQuestion;
 use exq_relstore::{AttrRef, CmpOp, Database, Predicate, Universal, Value, ValueType};
 use std::fmt;
 
@@ -201,38 +199,11 @@ pub struct RankedRich {
     pub mu_aggr: f64,
 }
 
-/// Evaluate a candidate list exactly and return it sorted by `μ_interv`
-/// descending (ties: by `μ_aggr`).
-pub fn evaluate_candidates(
-    engine: &InterventionEngine<'_>,
-    question: &UserQuestion,
-    candidates: Vec<RichExplanation>,
-) -> Result<Vec<RankedRich>> {
-    let db = engine.db();
-    let mut out = Vec::with_capacity(candidates.len());
-    for explanation in candidates {
-        let pred = explanation.to_predicate();
-        let iv = engine.compute_predicate(&pred);
-        let mu_interv = mu_interv_of(db, question, &iv)?;
-        let mu_aggr = mu_aggr_predicate(db, engine.universal(), question, &pred)?;
-        out.push(RankedRich {
-            explanation,
-            mu_interv,
-            mu_aggr,
-        });
-    }
-    out.sort_by(|a, b| {
-        b.mu_interv
-            .total_cmp(&a.mu_interv)
-            .then(b.mu_aggr.total_cmp(&a.mu_aggr))
-    });
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::question::{AggregateQuery, Direction, NumericalQuery};
+    use crate::explainer::Explainer;
+    use crate::question::{AggregateQuery, Direction, NumericalQuery, UserQuestion};
     use exq_relstore::{SchemaBuilder, ValueType as T};
 
     fn db() -> Database {
@@ -372,9 +343,10 @@ mod tests {
             .with_smoothing(1e-4),
             Direction::Low,
         );
-        let engine = InterventionEngine::new(&db);
-        let u = engine.universal().clone();
-        let ranked = evaluate_candidates(&engine, &q, range_candidates(&db, &u, year, 2)).unwrap();
+        let u = Universal::compute(&db, &db.full_view());
+        let ranked = Explainer::new(&db, q)
+            .rich_top(range_candidates(&db, &u, year, 2), usize::MAX)
+            .unwrap();
         let best = &ranked[0].explanation;
         assert_eq!(
             best.parts,
@@ -393,12 +365,11 @@ mod tests {
         let db = db();
         let year = db.schema().attr("R", "year").unwrap();
         let q = question(&db);
-        let engine = InterventionEngine::new(&db);
         let phi = RichExplanation::new(vec![RichPart::OneOf {
             attr: year,
             values: vec![1992.into(), 1993.into()],
         }]);
-        let ranked = evaluate_candidates(&engine, &q, vec![phi]).unwrap();
+        let ranked = Explainer::new(&db, q).rich_top(vec![phi], 1).unwrap();
         // Removing both bad years leaves 4 y, 0 n: μ_interv(high) =
         // -(4+ε)/ε — a huge negative value (this explanation makes the
         // HIGH ratio even higher when removed, so it ranks terribly).
@@ -435,7 +406,7 @@ mod tests {
     fn rich_interventions_are_valid() {
         let db = db();
         let year = db.schema().attr("R", "year").unwrap();
-        let engine = InterventionEngine::new(&db);
+        let engine = crate::intervention::InterventionEngine::new(&db);
         let phi = RichExplanation::new(vec![RichPart::Range {
             attr: year,
             lo: 1991.into(),

@@ -49,12 +49,7 @@ pub fn reduce_with(db: &Database, view: &View, exec: &ExecConfig) -> View {
     out
 }
 
-/// In-place variant of [`reduce`], reusing the caller's live sets.
-pub fn reduce_in_place(db: &Database, view: &mut View) {
-    reduce_in_place_with(db, view, &ExecConfig::sequential())
-}
-
-/// In-place variant of [`reduce_with`].
+/// In-place variant of [`reduce_with`], reusing the caller's live sets.
 pub fn reduce_in_place_with(db: &Database, view: &mut View, exec: &ExecConfig) {
     let sink = exec.metrics();
     let _span = sink.span("semijoin");
@@ -261,7 +256,7 @@ mod tests {
         let mut view = db.full_view();
         view.live[1].remove(0);
         let pure = reduce(&db, &view);
-        reduce_in_place(&db, &mut view);
+        reduce_in_place_with(&db, &mut view, &ExecConfig::sequential());
         assert_eq!(view, pure);
     }
 

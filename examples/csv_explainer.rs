@@ -11,7 +11,6 @@
 
 use exq::prelude::*;
 use exq_core::explainer::Explainer;
-use exq_core::intervention::InterventionEngine;
 use exq_core::rich::{self, RichExplanation, RichPart};
 use exq_relstore::csv;
 
@@ -100,9 +99,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 5. Rich explanations: which *week range* explains the decline?
-    let engine = InterventionEngine::new(&db);
-    let candidates = rich::range_candidates(&db, engine.universal(), week, 2);
-    let ranked = rich::evaluate_candidates(&engine, &question, candidates)?;
+    let u = Universal::compute(&db, &db.full_view());
+    let candidates = rich::range_candidates(&db, &u, week, 2);
+    let ranked = explainer.rich_top(candidates, 3)?;
     println!("\nbest week-range explanations (exact, per-candidate evaluation):");
     for r in ranked.iter().take(3) {
         println!(
@@ -118,7 +117,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         attr: channel,
         values: vec!["store".into(), "web".into()],
     }]);
-    let ranked = rich::evaluate_candidates(&engine, &question, vec![disj])?;
+    let ranked = explainer.rich_top(vec![disj], 1)?;
     println!(
         "\ndisjunction over both channels (removes everything): μ_interv = {:.3}",
         ranked[0].mu_interv

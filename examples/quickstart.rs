@@ -7,7 +7,7 @@
 //! Run with `cargo run --example quickstart`.
 
 use exq::prelude::*;
-use exq_core::{cube_algo, degree, naive, topk};
+use exq_core::{cube_algo, degree, topk};
 use exq_relstore::aggregate::AggFunc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -47,8 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("  Δ_{name} = {rows:?}");
     }
     println!("  fixpoint reached in {} iterations", iv.iterations);
-    let (mu_i, mu_a) = naive::degrees_of(&db, &engine, &question, &phi)?;
-    println!("  μ_interv = {mu_i}, μ_aggr = {mu_a}");
+    let d = degree::evaluate(&engine, &question, &phi.conjunction().to_predicate())?;
+    println!("  μ_interv = {}, μ_aggr = {}", d.mu_interv, d.mu_aggr);
 
     // All explanations over A' = {Author.name, Publication.year} via
     // Algorithm 1 (COUNT(DISTINCT pubid) is intervention-additive here),
@@ -98,7 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let phi = Explanation::new(vec![Atom::eq(db.schema().attr("Author", "name")?, "RR")]);
     println!(
         "\nμ_aggr([Author.name = RR]) = {}",
-        degree::mu_aggr(&db, &u, &question, &phi)?
+        degree::evaluate(&engine, &question, &phi.conjunction().to_predicate())?.mu_aggr
     );
     Ok(())
 }

@@ -50,10 +50,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = db.schema().attr("Author", "name")?;
     for n in ["JG", "RR", "CM"] {
         let phi = Explanation::new(vec![Atom::eq(name, n)]);
-        let (mu, iv) = degree::mu_interv(&engine, &question, &phi)?;
+        let d = degree::evaluate(&engine, &question, &phi.conjunction().to_predicate())?;
         println!(
-            "  [name = {n}]  μ = {mu:+.1}  ({} tuples deleted)",
-            iv.total_deleted()
+            "  [name = {n}]  μ = {:+.1}  ({} tuples deleted)",
+            d.mu_interv,
+            d.intervention.total_deleted()
         );
     }
 

@@ -91,7 +91,6 @@ fn hybrid_and_interv_differ_exactly_where_additivity_fails() {
     // everywhere.
     let db = paper_examples::figure3();
     let engine = InterventionEngine::new(&db);
-    let u = engine.universal();
     let venue = db.schema().attr("Publication", "venue").unwrap();
     let pubid = db.schema().attr("Publication", "pubid").unwrap();
     let name = db.schema().attr("Author", "name").unwrap();
@@ -108,15 +107,23 @@ fn hybrid_and_interv_differ_exactly_where_additivity_fails() {
         Direction::High,
     );
 
+    // (μ_interv, μ_hybrid) of φ, with the totals folded over U.
+    let degrees = |question: &UserQuestion, phi: &Explanation| {
+        let totals = question
+            .query
+            .aggregate_values(&db, engine.universal())
+            .unwrap();
+        let pred = phi.conjunction().to_predicate();
+        let d = exq_core::degree::evaluate(&engine, question, &pred).unwrap();
+        (d.mu_interv, hybrid::mu_hybrid(question, &totals, &d.values))
+    };
     let mut star_diverged = false;
     for n in ["JG", "RR", "CM"] {
         let phi = Explanation::new(vec![Atom::eq(name, n)]);
-        let (i_star, _) = exq_core::degree::mu_interv(&engine, &star, &phi).unwrap();
-        let h_star = hybrid::mu_hybrid(&db, u, &star, &phi).unwrap();
+        let (i_star, h_star) = degrees(&star, &phi);
         star_diverged |= (i_star - h_star).abs() > 1e-12;
 
-        let (i_d, _) = exq_core::degree::mu_interv(&engine, &distinct, &phi).unwrap();
-        let h_d = hybrid::mu_hybrid(&db, u, &distinct, &phi).unwrap();
+        let (i_d, h_d) = degrees(&distinct, &phi);
         assert_eq!(
             i_d, h_d,
             "additive query: hybrid must equal intervention for {n}"
@@ -208,7 +215,9 @@ fn rich_year_ranges_on_dblp() {
     );
     let engine = InterventionEngine::new(&db);
     let candidates = rich::range_candidates(&db, engine.universal(), year, 6);
-    let ranked = rich::evaluate_candidates(&engine, &question, candidates).unwrap();
+    let ranked = Explainer::new(&db, question)
+        .rich_top(candidates, usize::MAX)
+        .unwrap();
     // The best range must end by 2005 (the com-heavy era): removing it
     // drops the ratio the most.
     let best = &ranked[0].explanation;

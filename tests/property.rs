@@ -381,12 +381,10 @@ proptest! {
         );
         let engine = InterventionEngine::new(&db);
         let phi = dblp_phi(&db, selector, value);
-        let (hi_i, _) = exq_core::degree::mu_interv(&engine, &mk(Direction::High), &phi).unwrap();
-        let (lo_i, _) = exq_core::degree::mu_interv(&engine, &mk(Direction::Low), &phi).unwrap();
-        prop_assert_eq!(hi_i, -lo_i);
-        let u = engine.universal();
-        let hi_a = exq_core::degree::mu_aggr(&db, u, &mk(Direction::High), &phi).unwrap();
-        let lo_a = exq_core::degree::mu_aggr(&db, u, &mk(Direction::Low), &phi).unwrap();
-        prop_assert_eq!(hi_a, -lo_a);
+        let pred = phi.conjunction().to_predicate();
+        let hi = exq_core::degree::evaluate(&engine, &mk(Direction::High), &pred).unwrap();
+        let lo = exq_core::degree::evaluate(&engine, &mk(Direction::Low), &pred).unwrap();
+        prop_assert_eq!(hi.mu_interv, -lo.mu_interv);
+        prop_assert_eq!(hi.mu_aggr, -lo.mu_aggr);
     }
 }

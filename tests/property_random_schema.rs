@@ -8,7 +8,7 @@ use exq::datagen::random::{random_tree_db, RandomDbConfig};
 use exq::prelude::*;
 use exq_core::explanation::Explanation;
 use exq_core::intervention::{is_valid_intervention, InterventionEngine};
-use exq_relstore::semijoin;
+use exq_relstore::{semijoin, FkKind, TupleSet, ValueType};
 use proptest::prelude::*;
 
 /// A single-atom explanation over a random attribute/value of the
@@ -231,5 +231,231 @@ proptest! {
         for (c, single) in iv_conj.delta.iter().zip(&iv_a.delta) {
             prop_assert!(c.is_subset(single), "Δ^(φ∧ψ) ⊄ Δ^φ");
         }
+    }
+}
+
+/// A random forest schema and an unreduced instance: relation `i ≥ 1`
+/// hangs under a random earlier relation, or starts a component of its
+/// own one time in three, and each foreign key is back-and-forth with
+/// probability `bf_prob`. Every foreign key references an existing key,
+/// but rows that join nothing are kept.
+fn random_forest_db(seed: u64, relations: usize, bf_prob: f64) -> Database {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let parents: Vec<Option<usize>> = (0..relations)
+        .map(|i| (i > 0 && rng.random_range(0..3) > 0).then(|| rng.random_range(0..i)))
+        .collect();
+    let mut b = SchemaBuilder::new();
+    for (i, parent) in parents.iter().enumerate() {
+        let name = format!("R{i}");
+        b = match parent {
+            None => b.relation(
+                &name,
+                &[("id", ValueType::Int), ("data", ValueType::Str)],
+                &["id"],
+            ),
+            Some(_) => b.relation(
+                &name,
+                &[
+                    ("id", ValueType::Int),
+                    ("parent_id", ValueType::Int),
+                    ("data", ValueType::Str),
+                ],
+                &["id"],
+            ),
+        };
+    }
+    for (i, parent) in parents.iter().enumerate() {
+        if let Some(p) = parent {
+            let (name, parent) = (format!("R{i}"), format!("R{p}"));
+            b = if rng.random::<f64>() < bf_prob {
+                b.back_and_forth_fk(&name, &["parent_id"], &parent)
+            } else {
+                b.standard_fk(&name, &["parent_id"], &parent)
+            };
+        }
+    }
+    let mut db = Database::new(b.build().expect("a forest is acyclic"));
+    let keys: Vec<Vec<i64>> = (0..relations)
+        .map(|_| (0..6).filter(|_| rng.random::<f64>() < 0.8).collect())
+        .collect();
+    for (i, parent) in parents.iter().enumerate() {
+        for &key in &keys[i] {
+            let data = Value::str(format!("v{}", rng.random_range(0..3)));
+            let row = match parent {
+                None => vec![Value::Int(key), data],
+                Some(p) if keys[*p].is_empty() => continue,
+                Some(p) => {
+                    let parent_key = keys[*p][rng.random_range(0..keys[*p].len())];
+                    vec![Value::Int(key), Value::Int(parent_key), data]
+                }
+            };
+            db.insert(&format!("R{i}"), row).unwrap();
+        }
+    }
+    db.validate()
+        .expect("every foreign key references an existing key");
+    db
+}
+
+/// Program P as it ran with a semijoin per round: Rule (i) evaluates φ
+/// per tuple of `U(D)`, and every round's Rule (ii) fully reduces
+/// `D − Δ^ℓ`.
+struct ReferenceP {
+    seeds: Vec<TupleSet>,
+    delta: Vec<TupleSet>,
+    iterations: usize,
+    /// Whether Rule (iii) ever added a row the other rules did not.
+    cascaded: bool,
+}
+
+fn reference_p(db: &Database, phi: &Predicate) -> ReferenceP {
+    use exq_relstore::join::referenced_rows;
+    let u = Universal::compute(db, &db.full_view());
+    let mut kept = db.empty_delta();
+    for t in u.iter().filter(|t| !phi.eval(db, t)) {
+        for (rel, &row) in t.iter().enumerate() {
+            kept[rel].insert(row as usize);
+        }
+    }
+    let seeds: Vec<TupleSet> = kept.iter().map(TupleSet::complement).collect();
+    let bf_maps: Vec<_> = db
+        .schema()
+        .foreign_keys()
+        .iter()
+        .filter(|fk| fk.kind == FkKind::BackAndForth)
+        .map(|fk| (fk.from_rel, fk.to_rel, referenced_rows(db, fk)))
+        .collect();
+    let (mut delta, mut iterations, mut cascaded) = (db.empty_delta(), 0, false);
+    loop {
+        let mut next = delta.clone();
+        let mut changed = false;
+        for (n, s) in next.iter_mut().zip(&seeds) {
+            changed |= n.union_with(s);
+        }
+        for (from_rel, to_rel, map) in &bf_maps {
+            for row in delta[*from_rel].iter() {
+                if map[row] != u32::MAX && next[*to_rel].insert(map[row] as usize) {
+                    changed = true;
+                    cascaded = true;
+                }
+            }
+        }
+        let reduced = semijoin::reduce(db, &db.view_minus(&delta));
+        for (n, live) in next.iter_mut().zip(&reduced.live) {
+            changed |= n.union_with(&live.complement());
+        }
+        if !changed {
+            return ReferenceP {
+                seeds,
+                delta,
+                iterations,
+                cascaded,
+            };
+        }
+        delta = next;
+        iterations += 1;
+    }
+}
+
+/// Program P over the engine's `U` against the per-round-semijoin
+/// reference, on random forests that need not be reduced: the same seeds,
+/// Δ and iteration counts, a bit-identical μ_interv and v_j, and a valid
+/// intervention wherever Rule (i) guarantees one. The cases must include runs of three or more rounds,
+/// backward cascades, disconnected schemas and unreduced instances.
+#[test]
+fn program_p_matches_per_round_semijoin_reference() {
+    use exq_core::degree::evaluate;
+    use exq_core::intervention::is_valid_for_predicate;
+    use exq_relstore::aggregate::AggFunc;
+    use std::cell::Cell;
+    let (long_runs, cascades, forests, unreduced) =
+        (Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0));
+    let mut runner = TestRunner::new(ProptestConfig::with_cases(192));
+    let strategy = (
+        0u64..1_000_000,
+        1usize..6,
+        0.0f64..1.0,
+        any::<(usize, usize, usize)>(),
+        any::<(usize, usize, usize)>(),
+        0u8..3,
+    );
+    runner.run(&strategy, |(seed, relations, bf_prob, a, b, shape)| {
+        let db = random_forest_db(seed, relations, bf_prob);
+        let pick = |(rel, row, col): (usize, usize, usize)| {
+            let rel = rel % relations;
+            let attr = AttrRef {
+                rel,
+                col: col % db.schema().relation(rel).arity(),
+            };
+            let value = match db.relation_len(rel) {
+                0 => Value::Int(0),
+                n => db.value(attr, row % n).clone(),
+            };
+            Predicate::eq(attr, value)
+        };
+        let phi = match shape {
+            0 => pick(a),
+            1 => Predicate::and([pick(a), pick(b)]),
+            _ => Predicate::or([pick(a), pick(b)]),
+        };
+        let r0_data = db.schema().attr("R0", "data").unwrap();
+        let r0_id = db.schema().attr("R0", "id").unwrap();
+        let question = UserQuestion::new(
+            NumericalQuery::ratio(
+                AggregateQuery::count_star(Predicate::eq(r0_data, "v0")),
+                AggregateQuery {
+                    func: AggFunc::Sum(r0_id),
+                    selection: Predicate::True,
+                },
+            )
+            .with_smoothing(1e-4),
+            Direction::Low,
+        );
+
+        let reference = reference_p(&db, &phi);
+        let engine = InterventionEngine::new(&db);
+        prop_assert_eq!(&engine.seeds_predicate(&phi), &reference.seeds);
+        let d = evaluate(&engine, &question, &phi).unwrap();
+        let iv = &d.intervention;
+        prop_assert_eq!(&iv.seeds, &reference.seeds);
+        prop_assert_eq!(&iv.delta, &reference.delta);
+        prop_assert_eq!(iv.iterations, reference.iterations);
+        // A tuple that satisfies one atom holds a row all of whose tuples
+        // do, so single atoms and their disjunctions always seed it. Two
+        // atoms conjoined across sibling relations (or components) can be
+        // met by tuples none of whose rows is a seed, and Rule (i) then
+        // leaves them in U(D − Δ): there the reference is the oracle.
+        if shape != 1 {
+            prop_assert!(is_valid_for_predicate(&db, &phi, &iv.delta));
+        }
+
+        let residual = db.view_minus(&reference.delta);
+        let q = question.query.eval_view(&db, &residual).unwrap();
+        let mu_interv = question.direction.interv_sign() * q;
+        prop_assert_eq!(d.mu_interv.to_bits(), mu_interv.to_bits());
+        let u = engine.universal();
+        for (v, q) in d.values.iter().zip(&question.query.aggregates) {
+            let on_phi = Predicate::and([phi.clone(), q.selection.clone()]);
+            let expected = exq_relstore::aggregate::evaluate(&db, u, &on_phi, &q.func).unwrap();
+            prop_assert_eq!(v.to_bits(), expected.to_bits());
+        }
+
+        long_runs.set(long_runs.get() + usize::from(reference.iterations >= 3));
+        cascades.set(cascades.get() + usize::from(reference.cascaded));
+        let components = exq_relstore::join::join_forest(db.schema()).len();
+        forests.set(forests.get() + usize::from(components > 1));
+        let reduced = semijoin::is_reduced(&db, &db.full_view());
+        unreduced.set(unreduced.get() + usize::from(!reduced));
+        Ok(())
+    });
+    for (what, n) in [
+        ("three or more rounds", long_runs.get()),
+        ("a backward cascade", cascades.get()),
+        ("a disconnected schema", forests.get()),
+        ("an unreduced instance", unreduced.get()),
+    ] {
+        assert!(n >= 5, "only {n} cases with {what}");
     }
 }

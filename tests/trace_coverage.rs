@@ -169,7 +169,8 @@ fn every_pinned_catalogue_name_is_emitted_by_the_reference_workloads() {
             .unwrap();
     let dims = ["age", "tobacco"].map(|a| nat.schema().attr("Natality", a).unwrap());
     let u = Arc::new(Universal::compute_with(&nat, &nat.full_view(), &exec));
-    let engine = InterventionEngine::with_universal(&nat, Arc::clone(&u)).with_exec(exec.clone());
+    let engine = InterventionEngine::with_universal(&nat, Arc::clone(&u))
+        .with_metrics(exec.metrics().clone());
     naive::explanation_table_naive_with(&nat, &engine, &question, &dims, &exec).unwrap();
     let config = CubeAlgoConfig::checked().with_exec(exec.clone());
     cube_algo::explanation_table(&nat, &u, &question, &dims, config).unwrap();
