@@ -9,29 +9,28 @@
 //! paper scale (millions of rows); the default keeps every experiment
 //! under a few seconds. Build with `--release` for meaningful timings.
 //!
+//! Figures 1, 2, 7–11 and 15 and Example 3.7 are computed by the
+//! `exq-bench` library, whose tests assert the paper's claims on the same
+//! rows; this binary prints them. The timing sweeps live here.
+//!
 //! This binary reproduces the paper; it is not the performance
 //! yardstick. Serving, ingestion and per-layer costs are measured by the
 //! standalone `benchmark/` package.
 
-use exq_bench::{natality_db, natality_dims, q_marital, q_race, q_race_prime};
+use exq_bench::{
+    ex37, fig1, fig10_11, fig15, fig2, fig7_9, natality_db, natality_dims, q_marital, q_race, timed,
+};
 use exq_core::causal::DataCausalGraph;
 use exq_core::explanation::Explanation;
 use exq_core::intervention::InterventionEngine;
 use exq_core::prelude::*;
 use exq_core::{cube_algo, naive, topk};
-use exq_datagen::{chain, dblp, geodblp, paper_examples};
-use exq_relstore::aggregate::{evaluate, AggFunc};
+use exq_datagen::{dblp, paper_examples};
+use exq_relstore::aggregate::AggFunc;
 use exq_relstore::cube::CubeStrategy;
 use exq_relstore::{Atom, Database, ExecConfig, Predicate, Universal, Value};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-#[expect(clippy::disallowed_methods, reason = "times the printed tables")]
-fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let start = Instant::now();
-    let out = f();
-    (out, start.elapsed())
-}
+use std::time::Duration;
 
 fn header(title: &str) {
     println!("\n================================================================");
@@ -41,75 +40,26 @@ fn header(title: &str) {
 
 fn fig1() {
     header("Figure 1 — SIGMOD publications in five-year windows, com vs edu");
-    let db = dblp::generate(&dblp::DblpConfig::default());
-    let u = Universal::compute(&db, &db.full_view());
     println!("{:<12} {:>8} {:>8}", "window", "com", "edu");
-    let mut start = 1985;
-    while start + 4 <= 2011 {
-        let w = (start, start + 4);
-        let com = dblp::window_count(&db, &u, "SIGMOD", "com", w);
-        let edu = dblp::window_count(&db, &u, "SIGMOD", "edu", w);
-        println!("{:<12} {:>8} {:>8}", format!("{}-{}", w.0, w.1), com, edu);
-        start += 3;
+    for w in fig1::fig1() {
+        let years = format!("{}-{}", w.years.0, w.years.1);
+        println!("{:<12} {:>8} {:>8}", years, w.com, w.edu);
     }
-}
-
-fn bump_question(db: &Database) -> UserQuestion {
-    let schema = db.schema();
-    let pubid = schema.attr("Publication", "pubid").unwrap();
-    let venue = schema.attr("Publication", "venue").unwrap();
-    let year = schema.attr("Publication", "year").unwrap();
-    let dom = schema.attr("Author", "dom").unwrap();
-    let q = |d: &str, w: (i32, i32)| AggregateQuery {
-        func: AggFunc::CountDistinct(pubid),
-        selection: Predicate::and([
-            Predicate::eq(venue, "SIGMOD"),
-            Predicate::eq(dom, d),
-            Predicate::between(year, w.0, w.1),
-        ]),
-    };
-    UserQuestion::new(
-        NumericalQuery::double_ratio(
-            q("com", (2000, 2004)),
-            q("com", (2007, 2011)),
-            q("edu", (2000, 2004)),
-            q("edu", (2007, 2011)),
-        )
-        .with_smoothing(1e-4),
-        Direction::High,
-    )
 }
 
 fn fig2() {
     header("Figure 2 — top explanations for the bump (by intervention)");
-    let db = dblp::generate(&dblp::DblpConfig::default());
-    let u = Universal::compute(&db, &db.full_view());
-    let question = bump_question(&db);
+    let fig = fig2::fig2();
+    println!("Q(D) = {:.3} (dir = high)", fig.q_d);
     println!(
-        "Q(D) = {:.3} (dir = high)",
-        question.query.eval(&db).unwrap()
+        "table M: {} candidates, computed in {:?}",
+        fig.candidates, fig.table_time
     );
-    let dims = vec![
-        db.schema().attr("Author", "inst").unwrap(),
-        db.schema().attr("Author", "name").unwrap(),
-    ];
-    let (m, t) = timed(|| {
-        cube_algo::explanation_table(&db, &u, &question, &dims, CubeAlgoConfig::checked()).unwrap()
-    });
-    println!("table M: {} candidates, computed in {:?}", m.len(), t);
     println!("{:<4} explanation", "rank");
-    for r in topk::top_k(
-        &m,
-        DegreeKind::Intervention,
-        9,
-        TopKStrategy::MinimalAppend,
-        MinimalityPolarity::PreferGeneral,
-    ) {
+    for r in fig.top {
         println!(
             "{:<4} {}  (mu_interv = {:.4})",
-            r.rank,
-            r.explanation.display(&db),
-            r.degree
+            r.rank, r.explanation, r.degree
         );
     }
 }
@@ -139,131 +89,55 @@ fn fig6() {
 }
 
 fn fig7_8_9(rows: usize) {
+    use fig7_9::{APGAR, MARITAL, RACES};
     header("Figures 7/8/9 — natality contingency tables and ratios");
-    let db = natality_db(rows);
-    let u = Universal::compute(&db, &db.full_view());
-    let count = |pairs: &[(&str, &str)]| {
-        let sel = Predicate::and(
-            pairs
-                .iter()
-                .map(|(a, v)| Predicate::eq(db.schema().attr("Natality", a).unwrap(), *v)),
-        );
-        evaluate(&db, &u, &sel, &AggFunc::CountStar).unwrap()
-    };
+    let fig = fig7_9::fig7_9(rows);
     println!("rows = {rows}");
     println!("\nFigure 7 — AP x Race:");
     println!(
         "{:<6} {:>9} {:>9} {:>9} {:>9}",
         "AP", "White", "Black", "AmInd", "Asian"
     );
-    for ap in ["poor", "good"] {
-        let r: Vec<f64> = ["White", "Black", "AmInd", "Asian"]
-            .iter()
-            .map(|x| count(&[("ap", ap), ("race", x)]))
-            .collect();
+    for (ap, r) in APGAR.iter().zip(fig.ap_race) {
         println!("{:<6} {:>9} {:>9} {:>9} {:>9}", ap, r[0], r[1], r[2], r[3]);
     }
     println!("\nFigure 7 — AP x Marital:");
     println!("{:<6} {:>9} {:>9}", "AP", "married", "unmarr.");
-    for ap in ["poor", "good"] {
-        println!(
-            "{:<6} {:>9} {:>9}",
-            ap,
-            count(&[("ap", ap), ("marital", "married")]),
-            count(&[("ap", ap), ("marital", "unmarried")])
-        );
+    for (ap, r) in APGAR.iter().zip(fig.ap_marital) {
+        println!("{:<6} {:>9} {:>9}", ap, r[0], r[1]);
     }
     println!("\nFigure 8 — good/poor ratio by race (Q_Race observation):");
-    for r in ["White", "Black", "AmInd", "Asian"] {
-        println!(
-            "  {:<6} {:.1}",
-            r,
-            count(&[("ap", "good"), ("race", r)]) / count(&[("ap", "poor"), ("race", r)]).max(1.0)
-        );
+    for (r, ratio) in RACES.iter().zip(fig.race_ratio) {
+        println!("  {:<6} {:.1}", r, ratio);
     }
     println!("\nFigure 9 — good/poor ratio by marital status (Q_Marital observation):");
-    for m in ["married", "unmarried"] {
-        println!(
-            "  {:<10} {:.1}",
-            m,
-            count(&[("ap", "good"), ("marital", m)])
-                / count(&[("ap", "poor"), ("marital", m)]).max(1.0)
-        );
+    for (m, ratio) in MARITAL.iter().zip(fig.marital_ratio) {
+        println!("  {:<10} {:.1}", m, ratio);
     }
-    println!(
-        "\nQ_Race(D)    = {:.2}",
-        q_race(&db).query.eval(&db).unwrap()
-    );
+    println!("\nQ_Race(D)    = {:.2}", fig.q_race);
     println!(
         "Q'_Race(D)   = {:.2} (Asian ratio vs Black ratio)",
-        q_race_prime(&db).query.eval(&db).unwrap()
+        fig.q_race_prime
     );
-    println!(
-        "Q_Marital(D) = {:.2}",
-        q_marital(&db).query.eval(&db).unwrap()
-    );
+    println!("Q_Marital(D) = {:.2}", fig.q_marital);
 }
 
 fn fig10_11(rows: usize) {
     header("Figures 10/11 — top minimal explanations (natality)");
-    let db = natality_db(rows);
-    let u = Universal::compute(&db, &db.full_view());
-    let support = 1000.0 * rows as f64 / 4_000_000.0;
-    let attr = |n: &str| db.schema().attr("Natality", n).unwrap();
-    let dims_race = vec![
-        attr("age"),
-        attr("tobacco"),
-        attr("prenatal"),
-        attr("edu"),
-        attr("marital"),
-    ];
-    let dims_marital = vec![
-        attr("age"),
-        attr("tobacco"),
-        attr("prenatal"),
-        attr("edu"),
-        attr("race"),
-    ];
-    for (name, question, dims) in [
-        ("Q_Race", q_race(&db), dims_race),
-        ("Q_Marital", q_marital(&db), dims_marital),
-    ] {
-        let mut m =
-            cube_algo::explanation_table(&db, &u, &question, &dims, CubeAlgoConfig::checked())
-                .unwrap();
-        m.retain_min_support(support);
-        println!(
-            "\n--- {name} (Q(D) = {:.2}) ---",
-            question.query.eval(&db).unwrap()
-        );
+    for tops in fig10_11::fig10_11(rows) {
+        println!("\n--- {} (Q(D) = {:.2}) ---", tops.question, tops.q_d);
         println!("Figure 10 — top-5 minimal by intervention:");
-        for r in topk::top_k(
-            &m,
-            DegreeKind::Intervention,
-            5,
-            TopKStrategy::MinimalSelfJoin,
-            MinimalityPolarity::PreferGeneral,
-        ) {
+        for r in tops.by_intervention {
             println!(
                 "  {}. {}  (mu_interv = {:.3})",
-                r.rank,
-                r.explanation.display(&db),
-                r.degree
+                r.rank, r.explanation, r.degree
             );
         }
         println!("Figure 11 — top-3 minimal by aggravation:");
-        for r in topk::top_k(
-            &m,
-            DegreeKind::Aggravation,
-            3,
-            TopKStrategy::MinimalSelfJoin,
-            MinimalityPolarity::PreferGeneral,
-        ) {
+        for r in tops.by_aggravation {
             println!(
                 "  {}. {}  (mu_aggr = {:.3})",
-                r.rank,
-                r.explanation.display(&db),
-                r.degree
+                r.rank, r.explanation, r.degree
             );
         }
     }
@@ -448,98 +322,36 @@ fn fig14(full: bool) {
 
 fn fig15() {
     header("Figure 15 — UK SIGMOD vs PODS (8-table join)");
-    let db = geodblp::generate(&geodblp::GeoDblpConfig::default());
-    let u = Universal::compute(&db, &db.full_view());
-    let schema = db.schema();
-    let pubid = schema.attr("Publication", "pubid").unwrap();
-    let venue = schema.attr("Publication", "venue").unwrap();
-    let year = schema.attr("Publication", "year").unwrap();
-    let country = schema.attr("CountryG", "country").unwrap();
-
+    let fig = fig15::fig15();
     println!("(a) venue share by country, 2001-2011");
     println!(
         "{:<16} {:>7} {:>7} {:>9} {:>9}",
         "country", "SIGMOD", "PODS", "%SIGMOD", "%PODS"
     );
-    for c in [
-        "USA",
-        "Germany",
-        "China",
-        "Canada",
-        "United Kingdom",
-        "Netherlands",
-        "France",
-    ] {
-        let n = |v: &str| {
-            evaluate(
-                &db,
-                &u,
-                &Predicate::and([
-                    Predicate::eq(country, c),
-                    Predicate::eq(venue, v),
-                    Predicate::between(year, 2001, 2011),
-                ]),
-                &AggFunc::CountDistinct(pubid),
-            )
-            .unwrap()
-        };
-        let (s, p) = (n("SIGMOD"), n("PODS"));
-        let tot = (s + p).max(1.0);
+    for s in &fig.shares {
+        let tot = (s.sigmod + s.pods).max(1.0);
         println!(
             "{:<16} {:>7} {:>7} {:>8.1}% {:>8.1}%",
-            c,
-            s,
-            p,
-            100.0 * s / tot,
-            100.0 * p / tot
+            s.country,
+            s.sigmod,
+            s.pods,
+            100.0 * s.sigmod / tot,
+            100.0 * s.pods / tot
         );
     }
-
-    let uk = Predicate::eq(country, "United Kingdom");
-    let q = |v: &str| AggregateQuery {
-        func: AggFunc::CountDistinct(pubid),
-        selection: Predicate::and([
-            uk.clone(),
-            Predicate::eq(venue, v),
-            Predicate::between(year, 2001, 2011),
-        ]),
-    };
-    let question = UserQuestion::new(
-        NumericalQuery::ratio(q("SIGMOD"), q("PODS")).with_smoothing(1e-4),
-        Direction::Low,
-    );
+    println!("\nQ(D) = {:.3} (dir = low)", fig.q_d);
     println!(
-        "\nQ(D) = {:.3} (dir = low)",
-        question.query.eval(&db).unwrap()
+        "table M: {} candidates, computed in {:?}",
+        fig.candidates, fig.table_time
     );
-    let dims = vec![
-        schema.attr("Author", "name").unwrap(),
-        schema.attr("AffiliationG", "inst").unwrap(),
-        schema.attr("CityG", "city").unwrap(),
-    ];
-    let (m, t) = timed(|| {
-        cube_algo::explanation_table(&db, &u, &question, &dims, CubeAlgoConfig::checked()).unwrap()
-    });
-    println!("table M: {} candidates, computed in {t:?}", m.len());
     println!("\n(b) top explanations by intervention:");
-    let (top, t_top) = timed(|| {
-        topk::top_k(
-            &m,
-            DegreeKind::Intervention,
-            10,
-            TopKStrategy::MinimalSelfJoin,
-            MinimalityPolarity::PreferGeneral,
-        )
-    });
-    for r in top {
+    for r in fig.top {
         println!(
             "  {:>2}. {}  (mu_interv = {:.4})",
-            r.rank,
-            r.explanation.display(&db),
-            r.degree
+            r.rank, r.explanation, r.degree
         );
     }
-    println!("minimal top-50 by self-join took {t_top:?}");
+    println!("minimal top-50 by self-join took {:?}", fig.top_time);
 }
 
 fn ex37() {
@@ -550,19 +362,14 @@ fn ex37() {
         "{:>4} {:>6} {:>11} {:>8} {:>10}",
         "p", "n", "iterations", "n-2", "deleted"
     );
-    for p in [1, 2, 4, 8, 16, 32, 64] {
-        let db = chain::chain(p);
-        let engine = InterventionEngine::new(&db);
-        let phi = Explanation::new(chain::chain_phi(&db).atoms.clone());
-        let iv = engine.compute(&phi);
-        let n = db.total_tuples();
+    for r in ex37::ex37() {
         println!(
             "{:>4} {:>6} {:>11} {:>8} {:>10}",
-            p,
-            n,
-            iv.iterations,
-            n - 2,
-            iv.total_deleted()
+            r.p,
+            r.n,
+            r.iterations,
+            r.n - 2,
+            r.deleted
         );
     }
 }

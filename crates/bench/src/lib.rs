@@ -1,14 +1,62 @@
-//! Shared scenario builders for the `repro` binary: the exact user
-//! questions of the paper's evaluation (Section 5), parameterized by
-//! dataset scale.
+//! The paper's evaluation (Section 5) as a library: its user questions,
+//! each defined once, and one function per experiment returning typed
+//! rows. The `repro` binary prints the rows; the tests under `tests/`
+//! assert the paper's claims on them.
 
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 #![forbid(unsafe_code)]
 
+pub mod ex37;
+pub mod fig1;
+pub mod fig10_11;
+pub mod fig15;
+pub mod fig2;
+pub mod fig7_9;
+
 use exq_core::prelude::*;
+use exq_core::qparse;
 use exq_datagen::natality::{self, NatalityConfig};
 use exq_relstore::{AttrRef, Database, Predicate};
+use std::time::{Duration, Instant};
+
+/// Run `f`, returning its result and the wall time it took.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "times the reproduced experiments"
+)]
+pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed())
+}
+
+/// One entry of a top-K list, its explanation rendered against the
+/// database it came from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TopRow {
+    /// 1-based rank.
+    pub rank: usize,
+    /// The explanation, e.g. `[Author.inst = ibm.com]`.
+    pub explanation: String,
+    /// Its number of atoms.
+    pub atoms: usize,
+    /// The degree it was ranked by.
+    pub degree: f64,
+}
+
+/// Render `ranked` against `db`.
+fn top_rows(db: &Database, ranked: Vec<Ranked>) -> Vec<TopRow> {
+    ranked
+        .into_iter()
+        .map(|r| TopRow {
+            rank: r.rank,
+            explanation: r.explanation.display(db).to_string(),
+            atoms: r.explanation.len(),
+            degree: r.degree,
+        })
+        .collect()
+}
 
 /// Generate a natality dataset of `rows` rows (seed fixed to the
 /// experiments' seed).
@@ -23,21 +71,29 @@ pub fn nat_attr(db: &Database, name: &str) -> AttrRef {
         .expect("natality attribute")
 }
 
-/// `Q_Race` (Section 5.1): `q1/q2` = good vs poor APGAR among Asian
-/// mothers, direction high. Two COUNT(*) sub-queries.
+/// Parse a shipped question against `db`'s schema.
+fn asset_question(db: &Database, text: &str) -> UserQuestion {
+    qparse::parse_question(db.schema(), text).expect("a shipped question parses against its schema")
+}
+
+/// The Example 2.2 "bump" (`assets/questions/bump.exq`): `(q1/q2)/(q3/q4)`
+/// over distinct SIGMOD publications by domain (`com`, `edu`) and window
+/// (2000–2004, 2007–2011), direction high.
+pub fn bump_question(db: &Database) -> UserQuestion {
+    asset_question(db, include_str!("../../../assets/questions/bump.exq"))
+}
+
+/// `Q_Race` (Section 5.1, `assets/questions/q_race.exq`): good vs poor
+/// APGAR among Asian mothers, direction high. Two COUNT(*) sub-queries.
 pub fn q_race(db: &Database) -> UserQuestion {
-    let ap = nat_attr(db, "ap");
-    let race = nat_attr(db, "race");
-    let q = |o: &str| {
-        AggregateQuery::count_star(Predicate::and([
-            Predicate::eq(ap, o),
-            Predicate::eq(race, "Asian"),
-        ]))
-    };
-    UserQuestion::new(
-        NumericalQuery::ratio(q("good"), q("poor")).with_smoothing(1e-4),
-        Direction::High,
-    )
+    asset_question(db, include_str!("../../../assets/questions/q_race.exq"))
+}
+
+/// `Q_Marital` (Section 5.1, `assets/questions/q_marital.exq`):
+/// `(q1/q2)/(q3/q4)` over marital status × APGAR, direction high. Four
+/// COUNT(*) sub-queries.
+pub fn q_marital(db: &Database) -> UserQuestion {
+    asset_question(db, include_str!("../../../assets/questions/q_marital.exq"))
 }
 
 /// `Q'_Race` (Section 5.1): the "more interesting" variant —
@@ -58,29 +114,6 @@ pub fn q_race_prime(db: &Database) -> UserQuestion {
             q("Asian", "poor"),
             q("Black", "good"),
             q("Black", "poor"),
-        )
-        .with_smoothing(1e-4),
-        Direction::High,
-    )
-}
-
-/// `Q_Marital` (Section 5.1): `(q1/q2)/(q3/q4)` over marital status ×
-/// APGAR, direction high. Four COUNT(*) sub-queries.
-pub fn q_marital(db: &Database) -> UserQuestion {
-    let ap = nat_attr(db, "ap");
-    let marital = nat_attr(db, "marital");
-    let q = |m: &str, o: &str| {
-        AggregateQuery::count_star(Predicate::and([
-            Predicate::eq(marital, m),
-            Predicate::eq(ap, o),
-        ]))
-    };
-    UserQuestion::new(
-        NumericalQuery::double_ratio(
-            q("married", "good"),
-            q("married", "poor"),
-            q("unmarried", "good"),
-            q("unmarried", "poor"),
         )
         .with_smoothing(1e-4),
         Direction::High,

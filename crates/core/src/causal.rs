@@ -332,67 +332,8 @@ impl DataCausalGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exq_datagen::paper_examples::figure3;
     use exq_relstore::{SchemaBuilder, ValueType as T};
-
-    fn figure3_db() -> Database {
-        let schema = SchemaBuilder::new()
-            .relation(
-                "Author",
-                &[
-                    ("id", T::Str),
-                    ("name", T::Str),
-                    ("inst", T::Str),
-                    ("dom", T::Str),
-                ],
-                &["id"],
-            )
-            .relation(
-                "Authored",
-                &[("id", T::Str), ("pubid", T::Str)],
-                &["id", "pubid"],
-            )
-            .relation(
-                "Publication",
-                &[("pubid", T::Str), ("year", T::Int), ("venue", T::Str)],
-                &["pubid"],
-            )
-            .standard_fk("Authored", &["id"], "Author")
-            .back_and_forth_fk("Authored", &["pubid"], "Publication")
-            .build()
-            .unwrap();
-        let mut db = Database::new(schema);
-        for (id, name, inst, dom) in [
-            ("A1", "JG", "C.edu", "edu"),
-            ("A2", "RR", "M.com", "com"),
-            ("A3", "CM", "I.com", "com"),
-        ] {
-            db.insert(
-                "Author",
-                vec![id.into(), name.into(), inst.into(), dom.into()],
-            )
-            .unwrap();
-        }
-        for (id, pubid) in [
-            ("A1", "P1"),
-            ("A2", "P1"),
-            ("A1", "P2"),
-            ("A3", "P2"),
-            ("A2", "P3"),
-            ("A3", "P3"),
-        ] {
-            db.insert("Authored", vec![id.into(), pubid.into()])
-                .unwrap();
-        }
-        for (pubid, year, venue) in [
-            ("P1", 2001, "SIGMOD"),
-            ("P2", 2011, "VLDB"),
-            ("P3", 2001, "SIGMOD"),
-        ] {
-            db.insert("Publication", vec![pubid.into(), year.into(), venue.into()])
-                .unwrap();
-        }
-        db
-    }
 
     fn tid(db: &Database, rel: &str, row: u32) -> TupleId {
         TupleId {
@@ -403,7 +344,7 @@ mod tests {
 
     #[test]
     fn figure6_edges() {
-        let db = figure3_db();
+        let db = figure3();
         let g = DataCausalGraph::build(&db);
         // r1 → s1 (author to authored rows: solid cascade).
         let r1 = tid(&db, "Author", 0);
@@ -473,7 +414,7 @@ mod tests {
         // revisits no node; the max equals the number of distinct Authored
         // tuples on the path. For this instance the max is small; assert
         // the Prop 3.10 bound holds for the seed of Example 2.8.
-        let db = figure3_db();
+        let db = figure3();
         let g = DataCausalGraph::build(&db);
         let engine = crate::intervention::InterventionEngine::new(&db);
         let phi = crate::explanation::Explanation::new(vec![
@@ -494,7 +435,7 @@ mod tests {
     fn footnote_9_data_cycles_despite_acyclic_schema() {
         // The running example's schema is acyclic, but the data causal
         // graph has the cycle s1 ┄→ t1 → s1.
-        let db = figure3_db();
+        let db = figure3();
         let g = DataCausalGraph::build(&db);
         assert!(g.has_cycle());
 
@@ -523,7 +464,7 @@ mod tests {
         use exq_relstore::{SchemaBuilder, ValueType as T};
         // Running example: one back-and-forth key → unrollable in 4.
         assert_eq!(
-            convergence_bound(figure3_db().schema()),
+            convergence_bound(figure3().schema()),
             ConvergenceBound::Unrollable { iterations: 4 }
         );
         // Standard keys only → two steps.
@@ -552,7 +493,7 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_returns_none() {
-        let db = figure3_db();
+        let db = figure3();
         let g = DataCausalGraph::build(&db);
         let starts: Vec<TupleId> = g.nodes.clone();
         assert_eq!(g.max_causal_length_from(&starts, 0), None);
@@ -560,7 +501,7 @@ mod tests {
 
     #[test]
     fn render_mentions_tuples() {
-        let db = figure3_db();
+        let db = figure3();
         let g = DataCausalGraph::build(&db);
         let text = g.render(&db);
         assert!(text.contains("Author[0](A1,JG,C.edu,edu)"));

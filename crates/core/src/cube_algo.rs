@@ -417,7 +417,7 @@ mod tests {
         let config = CubeAlgoConfig::default();
         assert!(config.enforce_additivity);
         assert_eq!(config.strategy, CubeAlgoConfig::checked().strategy);
-        assert!(!config.exec.is_parallel());
+        assert_eq!(config.exec.threads(), 1);
     }
 
     #[test]

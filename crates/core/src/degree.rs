@@ -66,72 +66,13 @@ mod tests {
     use super::*;
     use crate::explanation::Explanation;
     use crate::question::{AggregateQuery, Direction, NumericalQuery};
+    use exq_datagen::paper_examples::figure3;
     use exq_relstore::aggregate::AggFunc;
-    use exq_relstore::{Atom, Database, SchemaBuilder, ValueType as T};
+    use exq_relstore::{Atom, Database};
 
     fn degrees(db: &Database, question: &UserQuestion, phi: &Explanation) -> Degrees {
         let engine = InterventionEngine::new(db);
         evaluate(&engine, question, &phi.conjunction().to_predicate()).unwrap()
-    }
-
-    fn figure3_db() -> Database {
-        let schema = SchemaBuilder::new()
-            .relation(
-                "Author",
-                &[
-                    ("id", T::Str),
-                    ("name", T::Str),
-                    ("inst", T::Str),
-                    ("dom", T::Str),
-                ],
-                &["id"],
-            )
-            .relation(
-                "Authored",
-                &[("id", T::Str), ("pubid", T::Str)],
-                &["id", "pubid"],
-            )
-            .relation(
-                "Publication",
-                &[("pubid", T::Str), ("year", T::Int), ("venue", T::Str)],
-                &["pubid"],
-            )
-            .standard_fk("Authored", &["id"], "Author")
-            .back_and_forth_fk("Authored", &["pubid"], "Publication")
-            .build()
-            .unwrap();
-        let mut db = Database::new(schema);
-        for (id, name, inst, dom) in [
-            ("A1", "JG", "C.edu", "edu"),
-            ("A2", "RR", "M.com", "com"),
-            ("A3", "CM", "I.com", "com"),
-        ] {
-            db.insert(
-                "Author",
-                vec![id.into(), name.into(), inst.into(), dom.into()],
-            )
-            .unwrap();
-        }
-        for (id, pubid) in [
-            ("A1", "P1"),
-            ("A2", "P1"),
-            ("A1", "P2"),
-            ("A3", "P2"),
-            ("A2", "P3"),
-            ("A3", "P3"),
-        ] {
-            db.insert("Authored", vec![id.into(), pubid.into()])
-                .unwrap();
-        }
-        for (pubid, year, venue) in [
-            ("P1", 2001, "SIGMOD"),
-            ("P2", 2011, "VLDB"),
-            ("P3", 2001, "SIGMOD"),
-        ] {
-            db.insert("Publication", vec![pubid.into(), year.into(), venue.into()])
-                .unwrap();
-        }
-        db
     }
 
     /// `Q` = COUNT(DISTINCT pubid) of SIGMOD publications.
@@ -146,7 +87,7 @@ mod tests {
 
     #[test]
     fn aggravation_of_author_explanation() {
-        let db = figure3_db();
+        let db = figure3();
         let question = UserQuestion::new(sigmod_count(&db), Direction::High);
         // φ = [Author.name = RR]: restricting to RR keeps P1 and P3, both
         // SIGMOD → Q(D_φ) = 2; sign is + for dir = high.
@@ -166,7 +107,7 @@ mod tests {
 
     #[test]
     fn aggravation_sign_flips_with_direction() {
-        let db = figure3_db();
+        let db = figure3();
         let phi = Explanation::new(vec![Atom::eq(
             db.schema().attr("Author", "name").unwrap(),
             "RR",
@@ -181,7 +122,7 @@ mod tests {
 
     #[test]
     fn intervention_degree_on_running_example() {
-        let db = figure3_db();
+        let db = figure3();
         let question = UserQuestion::new(sigmod_count(&db), Direction::High);
         // φ = [name = RR]: deleting RR deletes his rows s2, s5, which
         // backward-cascade to P1 and P3 — both SIGMOD pubs vanish.
@@ -212,7 +153,7 @@ mod tests {
     fn better_explanations_rank_higher_by_intervention() {
         // For (Q = #SIGMOD pubs, high), removing RR flattens Q more than
         // removing JG, so μ(RR) > μ(JG).
-        let db = figure3_db();
+        let db = figure3();
         let question = UserQuestion::new(sigmod_count(&db), Direction::High);
         let name = db.schema().attr("Author", "name").unwrap();
         let mu_rr = degrees(
@@ -232,7 +173,7 @@ mod tests {
 
     #[test]
     fn trivial_explanation_aggravates_to_original_value() {
-        let db = figure3_db();
+        let db = figure3();
         let question = UserQuestion::new(sigmod_count(&db), Direction::High);
         let q_d = question.query.eval(&db).unwrap();
         let mu = degrees(&db, &question, &Explanation::trivial()).mu_aggr;

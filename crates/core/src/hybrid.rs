@@ -47,8 +47,9 @@ mod tests {
     use crate::explanation::Explanation;
     use crate::intervention::InterventionEngine;
     use crate::question::{AggregateQuery, Direction, NumericalQuery};
+    use exq_datagen::paper_examples::figure3;
     use exq_relstore::aggregate::AggFunc;
-    use exq_relstore::{Atom, Database, Predicate, SchemaBuilder, ValueType as T};
+    use exq_relstore::{Atom, Predicate};
 
     /// `(μ_hybrid, μ_interv)` of φ, with the totals folded over `U`.
     fn hybrid_and_interv(
@@ -64,71 +65,10 @@ mod tests {
         (mu_hybrid(question, &totals, &d.values), d.mu_interv)
     }
 
-    /// Figure 3 with the back-and-forth key (COUNT(*) not additive).
-    fn figure3_db() -> Database {
-        let schema = SchemaBuilder::new()
-            .relation(
-                "Author",
-                &[
-                    ("id", T::Str),
-                    ("name", T::Str),
-                    ("inst", T::Str),
-                    ("dom", T::Str),
-                ],
-                &["id"],
-            )
-            .relation(
-                "Authored",
-                &[("id", T::Str), ("pubid", T::Str)],
-                &["id", "pubid"],
-            )
-            .relation(
-                "Publication",
-                &[("pubid", T::Str), ("year", T::Int), ("venue", T::Str)],
-                &["pubid"],
-            )
-            .standard_fk("Authored", &["id"], "Author")
-            .back_and_forth_fk("Authored", &["pubid"], "Publication")
-            .build()
-            .unwrap();
-        let mut db = Database::new(schema);
-        for (id, name, inst, dom) in [
-            ("A1", "JG", "C.edu", "edu"),
-            ("A2", "RR", "M.com", "com"),
-            ("A3", "CM", "I.com", "com"),
-        ] {
-            db.insert(
-                "Author",
-                vec![id.into(), name.into(), inst.into(), dom.into()],
-            )
-            .unwrap();
-        }
-        for (id, pubid) in [
-            ("A1", "P1"),
-            ("A2", "P1"),
-            ("A1", "P2"),
-            ("A3", "P2"),
-            ("A2", "P3"),
-            ("A3", "P3"),
-        ] {
-            db.insert("Authored", vec![id.into(), pubid.into()])
-                .unwrap();
-        }
-        for (pubid, year, venue) in [
-            ("P1", 2001, "SIGMOD"),
-            ("P2", 2011, "VLDB"),
-            ("P3", 2001, "SIGMOD"),
-        ] {
-            db.insert("Publication", vec![pubid.into(), year.into(), venue.into()])
-                .unwrap();
-        }
-        db
-    }
-
     #[test]
     fn hybrid_equals_interv_when_additive() {
         // COUNT(DISTINCT pubid) is additive on this schema.
-        let db = figure3_db();
+        let db = figure3();
         let engine = InterventionEngine::new(&db);
         let venue = db.schema().attr("Publication", "venue").unwrap();
         let pubid = db.schema().attr("Publication", "pubid").unwrap();
@@ -154,7 +94,7 @@ mod tests {
         // COUNT(*) on the back-and-forth schema is NOT additive: the true
         // intervention deletes extra tuples, so Q(D−Δ) ≤ u − v, and with
         // dir = high (sign −1) μ_hybrid ≤ μ_interv.
-        let db = figure3_db();
+        let db = figure3();
         let engine = InterventionEngine::new(&db);
         let venue = db.schema().attr("Publication", "venue").unwrap();
         let question = UserQuestion::new(
@@ -179,7 +119,7 @@ mod tests {
 
     #[test]
     fn hybrid_is_the_unchecked_cube_column() {
-        let db = figure3_db();
+        let db = figure3();
         let engine = InterventionEngine::new(&db);
         let u = engine.universal();
         let venue = db.schema().attr("Publication", "venue").unwrap();

@@ -23,6 +23,18 @@
 //! atom words (`aggregate::evaluate_many`); Rule (ii) counts each row's
 //! surviving tuples.
 //!
+//! Rule (i) has a boundary. It seeds a row only when every tuple holding
+//! the row satisfies φ. Let φ conjoin atoms on two relations that meet
+//! only through a cross product: two join components, or two children of
+//! one parent. Then a φ-tuple can share each of its rows with tuples that
+//! fail φ, nothing is seeded, and `Δ^φ` leaves the φ-tuple in
+//! `U(D − Δ)`, so it is not valid. Such an instance has two incomparable
+//! minimal valid interventions, one per child row, so there is no unique
+//! minimum for Theorem 3.3 to find. Single atoms and their disjunctions
+//! are always seeded. The unit test
+//! `rule_i_seeds_nothing_for_a_conjunction_across_a_cross_product` pins
+//! one such instance.
+//!
 //! This module evaluates **P** with *synchronous* (immediate-consequence)
 //! iteration — `Δ^{ℓ+1} = T(Δ^ℓ)` with all rule bodies reading `Δ^ℓ` — so
 //! the reported iteration counts are comparable to the paper's convergence
@@ -462,70 +474,8 @@ pub fn is_valid_for_predicate(db: &Database, phi: &Predicate, delta: &[TupleSet]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exq_datagen::paper_examples::{figure3, figure3_standard_only};
     use exq_relstore::{Atom, SchemaBuilder, ValueType as T};
-
-    /// The Figure 3 running-example instance.
-    fn figure3_db() -> Database {
-        let schema = SchemaBuilder::new()
-            .relation(
-                "Author",
-                &[
-                    ("id", T::Str),
-                    ("name", T::Str),
-                    ("inst", T::Str),
-                    ("dom", T::Str),
-                ],
-                &["id"],
-            )
-            .relation(
-                "Authored",
-                &[("id", T::Str), ("pubid", T::Str)],
-                &["id", "pubid"],
-            )
-            .relation(
-                "Publication",
-                &[("pubid", T::Str), ("year", T::Int), ("venue", T::Str)],
-                &["pubid"],
-            )
-            .standard_fk("Authored", &["id"], "Author")
-            .back_and_forth_fk("Authored", &["pubid"], "Publication")
-            .build()
-            .unwrap();
-        let mut db = Database::new(schema);
-        for (id, name, inst, dom) in [
-            ("A1", "JG", "C.edu", "edu"),
-            ("A2", "RR", "M.com", "com"),
-            ("A3", "CM", "I.com", "com"),
-        ] {
-            db.insert(
-                "Author",
-                vec![id.into(), name.into(), inst.into(), dom.into()],
-            )
-            .unwrap();
-        }
-        // Row ids:        s1          s2          s3          s4          s5          s6
-        for (id, pubid) in [
-            ("A1", "P1"),
-            ("A2", "P1"),
-            ("A1", "P2"),
-            ("A3", "P2"),
-            ("A2", "P3"),
-            ("A3", "P3"),
-        ] {
-            db.insert("Authored", vec![id.into(), pubid.into()])
-                .unwrap();
-        }
-        for (pubid, year, venue) in [
-            ("P1", 2001, "SIGMOD"),
-            ("P2", 2011, "VLDB"),
-            ("P3", 2001, "SIGMOD"),
-        ] {
-            db.insert("Publication", vec![pubid.into(), year.into(), venue.into()])
-                .unwrap();
-        }
-        db.validate().unwrap();
-        db
-    }
 
     fn phi_jg_2001(db: &Database) -> Explanation {
         Explanation::new(vec![
@@ -538,7 +488,7 @@ mod tests {
     fn example_28_intervention_is_asymmetric() {
         // Example 2.8: Δ_Author = ∅, Δ_Authored = {s1, s2},
         // Δ_Publication = {t1}.
-        let db = figure3_db();
+        let db = figure3();
         let engine = InterventionEngine::new(&db);
         let iv = engine.compute(&phi_jg_2001(&db));
         let author = db.schema().relation_index("Author").unwrap();
@@ -566,39 +516,7 @@ mod tests {
     #[test]
     fn example_28_standard_fks_give_symmetric_intervention() {
         // With both keys standard, only s1 is deleted.
-        let schema = SchemaBuilder::new()
-            .relation(
-                "Author",
-                &[
-                    ("id", T::Str),
-                    ("name", T::Str),
-                    ("inst", T::Str),
-                    ("dom", T::Str),
-                ],
-                &["id"],
-            )
-            .relation(
-                "Authored",
-                &[("id", T::Str), ("pubid", T::Str)],
-                &["id", "pubid"],
-            )
-            .relation(
-                "Publication",
-                &[("pubid", T::Str), ("year", T::Int), ("venue", T::Str)],
-                &["pubid"],
-            )
-            .standard_fk("Authored", &["id"], "Author")
-            .standard_fk("Authored", &["pubid"], "Publication")
-            .build()
-            .unwrap();
-        let src = figure3_db();
-        let mut db = Database::new(schema);
-        for rel in ["Author", "Authored", "Publication"] {
-            let idx = src.schema().relation_index(rel).unwrap();
-            for row in src.relation(idx).rows() {
-                db.insert(rel, row.to_vec()).unwrap();
-            }
-        }
+        let db = figure3_standard_only();
         let engine = InterventionEngine::new(&db);
         let iv = engine.compute(&phi_jg_2001(&db));
         let authored = db.schema().relation_index("Authored").unwrap();
@@ -614,7 +532,7 @@ mod tests {
     fn seeds_of_running_example() {
         // σ_φ(U) = {u1} only; the only tuple whose every universal
         // occurrence satisfies φ is s1.
-        let db = figure3_db();
+        let db = figure3();
         let engine = InterventionEngine::new(&db);
         let seeds = engine.seeds_predicate(&phi_jg_2001(&db).conjunction().to_predicate());
         let authored = db.schema().relation_index("Authored").unwrap();
@@ -625,7 +543,7 @@ mod tests {
     #[test]
     fn running_example_converges_within_prop_311_bound() {
         // One back-and-forth key, at most one per relation: ≤ 2s+2 = 4.
-        let db = figure3_db();
+        let db = figure3();
         let engine = InterventionEngine::new(&db);
         let iv = engine.compute(&phi_jg_2001(&db));
         assert!(iv.iterations <= 4, "got {}", iv.iterations);
@@ -633,7 +551,7 @@ mod tests {
 
     #[test]
     fn empty_phi_match_gives_empty_intervention() {
-        let db = figure3_db();
+        let db = figure3();
         let engine = InterventionEngine::new(&db);
         let phi = Explanation::new(vec![Atom::eq(
             db.schema().attr("Author", "name").unwrap(),
@@ -647,7 +565,7 @@ mod tests {
 
     #[test]
     fn trivial_phi_deletes_everything() {
-        let db = figure3_db();
+        let db = figure3();
         let engine = InterventionEngine::new(&db);
         let iv = engine.compute(&Explanation::trivial());
         assert_eq!(iv.total_deleted(), db.total_tuples());
@@ -655,7 +573,7 @@ mod tests {
 
     #[test]
     fn closedness_detects_violations() {
-        let db = figure3_db();
+        let db = figure3();
         // Deleting the author A1 without deleting her Authored rows
         // violates the cascade.
         let mut delta = db.empty_delta();
@@ -684,7 +602,7 @@ mod tests {
     #[test]
     fn unrolled_pipeline_matches_fixpoint() {
         // Running example: one back-and-forth key → unrollable.
-        let db = figure3_db();
+        let db = figure3();
         let engine = InterventionEngine::new(&db);
         let schema = db.schema();
         let candidates = [
@@ -742,7 +660,7 @@ mod tests {
     #[test]
     fn minimality_against_closed_seed_supersets() {
         // Any closure of a seed superset is valid and must contain Δ^φ.
-        let db = figure3_db();
+        let db = figure3();
         let engine = InterventionEngine::new(&db);
         let phi = phi_jg_2001(&db);
         let iv = engine.compute(&phi);
@@ -760,7 +678,7 @@ mod tests {
 
     #[test]
     fn residual_universal_never_satisfies_phi() {
-        let db = figure3_db();
+        let db = figure3();
         let engine = InterventionEngine::new(&db);
         for (rel, attr, val) in [
             ("Author", "name", "RR"),
@@ -778,7 +696,7 @@ mod tests {
 
     #[test]
     fn prop_34_iteration_bound() {
-        let db = figure3_db();
+        let db = figure3();
         let engine = InterventionEngine::new(&db);
         let n = db.total_tuples();
         for (rel, attr, val) in [
@@ -794,6 +712,64 @@ mod tests {
             };
             let iv = engine.compute(&Explanation::new(vec![Atom::eq(a, v)]));
             assert!(iv.iterations <= n);
+        }
+    }
+
+    /// Rule (i)'s boundary. Two children of one parent meet only through
+    /// a cross product, and φ conjoins an atom on each: the one φ-tuple
+    /// (p1, c1, d1) shares every row with a tuple that fails φ, so Rule
+    /// (i) seeds nothing and Δ^φ = ∅ leaves it in U(D − Δ). Deleting c1
+    /// or deleting d1 is each a valid intervention, and neither contains
+    /// the other: there is no unique minimal one for Theorem 3.3 to find.
+    /// Each atom on its own seeds its row and is valid.
+    #[test]
+    fn rule_i_seeds_nothing_for_a_conjunction_across_a_cross_product() {
+        let schema = SchemaBuilder::new()
+            .relation("P", &[("p", T::Str)], &["p"])
+            .relation("C1", &[("c", T::Str), ("p", T::Str), ("a", T::Str)], &["c"])
+            .relation("C2", &[("d", T::Str), ("p", T::Str), ("b", T::Str)], &["d"])
+            .standard_fk("C1", &["p"], "P")
+            .standard_fk("C2", &["p"], "P")
+            .build()
+            .unwrap();
+        let mut db = Database::new(schema);
+        db.insert("P", vec!["p1".into()]).unwrap();
+        for (c, a) in [("c1", "x"), ("c2", "z")] {
+            db.insert("C1", vec![c.into(), "p1".into(), a.into()])
+                .unwrap();
+        }
+        for (d, b) in [("d1", "y"), ("d2", "w")] {
+            db.insert("C2", vec![d.into(), "p1".into(), b.into()])
+                .unwrap();
+        }
+        db.validate().unwrap();
+        let engine = InterventionEngine::new(&db);
+        assert_eq!(engine.universal().len(), 4);
+
+        let a = Atom::eq(db.schema().attr("C1", "a").unwrap(), "x");
+        let b = Atom::eq(db.schema().attr("C2", "b").unwrap(), "y");
+        let phi = Explanation::new(vec![a.clone(), b.clone()]);
+        let iv = engine.compute(&phi);
+        assert_eq!(iv.total_deleted(), 0, "Rule (i) seeds no row");
+        assert_eq!(iv.iterations, 0);
+        assert!(!is_valid_intervention(&db, phi.conjunction(), &iv.delta));
+
+        // Deleting either row of the φ-tuple alone is valid.
+        let only = |rel: &str| {
+            let mut delta: Vec<TupleSet> = (0..3)
+                .map(|r| TupleSet::empty(db.relation_len(r)))
+                .collect();
+            delta[db.schema().relation_index(rel).unwrap()].insert(0);
+            delta
+        };
+        assert!(is_valid_intervention(&db, phi.conjunction(), &only("C1")));
+        assert!(is_valid_intervention(&db, phi.conjunction(), &only("C2")));
+
+        for (atom, rel) in [(a, "C1"), (b, "C2")] {
+            let phi = Explanation::new(vec![atom]);
+            let iv = engine.compute(&phi);
+            assert_eq!(iv.delta, only(rel));
+            assert!(is_valid_intervention(&db, phi.conjunction(), &iv.delta));
         }
     }
 }

@@ -82,18 +82,6 @@ impl ExecConfig {
     pub fn threads(&self) -> usize {
         self.threads
     }
-
-    /// Whether this configuration ever spawns worker threads.
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
-    }
-}
-
-impl Default for ExecConfig {
-    /// Defaults to [`ExecConfig::auto`].
-    fn default() -> ExecConfig {
-        ExecConfig::auto()
-    }
 }
 
 /// Map `f` over fixed-size chunks of `items` on `exec`'s workers and
@@ -282,8 +270,7 @@ mod tests {
     fn exec_config_clamps_and_defaults() {
         assert_eq!(ExecConfig::with_threads(0).threads(), 1);
         assert_eq!(ExecConfig::sequential().threads(), 1);
-        assert!(!ExecConfig::sequential().is_parallel());
-        assert!(ExecConfig::default().threads() >= 1);
+        assert!(ExecConfig::auto().threads() >= 1);
         assert_eq!(even_block_size(&ExecConfig::with_threads(4), 10), 3);
         assert_eq!(even_block_size(&ExecConfig::with_threads(4), 0), 1);
     }

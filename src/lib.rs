@@ -32,9 +32,9 @@
 //! `#[expect(…, reason = "…")]` at its site.
 //!
 //! See the `examples/` directory for end-to-end walkthroughs
-//! (`quickstart`, `dblp_bump`, `natality`, `sigmod_pods`, `convergence`)
-//! and the `exq-bench` crate's `repro` binary, which regenerates every
-//! table and figure of the paper's evaluation.
+//! (`quickstart`, `csv_explainer`, `transform`) and the `exq-bench`
+//! crate's `repro` binary, which regenerates every table and figure of
+//! the paper's evaluation.
 
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr)]

@@ -11,6 +11,7 @@
 
 use exq::datagen::{dblp, geodblp, natality};
 use exq::prelude::*;
+use exq_bench::{bump_question, q_race};
 use exq_core::cube_algo::{self, CubeAlgoConfig};
 use exq_core::prepared::PreparedDb;
 use exq_core::table_m::ExplanationTable;
@@ -26,48 +27,6 @@ const STRATEGIES: [CubeStrategy; 3] = [
     CubeStrategy::SubsetEnumeration,
     CubeStrategy::LatticeRollup,
 ];
-
-fn dblp_question(db: &Database) -> UserQuestion {
-    let schema = db.schema();
-    let pubid = schema.attr("Publication", "pubid").unwrap();
-    let venue = schema.attr("Publication", "venue").unwrap();
-    let year = schema.attr("Publication", "year").unwrap();
-    let dom = schema.attr("Author", "dom").unwrap();
-    let q = |d: &str, w: (i32, i32)| AggregateQuery {
-        func: AggFunc::CountDistinct(pubid),
-        selection: Predicate::and([
-            Predicate::eq(venue, "SIGMOD"),
-            Predicate::eq(dom, d),
-            Predicate::between(year, w.0, w.1),
-        ]),
-    };
-    UserQuestion::new(
-        NumericalQuery::double_ratio(
-            q("com", (2000, 2004)),
-            q("com", (2007, 2011)),
-            q("edu", (2000, 2004)),
-            q("edu", (2007, 2011)),
-        )
-        .with_smoothing(1e-4),
-        Direction::High,
-    )
-}
-
-fn natality_question(db: &Database) -> UserQuestion {
-    let schema = db.schema();
-    let ap = schema.attr("Natality", "ap").unwrap();
-    let race = schema.attr("Natality", "race").unwrap();
-    let q = |o: &str| {
-        AggregateQuery::count_star(Predicate::and([
-            Predicate::eq(ap, o),
-            Predicate::eq(race, "Asian"),
-        ]))
-    };
-    UserQuestion::new(
-        NumericalQuery::ratio(q("good"), q("poor")).with_smoothing(1e-4),
-        Direction::High,
-    )
-}
 
 /// Equal coordinates, and equal bits in every float — `==` on `f64`
 /// would let `-0.0` pass for `0.0`.
@@ -134,7 +93,7 @@ fn dblp_columnar_table_matches_row_reference() {
         schema.attr("Author", "inst").unwrap(),
         schema.attr("Author", "name").unwrap(),
     ];
-    assert_coded_matches_reference(&db, &dblp_question(&db), &dims, CubeAlgoConfig::checked());
+    assert_coded_matches_reference(&db, &bump_question(&db), &dims, CubeAlgoConfig::checked());
 }
 
 #[test]
@@ -151,12 +110,7 @@ fn natality_columnar_table_matches_row_reference() {
         schema.attr("Natality", "edu").unwrap(),
         schema.attr("Natality", "marital").unwrap(),
     ];
-    assert_coded_matches_reference(
-        &db,
-        &natality_question(&db),
-        &dims,
-        CubeAlgoConfig::checked(),
-    );
+    assert_coded_matches_reference(&db, &q_race(&db), &dims, CubeAlgoConfig::checked());
 }
 
 /// The Figure 15 question over the eight-relation Geo-DBLP join.

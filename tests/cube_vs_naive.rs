@@ -40,30 +40,7 @@ fn natality_count_star_tables_agree() {
         seed: 3,
     });
     let schema = db.schema();
-    let ap = schema.attr("Natality", "ap").unwrap();
-    let marital = schema.attr("Natality", "marital").unwrap();
-    let question = UserQuestion::new(
-        NumericalQuery::double_ratio(
-            AggregateQuery::count_star(Predicate::and([
-                Predicate::eq(marital, "married"),
-                Predicate::eq(ap, "good"),
-            ])),
-            AggregateQuery::count_star(Predicate::and([
-                Predicate::eq(marital, "married"),
-                Predicate::eq(ap, "poor"),
-            ])),
-            AggregateQuery::count_star(Predicate::and([
-                Predicate::eq(marital, "unmarried"),
-                Predicate::eq(ap, "good"),
-            ])),
-            AggregateQuery::count_star(Predicate::and([
-                Predicate::eq(marital, "unmarried"),
-                Predicate::eq(ap, "poor"),
-            ])),
-        )
-        .with_smoothing(1e-4),
-        Direction::High,
-    );
+    let question = exq_bench::q_marital(&db);
     let dims = vec![
         schema.attr("Natality", "tobacco").unwrap(),
         schema.attr("Natality", "edu").unwrap(),

@@ -14,6 +14,7 @@
 use exq::core::prepared::PreparedDb;
 use exq::datagen::{dblp, geodblp, natality};
 use exq::prelude::*;
+use exq_bench::{bump_question, q_race};
 use exq_relstore::aggregate::AggFunc;
 use exq_relstore::{AppendBatch, Database, ExecConfig, Value};
 use std::sync::Arc;
@@ -27,50 +28,6 @@ fn dblp_db() -> Database {
         authors_per_institution: 4,
         ..dblp::DblpConfig::default()
     })
-}
-
-/// The Figure 2 question: industrial vs academic SIGMOD output across
-/// two windows (same shape as `tests/thread_determinism.rs`).
-fn dblp_question(db: &Database) -> UserQuestion {
-    let schema = db.schema();
-    let pubid = schema.attr("Publication", "pubid").unwrap();
-    let venue = schema.attr("Publication", "venue").unwrap();
-    let year = schema.attr("Publication", "year").unwrap();
-    let dom = schema.attr("Author", "dom").unwrap();
-    let q = |d: &str, w: (i32, i32)| AggregateQuery {
-        func: AggFunc::CountDistinct(pubid),
-        selection: Predicate::and([
-            Predicate::eq(venue, "SIGMOD"),
-            Predicate::eq(dom, d),
-            Predicate::between(year, w.0, w.1),
-        ]),
-    };
-    UserQuestion::new(
-        NumericalQuery::double_ratio(
-            q("com", (2000, 2004)),
-            q("com", (2007, 2011)),
-            q("edu", (2000, 2004)),
-            q("edu", (2007, 2011)),
-        )
-        .with_smoothing(1e-4),
-        Direction::High,
-    )
-}
-
-fn natality_question(db: &Database) -> UserQuestion {
-    let schema = db.schema();
-    let ap = schema.attr("Natality", "ap").unwrap();
-    let race = schema.attr("Natality", "race").unwrap();
-    let q = |o: &str| {
-        AggregateQuery::count_star(Predicate::and([
-            Predicate::eq(ap, o),
-            Predicate::eq(race, "Asian"),
-        ]))
-    };
-    UserQuestion::new(
-        NumericalQuery::ratio(q("good"), q("poor")).with_smoothing(1e-4),
-        Direction::High,
-    )
 }
 
 /// Clone `db` keeping only the first `keep` rows of `relation`; the
@@ -193,7 +150,7 @@ fn dblp_appends_are_indistinguishable_from_rebuild_at_every_epoch() {
     epochs_match_rebuild(
         &initial,
         &batches,
-        dblp_question,
+        bump_question,
         &["Author.inst", "Author.name"],
     );
 }
@@ -209,7 +166,7 @@ fn natality_appends_are_indistinguishable_from_rebuild_at_every_epoch() {
     epochs_match_rebuild(
         &initial,
         &batches,
-        natality_question,
+        q_race,
         &[
             "Natality.age",
             "Natality.tobacco",
@@ -221,7 +178,7 @@ fn natality_appends_are_indistinguishable_from_rebuild_at_every_epoch() {
 }
 
 /// The Fig. 15 question: UK SIGMOD over PODS output (Section 5.2).
-fn geodblp_question(db: &Database) -> UserQuestion {
+fn geobump_question(db: &Database) -> UserQuestion {
     let schema = db.schema();
     let pubid = schema.attr("Publication", "pubid").unwrap();
     let venue = schema.attr("Publication", "venue").unwrap();
@@ -255,7 +212,7 @@ fn geodblp_appends_are_indistinguishable_from_rebuild_at_every_epoch() {
     epochs_match_rebuild(
         &initial,
         &batches,
-        geodblp_question,
+        geobump_question,
         &["Author.name", "AffiliationG.inst", "CityG.city"],
     );
 }

@@ -183,26 +183,7 @@ fn example_22_numerical_query_on_figure3() {
     // Q = (q1/q2) × (q4/q3) from Example 2.2, evaluated on the tiny
     // instance (with smoothing — several windows are empty).
     let db = paper_examples::figure3();
-    let schema = db.schema();
-    let pubid = schema.attr("Publication", "pubid").unwrap();
-    let venue = schema.attr("Publication", "venue").unwrap();
-    let year = schema.attr("Publication", "year").unwrap();
-    let dom = schema.attr("Author", "dom").unwrap();
-    let q = |d: &str, w: (i32, i32)| AggregateQuery {
-        func: AggFunc::CountDistinct(pubid),
-        selection: Predicate::and([
-            Predicate::eq(venue, "SIGMOD"),
-            Predicate::eq(dom, d),
-            Predicate::between(year, w.0, w.1),
-        ]),
-    };
-    let query = NumericalQuery::double_ratio(
-        q("com", (2000, 2004)),
-        q("com", (2007, 2011)),
-        q("edu", (2000, 2004)),
-        q("edu", (2007, 2011)),
-    )
-    .with_smoothing(1e-4);
+    let query = exq_bench::bump_question(&db).query;
     let v = query.eval(&db).unwrap();
     // q1 = 2 (P1, P3 have com authors), q2 = 0, q3 = 1 (P1 has JG), q4 = 0:
     // Q = (2+ε)/(ε) / ((1+ε)/(ε)) = (2+ε)/(1+ε) ≈ 2.

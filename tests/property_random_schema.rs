@@ -426,7 +426,9 @@ fn program_p_matches_per_round_semijoin_reference() {
         // do, so single atoms and their disjunctions always seed it. Two
         // atoms conjoined across sibling relations (or components) can be
         // met by tuples none of whose rows is a seed, and Rule (i) then
-        // leaves them in U(D − Δ): there the reference is the oracle.
+        // leaves them in U(D − Δ): there the reference is the oracle. See
+        // exq-core's `rule_i_seeds_nothing_for_a_conjunction_across_a_cross_product`
+        // for a hand-built instance with no unique minimal intervention.
         if shape != 1 {
             prop_assert!(is_valid_for_predicate(&db, &phi, &iv.delta));
         }

@@ -9,41 +9,15 @@
 use exq::core::explainer::Explainer;
 use exq::datagen::{dblp, natality};
 use exq::prelude::*;
-use exq_relstore::aggregate::AggFunc;
+use exq_bench::{bump_question, q_race};
 
 const THREADS: [usize; 3] = [1, 2, 7];
-
-fn dblp_question(db: &exq_relstore::Database) -> UserQuestion {
-    let schema = db.schema();
-    let pubid = schema.attr("Publication", "pubid").unwrap();
-    let venue = schema.attr("Publication", "venue").unwrap();
-    let year = schema.attr("Publication", "year").unwrap();
-    let dom = schema.attr("Author", "dom").unwrap();
-    let q = |d: &str, w: (i32, i32)| AggregateQuery {
-        func: AggFunc::CountDistinct(pubid),
-        selection: Predicate::and([
-            Predicate::eq(venue, "SIGMOD"),
-            Predicate::eq(dom, d),
-            Predicate::between(year, w.0, w.1),
-        ]),
-    };
-    UserQuestion::new(
-        NumericalQuery::double_ratio(
-            q("com", (2000, 2004)),
-            q("com", (2007, 2011)),
-            q("edu", (2000, 2004)),
-            q("edu", (2007, 2011)),
-        )
-        .with_smoothing(1e-4),
-        Direction::High,
-    )
-}
 
 #[test]
 fn dblp_explanation_table_is_identical_across_thread_counts() {
     let db = dblp::generate(&dblp::DblpConfig::default());
     let build = |threads: usize| {
-        Explainer::new(&db, dblp_question(&db))
+        Explainer::new(&db, bump_question(&db))
             .attr_names(&["Author.inst", "Author.name"])
             .unwrap()
             .threads(threads)
@@ -63,21 +37,6 @@ fn natality_explanation_table_is_identical_across_thread_counts() {
         rows: 20_000,
         seed: 7,
     });
-    let schema = db.schema();
-    let ap = schema.attr("Natality", "ap").unwrap();
-    let race = schema.attr("Natality", "race").unwrap();
-    let q = |o: &str| {
-        AggregateQuery::count_star(Predicate::and([
-            Predicate::eq(ap, o),
-            Predicate::eq(race, "Asian"),
-        ]))
-    };
-    let question = || {
-        UserQuestion::new(
-            NumericalQuery::ratio(q("good"), q("poor")).with_smoothing(1e-4),
-            Direction::High,
-        )
-    };
     let dims = [
         "Natality.age",
         "Natality.tobacco",
@@ -86,7 +45,7 @@ fn natality_explanation_table_is_identical_across_thread_counts() {
         "Natality.marital",
     ];
     let build = |threads: usize| {
-        Explainer::new(&db, question())
+        Explainer::new(&db, q_race(&db))
             .attr_names(&dims)
             .unwrap()
             .threads(threads)
@@ -140,7 +99,7 @@ fn metrics_snapshot_is_identical_across_thread_counts_on_dblp() {
     let db = dblp::generate(&dblp::DblpConfig::default());
     let snapshot = |threads: usize| {
         let sink = exq::obs::MetricsSink::recording();
-        let (table, _) = Explainer::new(&db, dblp_question(&db))
+        let (table, _) = Explainer::new(&db, bump_question(&db))
             .attr_names(&["Author.inst", "Author.name"])
             .unwrap()
             .threads(threads)

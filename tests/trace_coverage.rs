@@ -8,13 +8,13 @@
 use exq::core::intervention::InterventionEngine;
 use exq::core::prelude::*;
 use exq::core::prepared::PreparedDb;
-use exq::core::{cube_algo, naive, qparse};
+use exq::core::{cube_algo, naive};
 use exq::datagen::{dblp, natality};
 use exq::obs::MetricsSink;
-use exq::relstore::aggregate::AggFunc;
-use exq::relstore::{Database, ExecConfig, Predicate, Universal};
+use exq::relstore::{Database, ExecConfig, Universal};
 use exq::router::{Front, FrontConfig};
 use exq::serve::{client, Catalog, ServerConfig};
+use exq_bench::{bump_question, q_race};
 use std::sync::Arc;
 
 #[path = "support/catalogue.rs"]
@@ -28,33 +28,6 @@ fn small_dblp() -> Database {
         authors_per_institution: 4,
         ..dblp::DblpConfig::default()
     })
-}
-
-/// The Figure 2 "SIGMOD com/edu bump" question.
-fn bump_question(db: &Database) -> UserQuestion {
-    let schema = db.schema();
-    let pubid = schema.attr("Publication", "pubid").unwrap();
-    let venue = schema.attr("Publication", "venue").unwrap();
-    let year = schema.attr("Publication", "year").unwrap();
-    let dom = schema.attr("Author", "dom").unwrap();
-    let q = |d: &str, w: (i32, i32)| AggregateQuery {
-        func: AggFunc::CountDistinct(pubid),
-        selection: Predicate::and([
-            Predicate::eq(venue, "SIGMOD"),
-            Predicate::eq(dom, d),
-            Predicate::between(year, w.0, w.1),
-        ]),
-    };
-    UserQuestion::new(
-        NumericalQuery::double_ratio(
-            q("com", (2000, 2004)),
-            q("com", (2007, 2011)),
-            q("edu", (2000, 2004)),
-            q("edu", (2007, 2011)),
-        )
-        .with_smoothing(1e-4),
-        Direction::High,
-    )
 }
 
 #[test]
@@ -164,9 +137,7 @@ fn every_pinned_catalogue_name_is_emitted_by_the_reference_workloads() {
         rows: 2_000,
         seed: 7,
     });
-    let question =
-        qparse::parse_question(nat.schema(), include_str!("../assets/questions/q_race.exq"))
-            .unwrap();
+    let question = q_race(&nat);
     let dims = ["age", "tobacco"].map(|a| nat.schema().attr("Natality", a).unwrap());
     let u = Arc::new(Universal::compute_with(&nat, &nat.full_view(), &exec));
     let engine = InterventionEngine::with_universal(&nat, Arc::clone(&u))
