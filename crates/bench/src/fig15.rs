@@ -20,6 +20,9 @@ pub const COUNTRIES: [&str; 7] = [
     "France",
 ];
 
+/// Figure 15b's K: the minimal top-K by intervention.
+pub const K: usize = 10;
+
 /// One country's row of Figure 15a.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VenueShare {
@@ -42,9 +45,9 @@ pub struct Fig15 {
     pub candidates: usize,
     /// Time to compute table M.
     pub table_time: Duration,
-    /// Figure 15b, the minimal top-10 by intervention.
+    /// Figure 15b, the minimal top-[`K`] by intervention.
     pub top: Vec<TopRow>,
-    /// Time to pick the minimal top-10.
+    /// Time to pick the minimal top-[`K`].
     pub top_time: Duration,
 }
 
@@ -104,7 +107,7 @@ pub fn fig15() -> Fig15 {
         topk::top_k(
             &m,
             DegreeKind::Intervention,
-            10,
+            K,
             TopKStrategy::MinimalSelfJoin,
             MinimalityPolarity::PreferGeneral,
         )

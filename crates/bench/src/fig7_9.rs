@@ -1,9 +1,9 @@
 //! Figures 7, 8 and 9: the natality contingency tables behind `Q_Race`
 //! and `Q_Marital`, and the good/poor APGAR ratios they show.
 
-use crate::{nat_attr, natality_db, q_marital, q_race, q_race_prime};
+use crate::{nat_attr, q_marital, q_race, q_race_prime, Natality};
 use exq_relstore::aggregate::{evaluate, AggFunc};
-use exq_relstore::{Predicate, Universal};
+use exq_relstore::Predicate;
 
 /// The APGAR levels, in the tables' row order.
 pub const APGAR: [&str; 2] = ["poor", "good"];
@@ -34,8 +34,7 @@ pub struct Contingency {
 
 /// Figures 7–9 on `rows` natality rows.
 pub fn fig7_9(rows: usize) -> Contingency {
-    let db = natality_db(rows);
-    let u = Universal::compute(&db, &db.full_view());
+    let Natality { db, u, .. } = Natality::new(rows);
     let count = |a: &str, x: &str, b: &str, y: &str| {
         let sel = Predicate::and([
             Predicate::eq(nat_attr(&db, a), x),

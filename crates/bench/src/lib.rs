@@ -1,23 +1,40 @@
 //! The paper's evaluation (Section 5) as a library: its user questions,
-//! each defined once, and one function per experiment returning typed
-//! rows. The `repro` binary prints the rows; the tests under `tests/`
-//! assert the paper's claims on them.
+//! each defined once, and one module per experiment whose function
+//! returns typed rows. The timing sweeps take their grid (row counts, d,
+//! K, thread counts) as arguments, and each of their modules holds its
+//! default and paper-scale (`full`) grid as constants. The library only
+//! computes; the `repro` binary prints the rows and checks the timing
+//! orderings, and the tests under `tests/` assert the paper's count and
+//! structure claims on the same rows.
 
 #![warn(missing_docs)]
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 #![forbid(unsafe_code)]
 
+pub mod ablation;
+pub mod agreement;
 pub mod ex37;
+pub mod ex41;
+pub mod export;
 pub mod fig1;
 pub mod fig10_11;
+pub mod fig12;
+pub mod fig13;
+pub mod fig14;
 pub mod fig15;
 pub mod fig2;
+pub mod fig6;
 pub mod fig7_9;
+pub mod hybrid;
+pub mod scaling;
+
+pub use exq_relstore::cube::CubeStrategy;
 
 use exq_core::prelude::*;
-use exq_core::qparse;
+use exq_core::{cube_algo, qparse};
 use exq_datagen::natality::{self, NatalityConfig};
-use exq_relstore::{AttrRef, Database, Predicate};
+use exq_relstore::{AttrRef, Database, Predicate, Universal};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Run `f`, returning its result and the wall time it took.
@@ -58,10 +75,79 @@ fn top_rows(db: &Database, ranked: Vec<Ranked>) -> Vec<TopRow> {
         .collect()
 }
 
+/// Natality rows of the default runs: Figures 7–11, the agreement table
+/// and the fixed-size axes of Figures 13 and 14.
+pub const NAT_ROWS: usize = 200_000;
+
+/// Natality rows of the paper-scale runs: the whole 2010 dataset.
+pub const NAT_ROWS_FULL: usize = 4_000_000;
+
 /// Generate a natality dataset of `rows` rows (seed fixed to the
 /// experiments' seed).
 pub fn natality_db(rows: usize) -> Database {
     natality::generate(&NatalityConfig { rows, seed: 7 })
+}
+
+/// A natality dataset joined once, shared by the points of a sweep that
+/// run at its row count.
+pub struct Natality {
+    /// Its row count.
+    pub rows: usize,
+    /// The dataset ([`natality_db`]).
+    pub db: Database,
+    /// Its universal relation.
+    pub u: Arc<Universal>,
+}
+
+impl Natality {
+    /// Generate `rows` rows and compute their universal relation.
+    pub fn new(rows: usize) -> Natality {
+        let db = natality_db(rows);
+        let u = Arc::new(Universal::compute(&db, &db.full_view()));
+        Natality { rows, db, u }
+    }
+
+    /// Table M of `question` over `dims`, by Algorithm 1.
+    pub fn table(&self, question: &UserQuestion, dims: &[AttrRef]) -> ExplanationTable {
+        cube_algo::explanation_table(&self.db, &self.u, question, dims, CubeAlgoConfig::checked())
+            .expect("the natality questions are cube-computable")
+    }
+}
+
+/// The two axes of Figures 12 and 13: (a) time against data size at a
+/// fixed number of explanation attributes, (b) time against the number
+/// of attributes at a fixed size.
+#[derive(Debug, Clone, Copy)]
+pub struct Grid {
+    /// (a)'s row counts.
+    pub sizes: &'static [usize],
+    /// (a)'s number of attributes.
+    pub size_d: usize,
+    /// (b)'s numbers of attributes.
+    pub attrs: &'static [usize],
+    /// (b)'s row count.
+    pub attrs_rows: usize,
+}
+
+/// A point function evaluated over both axes of a [`Grid`].
+#[derive(Debug, Clone)]
+pub struct Sweep<P> {
+    /// Axis (a), one point per row count.
+    pub by_rows: Vec<P>,
+    /// Axis (b), one point per number of attributes.
+    pub by_attrs: Vec<P>,
+}
+
+/// Evaluate `point` over `grid`, generating each dataset once.
+fn sweep<P>(grid: &Grid, point: impl Fn(&Natality, usize) -> P) -> Sweep<P> {
+    let by_rows = grid
+        .sizes
+        .iter()
+        .map(|&rows| point(&Natality::new(rows), grid.size_d))
+        .collect();
+    let nat = Natality::new(grid.attrs_rows);
+    let by_attrs = grid.attrs.iter().map(|&d| point(&nat, d)).collect();
+    Sweep { by_rows, by_attrs }
 }
 
 /// Attribute lookup helper for the natality table.

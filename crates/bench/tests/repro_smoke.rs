@@ -1,49 +1,23 @@
-//! Smoke tests for the `repro` harness binary: every fast experiment runs
-//! to completion and prints its headline content.
+//! Smoke tests for the `repro` binary's dispatch: a named experiment runs
+//! to completion, and an unknown name is refused. What the experiments
+//! compute is asserted on the library's rows, in the other test files.
 
 use std::process::Command;
 
-fn run(experiment: &str) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .arg(experiment)
-        .output()
-        .expect("repro runs");
-    assert!(
-        out.status.success(),
-        "repro {experiment} failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8_lossy(&out.stdout).into_owned()
-}
-
 #[test]
-fn ex41_prints_the_cube() {
-    let text = run("ex41");
-    assert!(text.contains("RR       2001            2"), "{text}");
-    assert!(text.contains("null     null            6"), "{text}");
-}
-
-#[test]
-fn ex37_prints_iteration_counts() {
-    let text = run("ex37");
-    assert!(
-        text.contains("  32    129         127      127        129"),
-        "{text}"
-    );
-}
-
-#[test]
-fn fig6_prints_both_graphs() {
-    let text = run("fig6");
-    assert!(text.contains("Authored ┄┄▶ Publication"), "{text}");
-    assert!(text.contains("Author[0](A1,JG,C.edu,edu)"), "{text}");
-}
-
-#[test]
-fn hybrid_prints_divergence() {
-    let text = run("hybrid");
-    assert!(text.contains("[name = RR]"), "{text}");
-    assert!(text.contains("mu_hybrid"), "{text}");
+fn fast_experiments_run() {
+    for experiment in ["fig6", "ex41", "ex37", "hybrid"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .arg(experiment)
+            .output()
+            .expect("repro runs");
+        assert!(
+            out.status.success(),
+            "repro {experiment} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(!out.stdout.is_empty(), "repro {experiment} printed nothing");
+    }
 }
 
 #[test]

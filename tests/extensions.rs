@@ -10,7 +10,7 @@ use exq_core::explainer::{EngineChoice, Explainer};
 use exq_core::explanation::Explanation;
 use exq_core::intervention::InterventionEngine;
 use exq_core::rich::{self, RichPart};
-use exq_core::{hybrid, topk, transform};
+use exq_core::{topk, transform};
 use exq_relstore::aggregate::{evaluate, AggFunc};
 
 #[test]
@@ -86,53 +86,27 @@ fn geodblp_end_to_end_uk_question() {
 #[test]
 fn hybrid_and_interv_differ_exactly_where_additivity_fails() {
     // On the Figure 3 instance with the back-and-forth key, COUNT(*) is
-    // not additive: μ_hybrid must diverge from μ_interv for at least one
-    // explanation, while COUNT(DISTINCT pubid) (additive) must agree
-    // everywhere.
-    let db = paper_examples::figure3();
-    let engine = InterventionEngine::new(&db);
-    let venue = db.schema().attr("Publication", "venue").unwrap();
-    let pubid = db.schema().attr("Publication", "pubid").unwrap();
-    let name = db.schema().attr("Author", "name").unwrap();
-
-    let star = UserQuestion::new(
-        NumericalQuery::single(AggregateQuery::count_star(Predicate::eq(venue, "SIGMOD"))),
-        Direction::High,
-    );
-    let distinct = UserQuestion::new(
-        NumericalQuery::single(AggregateQuery {
-            func: AggFunc::CountDistinct(pubid),
-            selection: Predicate::eq(venue, "SIGMOD"),
-        }),
-        Direction::High,
-    );
-
-    // (μ_interv, μ_hybrid) of φ, with the totals folded over U.
-    let degrees = |question: &UserQuestion, phi: &Explanation| {
-        let totals = question
-            .query
-            .aggregate_values(&db, engine.universal())
-            .unwrap();
-        let pred = phi.conjunction().to_predicate();
-        let d = exq_core::degree::evaluate(&engine, question, &pred).unwrap();
-        (d.mu_interv, hybrid::mu_hybrid(question, &totals, &d.values))
-    };
-    let mut star_diverged = false;
-    for n in ["JG", "RR", "CM"] {
-        let phi = Explanation::new(vec![Atom::eq(name, n)]);
-        let (i_star, h_star) = degrees(&star, &phi);
-        star_diverged |= (i_star - h_star).abs() > 1e-12;
-
-        let (i_d, h_d) = degrees(&distinct, &phi);
-        assert_eq!(
-            i_d, h_d,
-            "additive query: hybrid must equal intervention for {n}"
-        );
+    // not additive: μ_hybrid bounds μ_interv from below on every row and
+    // diverges on at least one, while COUNT(DISTINCT pubid) (additive)
+    // agrees everywhere (Section 6(iii)).
+    let table = exq_bench::hybrid::hybrid();
+    for r in &table.count_star {
+        assert!(r.mu_hybrid <= r.mu_interv, "COUNT(*), {}: {r:?}", r.name);
     }
     assert!(
-        star_diverged,
-        "COUNT(*) with a back-and-forth key must diverge somewhere"
+        table.count_star.iter().any(|r| r.mu_hybrid < r.mu_interv),
+        "COUNT(*) with a back-and-forth key must diverge somewhere: {:?}",
+        table.count_star
     );
+    for r in &table.count_distinct {
+        assert_eq!(
+            r.mu_interv, r.mu_hybrid,
+            "additive query: hybrid must equal intervention for {}",
+            r.name
+        );
+    }
+    assert_eq!(table.count_star.len(), 3);
+    assert_eq!(table.count_distinct.len(), 3);
 }
 
 #[test]

@@ -5,10 +5,10 @@
 
 use exq::datagen::paper_examples;
 use exq::prelude::*;
+use exq_bench::{ex41, fig6};
 use exq_core::explanation::Explanation;
 use exq_core::intervention::{is_valid_intervention, InterventionEngine};
-use exq_relstore::aggregate::AggFunc;
-use exq_relstore::cube::{self, CubeStrategy};
+use exq_relstore::cube::CubeStrategy;
 use exq_relstore::semijoin;
 
 fn phi_jg_2001(db: &Database) -> Explanation {
@@ -112,27 +112,25 @@ fn example_210_intervention_is_non_monotone_in_the_input() {
 
 #[test]
 fn example_41_cube_rows() {
-    // The 11-row cube over (name, year) with COUNT(*).
-    let db = paper_examples::figure3();
-    let u = Universal::compute(&db, &db.full_view());
-    let dims = vec![
-        db.schema().attr("Author", "name").unwrap(),
-        db.schema().attr("Publication", "year").unwrap(),
-    ];
+    // The 11-row cube over (name, year) with COUNT(*), by both cube
+    // strategies, in the order `repro ex41` prints it.
     for strategy in [CubeStrategy::SubsetEnumeration, CubeStrategy::LatticeRollup] {
-        let c = cube::compute(
-            &db,
-            &u,
-            &Predicate::True,
-            &dims,
-            &AggFunc::CountStar,
-            strategy,
-        )
-        .unwrap();
-        assert_eq!(c.len(), 11);
-        assert_eq!(c.get(&[Value::str("RR"), Value::Int(2001)]), Some(2.0));
-        assert_eq!(c.get(&[Value::Null, Value::Int(2001)]), Some(4.0));
-        assert_eq!(c.grand_total(), Some(6.0));
+        let cells = ex41::ex41(strategy);
+        let count = |name: Value, year: Value| {
+            let cell = cells
+                .iter()
+                .find(|(c, _)| c[..] == [name.clone(), year.clone()]);
+            cell.map(|&(_, n)| n)
+        };
+        assert_eq!(cells.len(), 11, "{strategy:?}");
+        assert_eq!(count(Value::str("RR"), Value::Int(2001)), Some(2.0));
+        assert_eq!(count(Value::Null, Value::Int(2001)), Some(4.0));
+        assert_eq!(cells[0].0[..], [Value::str("RR"), Value::Int(2001)]);
+        assert_eq!(
+            cells[10],
+            ([Value::Null, Value::Null].into(), 6.0),
+            "grand total last"
+        );
     }
 }
 
@@ -170,12 +168,23 @@ fn corollary_36_residual_universal_equals_negated_selection() {
 
 #[test]
 fn figure6_schema_causal_graph() {
-    let db = paper_examples::figure3();
-    let g = db.schema().causal_graph();
+    let fig = fig6::fig6();
+    let g = &fig.schema;
     assert!(g.is_simple());
     assert_eq!(g.dotted.len(), 1);
     assert_eq!(g.solid.len(), 2);
     assert_eq!(g.max_back_and_forth_per_relation(), 1);
+    let (from, to) = g.dotted[0];
+    assert_eq!(
+        (fig.relations[from].as_str(), fig.relations[to].as_str()),
+        ("Authored", "Publication"),
+        "the back-and-forth key cascades from Authored back to Publication"
+    );
+    assert!(
+        fig.data.contains("Author[0](A1,JG,C.edu,edu)"),
+        "{}",
+        fig.data
+    );
 }
 
 #[test]
