@@ -244,6 +244,9 @@ pub fn dump_relation(db: &Database, relation: &str, mut writer: impl Write) -> R
         writeln!(writer, "{}", fields.join(",")).map_err(io_err)?;
         written += 1;
     }
+    // A buffered writer passed by value would otherwise drop a failed
+    // final write silently.
+    writer.flush().map_err(io_err)?;
     Ok(written)
 }
 
@@ -294,6 +297,26 @@ mod tests {
         for i in 0..2 {
             assert_eq!(d.relation(0).row(i), d2.relation(0).row(i));
         }
+    }
+
+    #[test]
+    fn failed_flush_is_an_error() {
+        struct FlushFails(Vec<u8>);
+        impl Write for FlushFails {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.write(buf)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Err(std::io::Error::other("disk full"))
+            }
+        }
+        let mut d = db();
+        d.insert("R", vec![1.into(), "a".into(), 1.5.into(), true.into()])
+            .unwrap();
+        assert!(matches!(
+            dump_relation(&d, "R", FlushFails(Vec::new())),
+            Err(Error::TypeMismatch { attribute, .. }) if attribute == "<io>"
+        ));
     }
 
     #[test]

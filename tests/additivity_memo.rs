@@ -9,8 +9,12 @@ use exq::core::prepared::PreparedDb;
 use exq::datagen::random::{random_tree_db, RandomDbConfig};
 use exq::datagen::{dblp, geodblp};
 use exq::prelude::*;
-use exq_relstore::{AppendBatch, Database, SchemaBuilder, Value, ValueType as T};
+use exq_relstore::{Database, SchemaBuilder, ValueType as T};
 use std::sync::Arc;
+
+#[path = "support/serving.rs"]
+mod serving;
+use serving::hold_back;
 
 /// Every row of `rel` occurs in exactly one tuple of `u`, by counting.
 fn walk(db: &Database, u: &Universal, rel: usize) -> bool {
@@ -35,37 +39,6 @@ fn assert_memo_matches_walk(db: &Database, u: &Universal, what: &str) {
             );
         }
     }
-}
-
-/// `db` without the tail of `relation` after its first `keep` rows, and
-/// that tail cut into `batches` append batches.
-fn hold_back(
-    db: &Database,
-    relation: &str,
-    keep: usize,
-    batches: usize,
-) -> (Database, Vec<AppendBatch>) {
-    let held_rel = db.schema().relation_index(relation).unwrap();
-    let mut initial = Database::new(db.schema().clone());
-    for rel in 0..db.schema().relation_count() {
-        let name = &db.schema().relation(rel).name;
-        let limit = if rel == held_rel { keep } else { usize::MAX };
-        for row in db.relation(rel).rows().take(limit) {
-            initial.insert(name, row.to_vec()).unwrap();
-        }
-    }
-    let held: Vec<Vec<Value>> = db
-        .relation(held_rel)
-        .rows()
-        .skip(keep)
-        .map(<[Value]>::to_vec)
-        .collect();
-    let chunk = held.len().div_ceil(batches).max(1);
-    let batches = held
-        .chunks(chunk)
-        .map(|rows| vec![(relation.to_string(), rows.to_vec())])
-        .collect();
-    (initial, batches)
 }
 
 /// Walk an append sequence, checking the memo at every epoch.

@@ -12,14 +12,15 @@ use exq::core::{cube_algo, naive};
 use exq::datagen::{dblp, natality};
 use exq::obs::MetricsSink;
 use exq::relstore::{Database, ExecConfig, Universal};
-use exq::router::{Front, FrontConfig};
-use exq::serve::{client, Catalog, ServerConfig};
 use exq_bench::{bump_question, q_race};
 use std::sync::Arc;
 
 #[path = "support/catalogue.rs"]
 mod catalogue;
+#[path = "support/serving.rs"]
+mod serving;
 use catalogue::{parse_catalogue, EmitKind};
+use serving::{append, ask, report, Step, Target};
 
 /// The small DBLP instance (the CLI's `dblp-small`).
 fn small_dblp() -> Database {
@@ -112,12 +113,11 @@ fn dblp_explain_trace_is_balanced_and_covers_all_phases() {
 
 /// Every non-`aux` name in `assets/obs/counters.txt` appears in the
 /// union of the recording-sink snapshots of three reference workloads:
-/// a DBLP explain, a small natality naive + cube run, and one server
-/// answering explain, report, append and the GET endpoints behind a
-/// one-worker front. `aux` names are data- or strategy-dependent, so
-/// only the catalogue audit (`tests/artifact_audit.rs`, L007/L008)
-/// checks them: each must have an emit site, as every non-`aux` name
-/// must too.
+/// a DBLP explain, a small natality naive + cube run, and a two-shard
+/// front answering explain, report, append and the GET endpoints. `aux`
+/// names are data- or strategy-dependent, so only the catalogue audit
+/// (`tests/artifact_audit.rs`, L007/L008) checks them: each must have an
+/// emit site, as every non-`aux` name must too.
 #[test]
 fn every_pinned_catalogue_name_is_emitted_by_the_reference_workloads() {
     let sink = MetricsSink::recording();
@@ -146,61 +146,20 @@ fn every_pinned_catalogue_name_is_emitted_by_the_reference_workloads() {
     let config = CubeAlgoConfig::checked().with_exec(exec.clone());
     cube_algo::explanation_table(&nat, &u, &question, &dims, config).unwrap();
 
-    let mut catalog = Catalog::new();
-    catalog
-        .insert_database("dblp", db, &ExecConfig::sequential())
-        .unwrap();
-    let worker = exq::serve::start(
-        catalog,
-        ServerConfig {
-            threads: 1,
-            shard_id: Some(0),
-            ..ServerConfig::default()
-        },
-        MetricsSink::recording(),
-    )
-    .unwrap();
-    let front = Front::start_on(
-        "127.0.0.1:0",
-        FrontConfig {
-            per_worker_connections: 1,
-            datasets: vec!["dblp".to_string()],
-            ..FrontConfig::default()
-        },
-        MetricsSink::recording(),
-    )
-    .unwrap();
-    front.upstreams().set_addr(0, Some(worker.addr()));
-    let addr = front.addr();
-    let body = format!(
-        "{{\"dataset\": \"dblp\", \"question\": \"{}\", \"attrs\": [\"Author.inst\"], \"top\": 3}}",
-        exq::obs::escape_json(include_str!("../assets/questions/bump.exq"))
-    );
-    // Each question twice: a miss, then a hit.
-    for path in ["/v1/explain", "/v1/explain", "/v1/report", "/v1/report"] {
-        let response = client::post_json(addr, path, &body).unwrap();
-        assert_eq!(response.status, 200, "{path}: {}", response.text());
-    }
-    let append = client::post_json(
-        addr,
-        "/v1/datasets/dblp/rows",
-        r#"{"rows": {"Author": [["new-author", "New Author", "new.edu", "edu"]]}}"#,
-    )
-    .unwrap();
-    assert_eq!(append.status, 200, "{}", append.text());
-    for path in [
-        "/healthz",
-        "/v1/health",
-        "/v1/datasets",
-        "/metrics",
-        "/v1/debug/requests",
-    ] {
-        let response = client::get(addr, path).unwrap();
-        assert_eq!(response.status, 200, "{path}: {}", response.text());
-    }
+    // Each question twice (a miss, then a hit), an append and the GET
+    // endpoints, through a front, under the serving-contract checker.
+    let fx = serving::fixtures();
+    let (explain, append) = (ask(fx, 0, "Author.inst", 3, false), append(fx, 0, 0));
+    let report = report(explain.clone());
+    let mut list = vec![explain.clone(), explain, report.clone(), report, append];
+    let gets = "/healthz /v1/health /v1/datasets /metrics /v1/debug/requests".split(' ');
+    list.extend(gets.map(serving::get));
+    let done = serving::run(fx, Target::Front, 1, &[Step::Clients(vec![list])]);
+    serving::check(fx, &done);
+    assert!(done.history.iter().all(|r| r.response.status == 200));
     let mut union = sink.snapshot();
-    union.merge(&front.shutdown());
-    union.merge(&worker.shutdown());
+    union.merge(&done.tier);
+    union.merge(&done.workers);
 
     let missing: Vec<String> = parse_catalogue(include_str!("../assets/obs/counters.txt"))
         .into_iter()
